@@ -140,10 +140,7 @@ def liouvillian_apply(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"state shape {rho.shape} does not match dimension {n}"
         )
-    ham = model.hamiltonian
-    cdc = np.einsum("kba,kbc->ac", model.lindblads.conj(), model.lindblads)
-    out = -1j * (ham @ rho - rho @ ham) + _dissipator_sum(model.lindblads, cdc, rho)
-    return out / model.hbar
+    return _Propagator(model).rhs(rho)
 
 
 class _Propagator:

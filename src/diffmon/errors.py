@@ -46,15 +46,11 @@ class InvalidEfficientPartError(ValidationError):
 
 
 class NotL1Error(DiffmonError):
-    """The factorization solver only handles a single measured channel."""
+    """The B-rep factorization only handles a single measured channel."""
 
 
 class ZeroMError(DiffmonError):
     """The zero measurement matrix has no beam-splitter realization."""
-
-
-class NoRootError(DiffmonError):
-    """Bracketing found no solution of the factorization phase equation (indicates a bug)."""
 
 
 class NotPureError(DiffmonError):

@@ -29,7 +29,6 @@ from .errors import (
     EfficiencyOutOfRangeError,
     InternalInconsistencyError,
     InvalidEfficientPartError,
-    NoRootError,
     NotL1Error,
     NotPSDError,
     OffBlockAsymmetricError,
@@ -508,80 +507,11 @@ def factor_phase_gap(r: float, phi: float, det_sign: int = 1) -> float:
     ``det_sign`` selects the sign of the post-processing rotation determinant.
     """
     theta = min(max(factor_theta(r, phi), 0.0), 1.0)
-    return _phase_gap_theta(theta, phi, det_sign)
-
-
-def _phase_gap_theta(theta: float, phi: float, det_sign: int = 1) -> float:
     sg = 1.0 if det_sign >= 0 else -1.0
     rt, rtb = np.sqrt(theta), np.sqrt(1.0 - theta)
     top = rt * np.cos(phi) + 1j * sg * rtb * np.sin(phi)
     bot = rt * np.sin(phi) - 1j * sg * rtb * np.cos(phi)
     return float(np.angle(top / bot))
-
-
-def _factor_branches(q: float, n: int):
-    """Grid the constraint curve (theta - 1/2) * cos(2 phi) = q, ordered by ascending phi.
-
-    Parameterizing by theta keeps every point well conditioned, including the
-    balanced case q = 0 where the curve degenerates to phi = pi/4.
-    """
-    if abs(q) < 1e-15:
-        th = np.linspace(1.0, 0.0, n)
-        return [(th, np.full(n, np.pi / 4.0))]
-    if q > 0:
-        domains = [np.linspace(0.5 + q, 1.0, n), np.linspace(0.0, 0.5 - q, n)]
-    else:
-        domains = [np.linspace(0.5 + q, 0.0, n), np.linspace(1.0, 0.5 - q, n)]
-    branches = []
-    for th in domains:
-        x = np.clip(q / (th - 0.5), -1.0, 1.0)
-        branches.append((th, 0.5 * np.arccos(x)))
-    return branches
-
-
-def _phi_of_theta(theta: float, q: float) -> float:
-    if abs(q) < 1e-15:
-        return float(np.pi / 4.0)
-    return float(0.5 * np.arccos(np.clip(q / (theta - 0.5), -1.0, 1.0)))
-
-
-def _grid_phase_gaps(th: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    thc = np.clip(th, 0.0, 1.0)
-    rt, rtb = np.sqrt(thc), np.sqrt(1.0 - thc)
-    top = rt * np.cos(phi) + 1j * rtb * np.sin(phi)
-    bot = rt * np.sin(phi) - 1j * rtb * np.cos(phi)
-    return np.angle(top / bot)
-
-
-def _solve_phase_gap(q: float, target: float, grid: int = 2048) -> tuple[float, float]:
-    """Smallest-angle point on the constraint curve whose phase gap equals ``target``."""
-
-    def gap(theta):
-        return _phase_gap_theta(min(max(theta, 0.0), 1.0), _phi_of_theta(theta, q), 1) - target
-
-    for th_grid, phi_grid in _factor_branches(q, grid):
-        vals = _grid_phase_gaps(th_grid, phi_grid) - target
-        for i in range(len(th_grid)):
-            if abs(vals[i]) < 1e-13:
-                theta = float(th_grid[i])
-                return theta, _phi_of_theta(theta, q)
-            if i + 1 < len(th_grid) and vals[i] * vals[i + 1] < 0.0:
-                lo, hi = float(th_grid[i]), float(th_grid[i + 1])
-                flo = vals[i]
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    fmid = gap(mid)
-                    if abs(fmid) < 1e-14 or abs(hi - lo) < 1e-16:
-                        break
-                    if flo * fmid <= 0.0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fmid
-                theta = 0.5 * (lo + hi)
-                return theta, _phi_of_theta(theta, q)
-    raise NoRootError(
-        f"no angle solves the phase-gap equation for target {target} (q = {q})"
-    )
 
 
 def _rotation(phi: float) -> np.ndarray:
@@ -595,8 +525,18 @@ def mrep_to_brep_o(mrep: MRep, tol: float = DEFAULT_TOL):
     Returns ``(brep, ortho)`` with ``brep_o_to_mrep(brep, ortho, hbar)``
     reproducing the input.  Phase differences in [0, pi] use a rotation with
     determinant +1; negative ones shift the second entry by pi and absorb the
-    sign into a determinant -1 post-processing.  When several rotation angles
-    work, the smallest is returned.
+    sign into a determinant -1 post-processing.  With that sign applied, the
+    row ``w = (m1, det_sign * m2)`` is written as
+    ``|m| e^{i phase} [sqrt(theta) (c, s) + i sqrt(1 - theta) (s, -c)]``,
+    ``(c, s) = (cos phi, sin phi)``: ``phi`` and ``phi + pi/2`` are the
+    principal axes of the polarization ellipse of ``w``.  Multiplying ``w``
+    by ``exp(-i arg(w^T w) / 2)`` makes its real and imaginary parts
+    orthogonal; ``phi`` is the angle of the real part reduced into
+    [0, pi/2), the smallest rotation angle (each quarter turn swaps the roles
+    of the real and imaginary parts), and ``theta`` is the share of ``|w|^2``
+    on that axis, never formed as a difference from 1.  At equal entry moduli
+    the axis is pi/4 and ``theta = cos^2(gap / 2)`` for the phase gap of
+    ``w``.
     """
     if mrep.channels != 1:
         raise NotL1Error("only single-channel measurement matrices can be factorized")
@@ -626,8 +566,20 @@ def mrep_to_brep_o(mrep: MRep, tol: float = DEFAULT_TOL):
         det_sign, target = 1, delta
     else:
         det_sign, target = -1, delta + np.pi
-    theta, phi = _solve_phase_gap(q, target)
-    theta = min(max(theta, 0.0), 1.0)
+    if abs(q) < 1e-15:
+        theta, phi = float(np.cos(target / 2.0) ** 2), np.pi / 4.0
+    else:
+        w = np.array([m1, det_sign * m2])
+        w = w * np.exp(-0.5j * np.angle(w @ w))
+        x, y = w.real
+        if y < 0.0 or (y == 0.0 and x < 0.0):  # half turn: same axis, same theta
+            x, y = -x, -y
+        swap = x <= 0.0  # quarter turn: the imaginary part lies on the axis
+        if swap:
+            x, y = y, -x
+        phi = float(np.arctan2(y, x))
+        on_axis = w.imag if swap else w.real
+        theta = float(on_axis @ on_axis / (w.real @ w.real + w.imag @ w.imag))
     top = np.sqrt(theta) * np.cos(phi) + 1j * np.sqrt(1.0 - theta) * np.sin(phi)
     phase = alpha1 - float(np.angle(top))
     brep = BRep([eta], [[np.exp(-1j * phase)]], [theta])

@@ -88,6 +88,14 @@ def _real_vector(rows, field: str) -> np.ndarray:
     return arr
 
 
+def _number(value, cast, field: str):
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        kind = "an integer" if cast is int else "a number"
+        raise SchemaError(f"field {field!r} must be {kind}, got {value!r}") from exc
+
+
 def _require(data: dict, field: str):
     if field not in data:
         raise SchemaError(f"missing required field {field!r}")
@@ -143,8 +151,8 @@ def parse_rep(data: dict, default_hbar: float = 1.0, tol: float = DEFAULT_TOL) -
     kind = _require(data, "type")
     if kind not in REP_KINDS:
         raise SchemaError(f"field 'type' must be one of {REP_KINDS}, got {kind!r}")
-    hbar = float(data.get("hbar", default_hbar))
-    ell = int(_require(data, "L"))
+    hbar = _number(data.get("hbar", default_hbar), float, "hbar")
+    ell = _number(_require(data, "L"), int, "L")
     if ell < 1:
         raise SchemaError(f"field 'L' must be a positive integer, got {ell}")
     if kind == "mrep":
@@ -250,8 +258,8 @@ def model_payload(model: LindbladModel) -> dict:
 
 
 def parse_model(data: dict, default_hbar: float = 1.0) -> LindbladModel:
-    hbar = float(data.get("hbar", default_hbar))
-    dim = int(_require(data, "dim"))
+    hbar = _number(data.get("hbar", default_hbar), float, "hbar")
+    dim = _number(_require(data, "dim"), int, "dim")
     if dim < 1:
         raise SchemaError(f"field 'dim' must be a positive integer, got {dim}")
     ham = pairs_to_complex(_require(data, "hamiltonian"), "hamiltonian")

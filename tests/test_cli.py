@@ -59,6 +59,14 @@ def test_validate_schema_error(tmp_path):
     assert main(["validate", str(path)]) == 3
 
 
+def test_validate_bad_scalar_schema_error(tmp_path, het_file):
+    payload = json.loads(het_file.read_text())
+    for field, bad in (("L", "abc"), ("hbar", [1])):
+        path = tmp_path / f"bad_{field}.json"
+        path.write_text(json.dumps({**payload, field: bad}))
+        assert main(["validate", str(path)]) == 3
+
+
 def test_convert_heterodyne_to_urep(het_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["convert", str(het_file), "--to", "urep", "--out", str(out)]) == 0

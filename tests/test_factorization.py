@@ -3,7 +3,13 @@ import pytest
 
 from diffmon import MRep, brep_o_to_mrep, mrep_to_brep_o
 from diffmon.errors import NotL1Error, ZeroMError
-from diffmon.reps import factor_phase_gap, factor_theta, random_mrep
+from diffmon.reps import (
+    factor_phase_gap,
+    factor_theta,
+    heterodyne_mrep,
+    homodyne_mrep,
+    random_mrep,
+)
 
 from conftest import rng
 
@@ -98,6 +104,67 @@ def test_roundtrip_with_nonunit_scale():
         if np.linalg.norm(m.matrix) < 1e-6:
             continue
         assert _roundtrip_error(m) <= 1e-8
+
+
+def test_near_linear_roundtrip():
+    # Phase gap within 1e-9 of pi: the splitting sits next to 0, where an
+    # error of 1e-16 in theta becomes 1e-8 in sqrt(theta).
+    for a in np.linspace(0.05, 1.5, 15):
+        m = MRep(0.8 * np.array([[np.cos(a), -np.sin(a) * np.exp(1e-9j)]]))
+        assert _roundtrip_error(m) <= 1e-12
+
+
+_S = 0.7071067811865476
+_PINNED = [
+    # (input, theta, det_sign, post-processing, mixing)
+    (
+        heterodyne_mrep(0.8),
+        0.5,
+        -1,
+        [[_S, -_S], [-_S, -_S]],
+        0.7071067811865476 + 0.7071067811865475j,
+    ),
+    (
+        homodyne_mrep(0.5, 0.3),
+        1.0,
+        1,
+        [[1.0, 0.0], [0.0, 1.0]],
+        0.955336489125606 + 0.29552020666133955j,
+    ),
+    (
+        MRep(0.6 * np.array([[np.exp(2.0j), 1.0]]) / np.sqrt(2.0)),
+        0.29192658172642594,
+        1,
+        [[_S, _S], [-_S, _S]],
+        0.5403023058681421 - 0.841470984807895j,
+    ),
+    (
+        MRep(0.6 * np.array([[np.exp(-1.2j), 1.0]]) / np.sqrt(2.0)),
+        0.3188211227616661,
+        -1,
+        [[_S, -_S], [-_S, -_S]],
+        -0.5646424733950328 + 0.82533561490968j,
+    ),
+    (
+        MRep(np.array([[0.3 + 0.4j, -0.2 + 0.1j]])),
+        0.8399346342395194,
+        -1,
+        [
+            [0.9951333266680699, -0.09853761796664538],
+            [-0.09853761796664538, -0.9951333266680699],
+        ],
+        0.6339889056055392 - 0.7733421413379015j,
+    ),
+]
+
+
+@pytest.mark.parametrize("m, theta, det_sign, o, mixing", _PINNED)
+def test_conventions_pinned(m, theta, det_sign, o, mixing):
+    brep, ortho = mrep_to_brep_o(m)
+    assert ortho.det_sign == det_sign
+    assert abs(brep.theta[0] - theta) <= 1e-12
+    assert np.max(np.abs(ortho.matrix - np.array(o))) <= 1e-12
+    assert abs(brep.mixing[0, 0] - mixing) <= 1e-12
 
 
 def test_rejects_multichannel():

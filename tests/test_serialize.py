@@ -106,6 +106,10 @@ def test_parse_rep_schema_errors():
         parse_rep(
             {"type": "urep", "hbar": 1.0, "L": 1, "matrix": [[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]]}
         )
+    payload = heterodyne_payload()
+    for field, bad in (("L", "abc"), ("L", [1]), ("hbar", [1]), ("hbar", "x")):
+        with pytest.raises(SchemaError, match=field):
+            parse_rep({**payload, field: bad})
 
 
 def test_parse_rep_validation_error():
@@ -139,6 +143,10 @@ def test_model_schema_errors():
         parse_model({"dim": 2, "hamiltonian": [[[0.0, 0.0]] * 2] * 2, "lindblads": []})
     with pytest.raises(SchemaError):
         parse_model({"dim": 2, "lindblads": [[[[0.0, 0.0]] * 2] * 2]})
+    payload = model_payload(decay_model())
+    for field, bad in (("dim", "x"), ("dim", None), ("hbar", [1]), ("hbar", "x")):
+        with pytest.raises(SchemaError, match=field):
+            parse_model({**payload, field: bad})
 
 
 def test_fingerprints_are_stable_and_content_sensitive():
