@@ -361,7 +361,7 @@ def check_one_step_mean(seed: int) -> CheckResult:
     out, _y, _tr = sme._step_nonlinear(work, rho, dw, dt)
     mean = out.mean(axis=0)
     se = out.std(axis=0, ddof=1) / np.sqrt(n)
-    det = work.prop.rk4(rho0, dt)
+    det = work.engine.rk4(rho0, dt)
     excess = np.abs(mean - det) - 3.0 * np.abs(se) - 10.0 * dt**2
     worst = float(np.max(excess.real))
     return CheckResult(

@@ -126,20 +126,26 @@ def _cmd_factorize(args) -> int:
     return 0
 
 
-def _check_scales(model, rep_file) -> None:
+def _load_run(args):
+    """Model, measurement matrix, initial state and manifest inputs of a run."""
+    model = load_model(args.model, default_hbar=args.hbar)
+    rep_file = load_rep(args.rep, default_hbar=args.hbar, tol=args.tol)
     if abs(model.hbar - rep_file.hbar) > 1e-12 * max(model.hbar, rep_file.hbar):
         raise ValidationError(
             f"model and measurement documents carry different hbar:"
             f" {model.hbar} vs {rep_file.hbar}"
         )
+    mrep = rep_to_mrep(rep_file, tol=args.tol)
+    rho0 = _load_initial_state(args.init, model.dim)
+    inputs = {
+        "model": {"path": str(args.model), "fingerprint": fingerprint_model(model)},
+        "rep": {"path": str(args.rep), "fingerprint": fingerprint_rep(rep_file)},
+    }
+    return model, mrep, rho0, inputs
 
 
 def _cmd_simulate(args) -> int:
-    model = load_model(args.model, default_hbar=args.hbar)
-    rep_file = load_rep(args.rep, default_hbar=args.hbar, tol=args.tol)
-    _check_scales(model, rep_file)
-    mrep = rep_to_mrep(rep_file, tol=args.tol)
-    rho0 = _load_initial_state(args.init, model.dim)
+    model, mrep, rho0, inputs = _load_run(args)
     config = _simulation_config(args)
     ensemble = simulate_ensemble(model, mrep, rho0, config)
     outdir = _outdir(args.out)
@@ -151,10 +157,7 @@ def _cmd_simulate(args) -> int:
             outdir,
             "simulate",
             args.seed,
-            inputs={
-                "model": {"path": str(args.model), "fingerprint": fingerprint_model(model)},
-                "rep": {"path": str(args.rep), "fingerprint": fingerprint_rep(rep_file)},
-            },
+            inputs=inputs,
             config={
                 "dt": args.dt,
                 "steps": args.steps,
@@ -173,11 +176,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_autocorr(args) -> int:
-    model = load_model(args.model, default_hbar=args.hbar)
-    rep_file = load_rep(args.rep, default_hbar=args.hbar, tol=args.tol)
-    _check_scales(model, rep_file)
-    mrep = rep_to_mrep(rep_file, tol=args.tol)
-    rho0 = _load_initial_state(args.init, model.dim)
+    model, mrep, rho0, inputs = _load_run(args)
     config = _simulation_config(args, mode="nonlinear")
     try:
         lag_times = sorted({float(v) for v in args.lags.split(",") if v.strip()})
@@ -216,10 +215,7 @@ def _cmd_autocorr(args) -> int:
             outdir,
             "autocorr",
             args.seed,
-            inputs={
-                "model": {"path": str(args.model), "fingerprint": fingerprint_model(model)},
-                "rep": {"path": str(args.rep), "fingerprint": fingerprint_rep(rep_file)},
-            },
+            inputs=inputs,
             config={
                 "dt": args.dt,
                 "steps": args.steps,

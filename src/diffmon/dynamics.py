@@ -13,6 +13,7 @@ propagation routines integrate ``drho/dt``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import DEFAULT_TOL, positive_sqrt, pseudo_inverse
-from .reps import MRep, TRep, URep, urep_split
+from .reps import MRep, TRep, URep, _check_hbar, urep_split
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,7 @@ class LindbladModel:
         if ham.ndim != 2 or ham.shape[0] != ham.shape[1]:
             raise DimensionMismatchError(f"hamiltonian must be square, got {ham.shape}")
         n = ham.shape[0]
-        cs = np.array(self.lindblads, dtype=complex)
-        if cs.ndim == 2:
-            cs = cs[None]
+        cs = _operator_stack(self.lindblads).copy()
         if cs.ndim != 3 or cs.shape[0] < 1 or cs.shape[1:] != (n, n):
             raise DimensionMismatchError(
                 f"expected at least one {n} x {n} coupling operator, got shape {cs.shape}"
@@ -53,12 +52,9 @@ class LindbladModel:
             1.0, float(np.linalg.norm(ham))
         ):
             raise NotHermitianError("hamiltonian is not Hermitian within tolerance")
-        hbar = float(self.hbar)
-        if not np.isfinite(hbar) or hbar <= 0.0:
-            raise ValidationError(f"hbar must be a positive real number, got {hbar}")
         object.__setattr__(self, "hamiltonian", ham)
         object.__setattr__(self, "lindblads", cs)
-        object.__setattr__(self, "hbar", hbar)
+        object.__setattr__(self, "hbar", _check_hbar(self.hbar))
 
     @property
     def dim(self) -> int:
@@ -105,27 +101,102 @@ def hermitian_basis(n: int) -> np.ndarray:
     """
     mats = [np.eye(n, dtype=complex) / np.sqrt(n)]
     for l in range(1, n):
-        d = np.zeros((n, n), dtype=complex)
-        for m in range(l):
-            d[m, m] = 1.0
-        d[l, l] = -l
-        mats.append(d / np.sqrt(l * (l + 1)))
+        d = np.zeros(n, dtype=complex)
+        d[:l], d[l] = 1.0, -l
+        mats.append(np.diag(d) / np.sqrt(l * (l + 1)))
     for j in range(n):
         for k in range(j + 1, n):
-            s = np.zeros((n, n), dtype=complex)
-            s[j, k] = s[k, j] = 1.0 / np.sqrt(2.0)
-            mats.append(s)
-            a = np.zeros((n, n), dtype=complex)
-            a[j, k] = -1j / np.sqrt(2.0)
-            a[k, j] = 1j / np.sqrt(2.0)
-            mats.append(a)
+            pair = np.zeros((2, n, n), dtype=complex)
+            pair[0, j, k] = pair[0, k, j] = 1.0 / np.sqrt(2.0)
+            pair[1, j, k], pair[1, k, j] = -1j / np.sqrt(2.0), 1j / np.sqrt(2.0)
+            mats.extend(pair)
     return np.array(mats)
 
 
-def _dissipator_sum(cs: np.ndarray, cdc: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sum of dissipators applied to a (stack of) matrices x."""
-    jump = np.einsum("kab,...bc,kdc->...ad", cs, x, cs.conj())
-    return jump - 0.5 * (cdc @ x + x @ cdc)
+# Largest dimension at which the engine tabulates superoperators.  On one core
+# and one BLAS thread, stepping 16 to 50 trajectories, the tables are 1.5x
+# faster than the products at d = 12, even at d = 16 (plus a 20 ms build of the
+# RK4 polynomial), and 3x slower at d = 32.
+_SUPEROPERATOR_MAX_DIM = 12
+
+
+def _backaction(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a x + x a^dag``, broadcast over stacks of operators ``a`` and matrices ``x``."""
+    return a @ x + x @ a.conj().swapaxes(-1, -2)
+
+
+def _traceless(lin: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The nonlinear update ``lin - Tr[lin] x`` of a (stack of) linear back-actions."""
+    return lin - np.real(np.einsum("...ii->...", lin))[..., None, None] * x
+
+
+def _operator_stack(ops) -> np.ndarray:
+    cs = np.asarray(ops, dtype=complex)
+    return cs[None] if cs.ndim == 2 else cs
+
+
+class _Engine:
+    """The generator and the back-action along ``ops`` of one model, built once.
+
+    ``generator`` writes ``L x = (K x + x K^dag + sum_k c_k x c_k^dag) / hbar``,
+    ``K = -i H - 1/2 sum_k c_k^dag c_k``.  Up to ``_SUPEROPERATOR_MAX_DIM`` both
+    maps are tabulated on the d^2 unit matrices (row j holds the image of unit
+    j, so row-vectorized stacks map as ``x @ table``) and an RK4 step is its
+    exact polynomial ``I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24``.
+    """
+
+    def __init__(self, model: LindbladModel, ops: np.ndarray | None = None):
+        n = self.dim = model.dim
+        self.hbar = model.hbar
+        self.cs = model.lindblads
+        self.cs_dag = self.cs.conj().swapaxes(-1, -2)
+        self.k = -1j * model.hamiltonian - 0.5 * np.sum(self.cs_dag @ self.cs, axis=0)
+        self.ops = np.zeros((0, n, n), dtype=complex) if ops is None else ops
+        self.tabulated = n <= _SUPEROPERATOR_MAX_DIM
+        self._poly = (None, None)
+
+    @cached_property
+    def tables(self) -> tuple:
+        """(generator, back-action along every op) as d^2 x d^2 and d^2 x J d^2 maps."""
+        n2 = self.dim**2
+        units = np.eye(n2, dtype=complex).reshape(n2, self.dim, self.dim)
+        back = _backaction(self.ops, units[:, None]).reshape(n2, -1)
+        return self.generator(units).reshape(n2, n2), back
+
+    def generator(self, x: np.ndarray) -> np.ndarray:
+        """drho/dt applied to a (stack of) matrices x."""
+        jumps = np.sum(self.cs @ x[..., None, :, :] @ self.cs_dag, axis=-3)
+        return (_backaction(self.k, x) + jumps) / self.hbar
+
+    def rk4(self, x: np.ndarray, h: float) -> np.ndarray:
+        """One classical fourth-order step of size h for a (stack of) matrices x."""
+        if not self.tabulated:
+            k1 = self.generator(x)
+            k2 = self.generator(x + 0.5 * h * k1)
+            k3 = self.generator(x + 0.5 * h * k2)
+            k4 = self.generator(x + h * k3)
+            return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if self._poly[0] != h:  # callers step many times with one h
+            a = h * self.tables[0]
+            p = np.eye(self.dim**2) + a / 4.0
+            for j in (3.0, 2.0, 1.0):  # Horner form
+                p = np.eye(self.dim**2) + (a @ p) / j
+            self._poly = (h, p)
+        return (x.reshape(-1, self.dim**2) @ self._poly[1]).reshape(x.shape)
+
+    def propagate(self, x: np.ndarray, span: float, dt: float) -> np.ndarray:
+        """x carried over ``span`` in equal RK4 steps of about dt."""
+        steps = max(1, int(round(span / dt)))
+        for _ in range(steps):
+            x = self.rk4(x, span / steps)
+        return x
+
+    def backaction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """``sum_j w_j (a_j x + x a_j^dag)`` over ``ops`` for real weights w of shape (..., J)."""
+        if not self.tabulated:
+            return _backaction(np.tensordot(w, self.ops, axes=([-1], [0])), x)
+        parts = (x.reshape(-1, self.dim**2) @ self.tables[1]).reshape(*w.shape, -1)
+        return np.einsum("...j,...jk->...k", w, parts).reshape(x.shape)
 
 
 def liouvillian_apply(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
@@ -140,33 +211,12 @@ def liouvillian_apply(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"state shape {rho.shape} does not match dimension {n}"
         )
-    return _Propagator(model).rhs(rho)
-
-
-class _Propagator:
-    """Precomputed master-equation right-hand side with a classical RK4 step."""
-
-    def __init__(self, model: LindbladModel):
-        self.hbar = model.hbar
-        self.ham = model.hamiltonian
-        self.cs = model.lindblads
-        self.cdc = np.einsum("kba,kbc->ac", self.cs.conj(), self.cs)
-
-    def rhs(self, x: np.ndarray) -> np.ndarray:
-        out = -1j * (self.ham @ x - x @ self.ham) + _dissipator_sum(self.cs, self.cdc, x)
-        return out / self.hbar
-
-    def rk4(self, x: np.ndarray, dt: float) -> np.ndarray:
-        k1 = self.rhs(x)
-        k2 = self.rhs(x + 0.5 * dt * k1)
-        k3 = self.rhs(x + 0.5 * dt * k2)
-        k4 = self.rhs(x + dt * k3)
-        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _Engine(model).generator(rho)
 
 
 def rk4_step(model: LindbladModel, x: np.ndarray, dt: float) -> np.ndarray:
     """One fourth-order step of the master equation applied to an arbitrary matrix."""
-    return _Propagator(model).rk4(np.asarray(x, dtype=complex), dt)
+    return _Engine(model).rk4(np.asarray(x, dtype=complex), dt)
 
 
 def me_integrate(
@@ -185,12 +235,12 @@ def me_integrate(
     check_density_matrix(rho0)
     if dt <= 0.0 or steps < 0:
         raise ValidationError("dt must be positive and steps non-negative")
-    prop = _Propagator(model)
+    engine = _Engine(model)
     out = np.empty((steps + 1, model.dim, model.dim), dtype=complex)
     out[0] = np.asarray(rho0, dtype=complex)
     rho = out[0]
     for m in range(steps):
-        rho = prop.rk4(rho, dt)
+        rho = engine.rk4(rho, dt)
         rho = (rho + rho.conj().T) / 2.0
         rho = rho / np.real(np.trace(rho))
         wmin = float(np.linalg.eigvalsh(rho)[0])
@@ -231,9 +281,7 @@ def backaction_apply(
     A real weight vector of length 2L addresses the doubled (quadrature)
     direction set; its second half weights the couplings times -i.
     """
-    cs = np.asarray(lindblads, dtype=complex)
-    if cs.ndim == 2:
-        cs = cs[None]
+    cs = _operator_stack(lindblads)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != cs.shape[1:]:
         raise DimensionMismatchError(
@@ -241,17 +289,13 @@ def backaction_apply(
         )
     v = _weights_to_complex(weights, cs.shape[0])
     a = np.tensordot(v, cs, axes=1)
-    lin = a @ rho + rho @ a.conj().T
-    if linear:
-        return lin
-    return lin - np.real(np.trace(lin)) * rho
+    lin = _backaction(a, rho)
+    return lin if linear else _traceless(lin, rho)
 
 
 def measurement_ops(mrep: MRep, lindblads: np.ndarray) -> np.ndarray:
     """The 2L weighted coupling combinations addressed by each noise direction."""
-    cs = np.asarray(lindblads, dtype=complex)
-    if cs.ndim == 2:
-        cs = cs[None]
+    cs = _operator_stack(lindblads)
     if cs.shape[0] != mrep.channels:
         raise DimensionMismatchError(
             f"measurement matrix has {mrep.channels} channels, model has {cs.shape[0]}"
@@ -278,20 +322,14 @@ def regression_correlation(
     """
     if tau < 0.0:
         raise NonPositiveLagError("regression requires tau >= 0")
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    rho_t = np.asarray(rho_t, dtype=complex)
+    a, b, rho_t = (np.asarray(op, dtype=complex) for op in (a, b, rho_t))
     n = model.dim
     for name, op in (("a", a), ("b", b), ("rho_t", rho_t)):
         if op.shape != (n, n):
             raise DimensionMismatchError(f"{name} must be {n} x {n}, got {op.shape}")
     x = rho_t @ a
     if tau > 0.0:
-        prop = _Propagator(model)
-        steps = max(1, int(round(tau / dt)))
-        h = tau / steps
-        for _ in range(steps):
-            x = prop.rk4(x, h)
+        x = _Engine(model).propagate(x, tau, dt)
     return complex(np.trace(b @ x))
 
 
@@ -321,16 +359,12 @@ def predicted_autocorrelation(
     xops = measurement_ops(mrep, model.lindblads)
     yops = xops + xops.conj().transpose(0, 2, 1)
     rho_t = np.asarray(rho_t, dtype=complex)
-    x = xops @ rho_t + rho_t @ xops.conj().transpose(0, 2, 1)
-    prop = _Propagator(model)
+    x = _backaction(xops, rho_t)
+    engine = _Engine(model)
     out = np.empty((taus.size, yops.shape[0], yops.shape[0]))
     prev = 0.0
     for i, tau in enumerate(taus):
-        span = tau - prev
-        steps = max(1, int(round(span / dt)))
-        h = span / steps
-        for _ in range(steps):
-            x = prop.rk4(x, h)
+        x = engine.propagate(x, tau - prev, dt)
         corr = np.einsum("bij,aji->ab", yops, x)
         imag = float(np.max(np.abs(corr.imag), initial=0.0))
         if imag > max(1e-10, 1e-10 * float(np.max(np.abs(corr.real), initial=0.0))):
@@ -371,9 +405,7 @@ def diffusion_matrix(
             f"operator basis must have shape {(n * n, n, n)}, got {basis.shape}"
         )
     xops = measurement_ops(mrep, model.lindblads)
-    lin = xops @ rho + rho @ xops.conj().transpose(0, 2, 1)
-    traces = np.real(np.einsum("jii->j", lin))
-    updates = lin - traces[:, None, None] * rho
+    updates = _traceless(_backaction(xops, rho), rho)
     bmat = np.real(np.einsum("kij,aji->ka", basis, updates))
     return bmat @ bmat.T
 

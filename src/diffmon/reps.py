@@ -47,6 +47,19 @@ def _check_hbar(hbar: float) -> float:
     return hbar
 
 
+def _store_matrix(rep, dtype, what: str, square: bool) -> None:
+    """Cast, check (L x 2L, or 2L x 2L when square) and store a rep's matrix and scale."""
+    m = np.array(rep.matrix, dtype=dtype)
+    rows = m.shape[0] if m.ndim == 2 else 0
+    if rows < 1 or m.shape[1] != (rows if square else 2 * rows) or (square and rows % 2):
+        shape = "2L x 2L" if square else "L x 2L"
+        raise DimensionMismatchError(f"{what} must be {shape}, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError(f"{what} has non-finite entries")
+    object.__setattr__(rep, "matrix", m)
+    object.__setattr__(rep, "hbar", _check_hbar(rep.hbar))
+
+
 @dataclass(frozen=True)
 class MRep:
     """Measurement matrix: L x 2L complex, with the action scale it is expressed in."""
@@ -55,15 +68,7 @@ class MRep:
     hbar: float = 1.0
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[1] != 2 * m.shape[0] or m.shape[0] < 1:
-            raise DimensionMismatchError(
-                f"measurement matrix must be L x 2L, got shape {m.shape}"
-            )
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("measurement matrix has non-finite entries")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "hbar", _check_hbar(self.hbar))
+        _store_matrix(self, complex, "measurement matrix", square=False)
 
     @property
     def channels(self) -> int:
@@ -78,15 +83,7 @@ class TRep:
     hbar: float = 1.0
 
     def __post_init__(self):
-        t = np.array(self.matrix, dtype=float)
-        if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] % 2 or t.shape[0] < 2:
-            raise DimensionMismatchError(
-                f"stacked measurement matrix must be 2L x 2L, got shape {t.shape}"
-            )
-        if not np.all(np.isfinite(t)):
-            raise ValidationError("stacked measurement matrix has non-finite entries")
-        object.__setattr__(self, "matrix", t)
-        object.__setattr__(self, "hbar", _check_hbar(self.hbar))
+        _store_matrix(self, float, "stacked measurement matrix", square=True)
 
     @property
     def channels(self) -> int:
@@ -109,15 +106,7 @@ class URep:
     hbar: float = 1.0
 
     def __post_init__(self):
-        u = np.array(self.matrix, dtype=float)
-        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] % 2 or u.shape[0] < 2:
-            raise DimensionMismatchError(
-                f"unravelling matrix must be 2L x 2L, got shape {u.shape}"
-            )
-        if not np.all(np.isfinite(u)):
-            raise ValidationError("unravelling matrix has non-finite entries")
-        object.__setattr__(self, "matrix", u)
-        object.__setattr__(self, "hbar", _check_hbar(self.hbar))
+        _store_matrix(self, float, "unravelling matrix", square=True)
 
     @property
     def channels(self) -> int:

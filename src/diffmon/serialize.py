@@ -58,42 +58,40 @@ def _complex_to_pairs(matrix: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
-def pairs_to_complex(rows, field: str) -> np.ndarray:
+def _float_array(rows, field: str, ndim: int, what: str) -> np.ndarray:
     try:
         arr = np.asarray(rows, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"field {field!r} is not a matrix of [re, im] pairs") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise SchemaError(f"field {field!r} is not a matrix of [re, im] pairs")
+        raise SchemaError(f"field {field!r} is not {what}") from exc
+    if arr.ndim != ndim or (ndim == 3 and arr.shape[2] != 2):
+        raise SchemaError(f"field {field!r} is not {what}")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"field {field!r} has a non-finite entry")
+    return arr
+
+
+def pairs_to_complex(rows, field: str) -> np.ndarray:
+    arr = _float_array(rows, field, 3, "a matrix of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _real_matrix(rows, field: str) -> np.ndarray:
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"field {field!r} is not a real matrix") from exc
-    if arr.ndim != 2:
-        raise SchemaError(f"field {field!r} is not a real matrix")
-    return arr
+    return _float_array(rows, field, 2, "a real matrix")
 
 
 def _real_vector(rows, field: str) -> np.ndarray:
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"field {field!r} is not a vector of numbers") from exc
-    if arr.ndim != 1:
-        raise SchemaError(f"field {field!r} is not a vector of numbers")
-    return arr
+    return _float_array(rows, field, 1, "a vector of numbers")
 
 
 def _number(value, cast, field: str):
+    kind = "an integer" if cast is int else "a finite number"
     try:
-        return cast(value)
+        out = cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        kind = "an integer" if cast is int else "a number"
         raise SchemaError(f"field {field!r} must be {kind}, got {value!r}") from exc
+    if cast is float and not np.isfinite(out):
+        raise SchemaError(f"field {field!r} must be {kind}, got {value!r}")
+    return out
 
 
 def _require(data: dict, field: str):
@@ -361,7 +359,7 @@ def write_table_csv(path, header: list, rows) -> Path:
 
 def convergence_tables(report) -> dict:
     """Named numeric tables mirroring a convergence report."""
-    tables = {
+    return {
         "trace_distance": (
             ["time", "trace_distance"],
             [
@@ -382,28 +380,24 @@ def convergence_tables(report) -> dict:
             ],
         ),
     }
-    return tables
 
 
 def autocorrelation_tables(estimate, predicted=None) -> dict:
     """Named numeric tables for estimated (and optionally predicted) correlations."""
     d = estimate.matrices.shape[1]
-    est_rows = [
-        [float(estimate.lag_times[i]), a + 1, b + 1, float(estimate.matrices[i, a, b]),
-         float(estimate.stderr[i, a, b])]
-        for i in range(estimate.lag_steps.size)
-        for a in range(d)
-        for b in range(d)
-    ]
-    tables = {"estimated": (["lag", "row", "col", "value", "stderr"], est_rows)}
-    if predicted is not None:
-        pred_rows = [
-            [float(estimate.lag_times[i]), a + 1, b + 1, float(predicted[i, a, b])]
+
+    def rows(*mats):
+        return [
+            [float(estimate.lag_times[i]), a + 1, b + 1, *(float(m[i, a, b]) for m in mats)]
             for i in range(estimate.lag_steps.size)
             for a in range(d)
             for b in range(d)
         ]
-        tables["predicted"] = (["lag", "row", "col", "value"], pred_rows)
+
+    header = ["lag", "row", "col", "value"]
+    tables = {"estimated": (header + ["stderr"], rows(estimate.matrices, estimate.stderr))}
+    if predicted is not None:
+        tables["predicted"] = (header, rows(predicted))
     return tables
 
 

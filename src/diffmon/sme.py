@@ -13,13 +13,15 @@ blocks of the optical realization.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import (
     LindbladModel,
-    _Propagator,
+    _Engine,
+    _traceless,
     check_density_matrix,
     measurement_ops,
 )
@@ -156,11 +158,8 @@ class _StepWork:
             )
         self.hbar = model.hbar
         self.dim = model.dim
-        self.prop = _Propagator(model)
         self.xops = measurement_ops(mrep, model.lindblads)
-
-    def noise_scale(self) -> float:
-        return float(np.sum(np.abs(self.xops) ** 2)) / self.hbar**2
+        self.engine = _Engine(model, self.xops)
 
 
 def _mean_current(work: _StepWork, rho: np.ndarray) -> np.ndarray:
@@ -168,32 +167,30 @@ def _mean_current(work: _StepWork, rho: np.ndarray) -> np.ndarray:
     return 2.0 * np.real(np.einsum("jab,...ba->...j", work.xops, rho)) / work.hbar
 
 
+def _step(work: _StepWork, rho: np.ndarray, v: np.ndarray, dt: float, linear: bool):
+    """Batched RK4 drift plus back-action along v; returns (Hermitized state, its trace)."""
+    lin = work.engine.backaction(rho, v)
+    if not linear:
+        lin = _traceless(lin, rho)
+    out = work.engine.rk4(rho, dt) + lin / work.hbar
+    out = (out + out.conj().swapaxes(-1, -2)) / 2.0
+    return out, np.real(np.einsum("...ii->...", out))
+
+
 def _step_nonlinear(work: _StepWork, rho: np.ndarray, dw: np.ndarray, dt: float):
     """Batched nonlinear step; returns (normalized state, current increment, pre-norm trace)."""
-    drift = work.prop.rk4(rho, dt)
-    e = np.tensordot(dw, work.xops, axes=([-1], [0]))
-    lin = e @ rho + rho @ e.conj().swapaxes(-1, -2)
-    tr_lin = np.real(np.einsum("...ii->...", lin))
-    update = (lin - tr_lin[..., None, None] * rho) / work.hbar
-    out = drift + update
-    out = (out + out.conj().swapaxes(-1, -2)) / 2.0
-    tr = np.real(np.einsum("...ii->...", out))
-    y_dt = _mean_current(work, rho) * dt + dw
-    return out / tr[..., None, None], y_dt, tr
+    out, tr = _step(work, rho, dw, dt, linear=False)
+    return out / tr[..., None, None], _mean_current(work, rho) * dt + dw, tr
 
 
 def _step_linear(work: _StepWork, rho: np.ndarray, y_dt: np.ndarray, dt: float):
     """Batched linear step; returns (unnormalized state, its trace)."""
-    drift = work.prop.rk4(rho, dt)
-    e = np.tensordot(y_dt, work.xops, axes=([-1], [0]))
-    lin = (e @ rho + rho @ e.conj().swapaxes(-1, -2)) / work.hbar
-    out = drift + lin
-    out = (out + out.conj().swapaxes(-1, -2)) / 2.0
-    tr = np.real(np.einsum("...ii->...", out))
-    return out, tr
+    return _step(work, rho, y_dt, dt, linear=True)
 
 
-def _check_step_args(work: _StepWork, rho: np.ndarray, vec: np.ndarray, dt: float, name: str):
+def _step_args(model: LindbladModel, mrep: MRep, rho, vec, dt: float, name: str):
+    work = _StepWork(model, mrep)
+    rho, vec = np.asarray(rho, dtype=complex), np.asarray(vec, dtype=float)
     if rho.shape != (work.dim, work.dim):
         raise DimensionMismatchError(
             f"state must be {work.dim} x {work.dim}, got {rho.shape}"
@@ -204,6 +201,7 @@ def _check_step_args(work: _StepWork, rho: np.ndarray, vec: np.ndarray, dt: floa
         )
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
+    return work, rho, vec
 
 
 def sme_step_nonlinear(
@@ -215,10 +213,7 @@ def sme_step_nonlinear(
     increment; the returned state is Hermitized and renormalized.  Positivity
     is not checked here (the ensemble runner monitors it).
     """
-    work = _StepWork(model, mrep)
-    rho = np.asarray(rho, dtype=complex)
-    dw = np.asarray(dw, dtype=float)
-    _check_step_args(work, rho, dw, dt, "dw")
+    work, rho, dw = _step_args(model, mrep, rho, dw, dt, "dw")
     out, y_dt, _tr = _step_nonlinear(work, rho, dw, dt)
     return out, y_dt
 
@@ -232,10 +227,7 @@ def sme_step_linear(
     component).  Returns the unnormalized updated matrix and the log-weight
     increment log Tr[out] - log Tr[in].
     """
-    work = _StepWork(model, mrep)
-    rho_bar = np.asarray(rho_bar, dtype=complex)
-    y_dt = np.asarray(y_dt, dtype=float)
-    _check_step_args(work, rho_bar, y_dt, dt, "y_dt")
+    work, rho_bar, y_dt = _step_args(model, mrep, rho_bar, y_dt, dt, "y_dt")
     tr_in = float(np.real(np.trace(rho_bar)))
     if tr_in <= 0.0:
         raise StateInvalidError(f"input trace {tr_in} is not positive")
@@ -248,17 +240,40 @@ def sme_step_linear(
 def _snapshot_steps(steps: int, stride: int | None) -> np.ndarray:
     if stride is None:
         stride = max(1, steps // 50)
-    marks = set(range(0, steps + 1, stride))
-    marks.add(0)
-    marks.add(steps)
-    return np.array(sorted(marks), dtype=int)
+    return np.union1d(np.arange(0, steps + 1, stride), [steps])
+
+
+def _physical_memory() -> float:
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return np.inf
+
+
+def _check_positivity(rho: np.ndarray, tol: float, step: int) -> None:
+    """Raise unless every state's smallest eigenvalue is at least -tol.
+
+    rho + tol I has a Cholesky factor exactly when every eigenvalue of rho
+    exceeds -tol; eigenvalues are computed only on failure, to name the state.
+    """
+    try:
+        np.linalg.cholesky(rho + tol * np.eye(rho.shape[-1]))
+    except np.linalg.LinAlgError:
+        wmin = np.linalg.eigvalsh(rho)[:, 0]
+        bad = np.flatnonzero(wmin < -tol)
+        if bad.size:
+            raise StateInvalidError(
+                f"trajectory {bad[0]}, step {step}: min eigenvalue {wmin[bad[0]]:.3e}"
+                f" below -{tol:.3e}"
+            ) from None
 
 
 def _auto_positivity_tol(work: _StepWork, dt: float) -> float:
     # An Ito step from a nearly pure state acquires a negative eigenvalue of
     # order dt * |z|^2 * (noise scale); the threshold sits far above that so
     # only genuine instability (dt too large for the rates) trips it.
-    return max(1e-6, 60.0 * dt * max(1.0, work.noise_scale()))
+    noise_scale = float(np.sum(np.abs(work.xops) ** 2)) / work.hbar**2
+    return max(1e-6, 60.0 * dt * max(1.0, noise_scale))
 
 
 def simulate_ensemble(
@@ -286,19 +301,31 @@ def simulate_ensemble(
     linear = config.mode == "linear"
     noise_dim = work.xops.shape[0]
     dim = model.dim
-    pos_tol = (
-        config.positivity_tol
-        if config.positivity_tol is not None
-        else _auto_positivity_tol(work, dt)
-    )
+    pos_tol = config.positivity_tol
+    if pos_tol is None:
+        pos_tol = _auto_positivity_tol(work, dt)
 
-    times = np.arange(steps + 1) * dt
-    currents = np.empty((n, steps, noise_dim))
-    noise = np.empty((n, steps, noise_dim)) if config.store_dw else None
-    pur = np.empty((n, steps + 1)) if config.store_purity else None
-    logw = np.zeros((n, steps + 1))
     snap_steps = _snapshot_steps(steps, config.snapshot_stride)
-    snaps = np.empty((snap_steps.size, n, dim, dim), dtype=complex)
+    # Bytes of the records: currents and noise per step, purity and
+    # log-weights per grid point, and the snapshots.
+    per_traj = steps * noise_dim * (1 + config.store_dw) + (steps + 1) * (1 + config.store_purity)
+    need, limit = n * (8 * per_traj + 16 * snap_steps.size * dim**2), _physical_memory()
+    if need > limit:
+        raise ValidationError(
+            f"the run's records need {need / 2**30:.3g} GiB, more than the"
+            f" {limit / 2**30:.3g} GiB of physical memory"
+        )
+    try:
+        currents = np.empty((n, steps, noise_dim))
+        noise = np.empty((n, steps, noise_dim)) if config.store_dw else None
+        pur = np.empty((n, steps + 1)) if config.store_purity else None
+        logw = np.zeros((n, steps + 1))
+        snaps = np.empty((snap_steps.size, n, dim, dim), dtype=complex)
+        times = np.arange(steps + 1) * dt
+    except MemoryError as exc:
+        raise ValidationError(
+            f"cannot allocate the run's records ({need / 2**30:.3g} GiB)"
+        ) from exc
     snap_pos = {int(s): i for i, s in enumerate(snap_steps)}
 
     rho = np.broadcast_to(np.asarray(rho0, dtype=complex), (n, dim, dim)).copy()
@@ -307,12 +334,11 @@ def simulate_ensemble(
     snaps[0] = rho
 
     sources = [NoiseSource(config.seed, k, noise_dim) for k in range(n)]
-    m = 0
-    while m < steps:
-        block = min(block_steps, steps - m)
+    for start in range(0, steps, block_steps):
+        block = min(block_steps, steps - start)
         dw_block = np.stack([src.draw_block(block, dt) for src in sources])
-        for j in range(block):
-            dw = dw_block[:, j]
+        for m in range(start, start + block):
+            dw = dw_block[:, m - start]
             if linear:
                 out, tr = _step_linear(work, rho, dw, dt)
                 if np.any(tr <= 0.0):
@@ -335,18 +361,11 @@ def simulate_ensemble(
             if noise is not None:
                 noise[:, m] = dw
             if np.isfinite(pos_tol):
-                wmin = np.linalg.eigvalsh(rho)[:, 0]
-                if np.any(wmin < -pos_tol):
-                    bad = int(np.argmax(wmin < -pos_tol))
-                    raise StateInvalidError(
-                        f"trajectory {bad}, step {m + 1}: min eigenvalue {wmin[bad]:.3e}"
-                        f" below -{pos_tol:.3e}"
-                    )
+                _check_positivity(rho, pos_tol, m + 1)
             if pur is not None:
                 pur[:, m + 1] = np.real(np.einsum("nab,nba->n", rho, rho))
             if (m + 1) in snap_pos:
                 snaps[snap_pos[m + 1]] = rho
-            m += 1
 
     return Ensemble(
         config=config,

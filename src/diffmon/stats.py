@@ -8,7 +8,7 @@ stored log-weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,19 @@ from .errors import (
 )
 from .reps import MRep
 from .sme import Ensemble, SimulationConfig, simulate_ensemble
+
+
+def _report_dict(report) -> dict:
+    """A report's fields in order; arrays become lists and nested reports dicts."""
+
+    def plain(v):
+        if isinstance(v, np.ndarray):
+            return v.tolist()
+        if isinstance(v, tuple):
+            return [plain(x) for x in v]
+        return _report_dict(v) if is_dataclass(v) else v
+
+    return {f.name: plain(getattr(report, f.name)) for f in fields(report)}
 
 
 def _snapshot_weights(ensemble: Ensemble, step: int) -> np.ndarray:
@@ -63,17 +76,7 @@ class ConvergenceReport:
     dw_covariance_target: float
     n_increments: int
 
-    def to_dict(self) -> dict:
-        return {
-            "snapshot_times": self.snapshot_times.tolist(),
-            "trace_distances": self.trace_distances.tolist(),
-            "max_trace_distance": self.max_trace_distance,
-            "dw_mean": self.dw_mean.tolist(),
-            "dw_mean_tolerance": self.dw_mean_tolerance,
-            "dw_covariance": self.dw_covariance.tolist(),
-            "dw_covariance_target": self.dw_covariance_target,
-            "n_increments": self.n_increments,
-        }
+    to_dict = _report_dict
 
 
 def convergence_report(ensemble: Ensemble, model: LindbladModel) -> ConvergenceReport:
@@ -119,14 +122,7 @@ class AutocorrelationEstimate:
     stderr: np.ndarray
     burn_in: int
 
-    def to_dict(self) -> dict:
-        return {
-            "lag_steps": self.lag_steps.tolist(),
-            "lag_times": self.lag_times.tolist(),
-            "matrices": self.matrices.tolist(),
-            "stderr": self.stderr.tolist(),
-            "burn_in": self.burn_in,
-        }
+    to_dict = _report_dict
 
 
 def autocorrelation_estimate(
@@ -191,17 +187,7 @@ class ObservableComparison:
     combined_stderr: float
     flagged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "linear_mean": self.linear_mean,
-            "linear_stderr": self.linear_stderr,
-            "nonlinear_mean": self.nonlinear_mean,
-            "nonlinear_stderr": self.nonlinear_stderr,
-            "deviation": self.deviation,
-            "combined_stderr": self.combined_stderr,
-            "flagged": self.flagged,
-        }
+    to_dict = _report_dict
 
 
 @dataclass(frozen=True)
@@ -214,14 +200,7 @@ class ConsistencyReport:
     threshold: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "comparisons": [c.to_dict() for c in self.comparisons],
-            "effective_sample_size": self.effective_sample_size,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
+    to_dict = _report_dict
 
 
 def _weighted_stats(values: np.ndarray, weights: np.ndarray):
@@ -272,16 +251,7 @@ def linear_nonlinear_consistency(
         flagged = bool(dev > threshold * comb)
         all_ok = all_ok and not flagged
         rows.append(
-            ObservableComparison(
-                name=name,
-                linear_mean=li_mean,
-                linear_stderr=li_err,
-                nonlinear_mean=nl_mean,
-                nonlinear_stderr=nl_err,
-                deviation=dev,
-                combined_stderr=comb,
-                flagged=flagged,
-            )
+            ObservableComparison(name, li_mean, li_err, nl_mean, nl_err, dev, comb, flagged)
         )
     return ConsistencyReport(
         time=float(nl.times[step]),

@@ -67,6 +67,24 @@ def test_validate_bad_scalar_schema_error(tmp_path, het_file):
         assert main(["validate", str(path)]) == 3
 
 
+def test_non_finite_entries_schema_error(tmp_path, het_file, model_file):
+    # A null or NaN entry used to reach the eigenvalue solver (a traceback)
+    # or the simulation (NaN purities written with exit code 0).
+    urep = {"type": "urep", "hbar": 1.0, "L": 1, "matrix": [[None, 0.0], [0.0, 0.5]]}
+    path = tmp_path / "nan_urep.json"
+    path.write_text(json.dumps(urep))
+    assert main(["validate", str(path)]) == 3
+    model = json.loads(model_file.read_text())
+    model["hamiltonian"][0][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan_model.json"
+    path.write_text(json.dumps(model))
+    args = [
+        "simulate", "--model", str(path), "--rep", str(het_file), "--dt", "0.01",
+        "--steps", "2", "--ntraj", "2", "--out", str(tmp_path / "nan_run"),
+    ]
+    assert main(args) == 3
+
+
 def test_convert_heterodyne_to_urep(het_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["convert", str(het_file), "--to", "urep", "--out", str(out)]) == 0
@@ -255,3 +273,14 @@ def test_check_deterministic_reports(tmp_path):
     r1 = (out1 / "check_report.json").read_bytes()
     r2 = (out2 / "check_report.json").read_bytes()
     assert r1 == r2
+
+
+def test_simulate_beyond_memory_exits_4(het_file, model_file, tmp_path, capsys):
+    args = [
+        "simulate", "--model", str(model_file), "--rep", str(het_file),
+        "--dt", "0.001", "--steps", "1000000", "--ntraj", "10000000",
+        "--out", str(tmp_path / "big"),
+    ]
+    assert main(args) == 4
+    assert "of physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "big").exists()

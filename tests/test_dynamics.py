@@ -20,7 +20,7 @@ from diffmon import (
     urep_current_mean,
 )
 from diffmon.checks import liouvillian_superoperator
-from diffmon.dynamics import rk4_step
+from diffmon.dynamics import _Engine, measurement_ops, rk4_step
 from diffmon.errors import (
     DimensionMismatchError,
     NonPositiveLagError,
@@ -346,3 +346,94 @@ def test_urep_current_mean_dimension_guard():
     model = decay_model()
     with pytest.raises(DimensionMismatchError):
         urep_current_mean(model, URep(np.zeros((4, 4))), EXCITED)
+
+
+# ---------------------------------------------------------------------------
+# the operator engine against oracles built independently of it
+
+ENGINE_DIMS = (2, 8, 9, 16)
+
+
+def _scaled_model(gen, dim, channels=2):
+    # Generator norm of a few units at every dimension, so a fixed RK4 step
+    # size resolves the dynamics equally well on both sides of the crossover.
+    h = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    cs = gen.normal(size=(channels, dim, dim)) + 1j * gen.normal(size=(channels, dim, dim))
+    return LindbladModel(
+        hamiltonian=(h + h.conj().T) / (2.0 * np.sqrt(dim)),
+        lindblads=cs / (2.0 * np.sqrt(dim)),
+    )
+
+
+def test_engine_dims_cover_both_paths():
+    gen = rng(70)
+    paths = {_Engine(_scaled_model(gen, dim)).tabulated for dim in ENGINE_DIMS}
+    assert paths == {True, False}
+
+
+@pytest.mark.parametrize("dim", ENGINE_DIMS)
+def test_liouvillian_apply_matches_kron_oracle(dim):
+    gen = rng(71 + dim)
+    model = _scaled_model(gen, dim)
+    sup = liouvillian_superoperator(model)
+    xs = np.stack([random_state(gen, dim) for _ in range(3)])
+    want = (xs.reshape(3, -1) @ sup.T).reshape(xs.shape)
+    assert np.max(np.abs(liouvillian_apply(model, xs) - want)) <= 1e-13
+    assert np.max(np.abs(liouvillian_apply(model, xs[1]) - want[1])) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", ENGINE_DIMS)
+def test_rk4_step_matches_oracle_taylor_polynomial(dim):
+    gen = rng(72 + dim)
+    model = _scaled_model(gen, dim)
+    for h in (1e-3, 2e-2):
+        a = h * liouvillian_superoperator(model)
+        taylor = np.eye(dim * dim) + a + a @ a / 2.0 + a @ a @ a / 6.0 + a @ a @ a @ a / 24.0
+        xs = np.stack([random_state(gen, dim) for _ in range(4)])
+        xs[3] = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+        want = (xs.reshape(4, -1) @ taylor.T).reshape(xs.shape)
+        assert np.max(np.abs(rk4_step(model, xs, h) - want)) <= 1e-13
+        assert np.max(np.abs(rk4_step(model, xs[3], h) - want[3])) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", ENGINE_DIMS)
+def test_backaction_matches_inline_formula(dim):
+    gen = rng(73 + dim)
+    model = _scaled_model(gen, dim)
+    rho = random_state(gen, dim)
+    v = gen.normal(size=2) + 1j * gen.normal(size=2)
+    a = v[0] * model.lindblads[0] + v[1] * model.lindblads[1]
+    want = a @ rho + rho @ a.conj().T
+    got = backaction_apply(v, model.lindblads, rho, linear=True)
+    assert np.max(np.abs(got - want)) <= 1e-13
+    # The engine's per-direction back-action, contracted with real weights,
+    # for a stack of states.
+    ops = measurement_ops(random_mrep(gen, 2), model.lindblads)
+    engine = _Engine(model, ops)
+    rhos = np.stack([random_state(gen, dim) for _ in range(3)])
+    w = gen.normal(size=(3, ops.shape[0]))
+    for k in range(3):
+        e = np.tensordot(w[k], ops, axes=1)
+        want = e @ rhos[k] + rhos[k] @ e.conj().T
+        assert np.max(np.abs(engine.backaction(rhos, w)[k] - want)) <= 1e-13
+        assert np.max(np.abs(engine.backaction(rhos[k], w[k]) - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", ENGINE_DIMS)
+def test_predicted_autocorrelation_uneven_lags_match_exponential(dim):
+    # Lags that are not multiples of dt give each lag its own step size.
+    gen = rng(74 + dim)
+    model = _scaled_model(gen, dim)
+    m = random_mrep(gen, 2)
+    rho = random_state(gen, dim)
+    taus = np.array([0.1234, 0.5, 0.9871])
+    got = predicted_autocorrelation(model, m, rho, taus, dt=1e-3)
+    sup = liouvillian_superoperator(model)
+    xops = np.einsum("mj,mab->jab", m.matrix.conj(), model.lindblads)
+    for i, tau in enumerate(taus):
+        prop = expm(sup * tau)
+        for a, x in enumerate(xops):
+            xt = (prop @ (x @ rho + rho @ x.conj().T).reshape(-1)).reshape(dim, dim)
+            for b, y in enumerate(xops):
+                want = np.real(np.trace((y + y.conj().T) @ xt))
+                assert abs(got[i, a, b] - want) <= 1e-8

@@ -299,3 +299,35 @@ def test_trajectory_view_consistency():
     assert np.array_equal(traj.snapshots, ens.snapshots[:, 2])
     assert traj.stream_id == 2
     assert len(ens.trajectories()) == 4
+
+
+def test_positivity_monitor_names_trajectory_and_step():
+    from diffmon.sme import _check_positivity
+
+    gen = rng(63)
+    rho = np.stack([random_pure_state(gen, 3) for _ in range(5)])
+    _check_positivity(rho, 1e-9, 1)
+    rho[3] = rho[3] - 2e-3 * np.eye(3)
+    rho[4] = rho[4] - 2e-3 * np.eye(3)
+    _check_positivity(rho, 3e-3, 2)
+    with pytest.raises(StateInvalidError, match="trajectory 3, step 7: min eigenvalue -2.000e-03"):
+        _check_positivity(rho, 1e-3, 7)
+
+
+def test_ensemble_rejects_records_beyond_memory(monkeypatch):
+    def no_streams(*args, **kwargs):
+        raise AssertionError("noise streams built before the memory check")
+
+    monkeypatch.setattr("diffmon.sme.NoiseSource", no_streams)
+    config = SimulationConfig(dt=1e-3, steps=10**6, n_traj=10**7, seed=1)
+    with pytest.raises(ValidationError, match="GiB, more than the .* of physical memory"):
+        simulate_ensemble(decay_model(), heterodyne_mrep(0.8), EXCITED, config)
+
+
+def test_ensemble_allocation_failure_is_validation_error(monkeypatch):
+    # Past the estimate, an allocation the address space cannot hold still
+    # ends in the same error, not a MemoryError.
+    monkeypatch.setattr("diffmon.sme._physical_memory", lambda: np.inf)
+    config = SimulationConfig(dt=1e-3, steps=10**8, n_traj=10**8, seed=1)
+    with pytest.raises(ValidationError, match="cannot allocate"):
+        simulate_ensemble(decay_model(), heterodyne_mrep(0.8), EXCITED, config)
