@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.linalg import expm
 
 from . import dynamics, linalg, reps, sme, stats
 from .dynamics import LindbladModel
@@ -252,6 +251,9 @@ def check_decay_analytic(seed: int) -> CheckResult:
 
 
 def check_regression_vs_exponential(seed: int) -> CheckResult:
+    # Imported here so that importing diffmon never loads scipy.
+    from scipy.linalg import expm
+
     rng = _rng(seed, 12)
     worst = 0.0
     for dim, channels in ((2, 1), (3, 2), (4, 2)):

@@ -48,6 +48,8 @@ class LindbladModel:
             raise DimensionMismatchError(
                 f"expected at least one {n} x {n} coupling operator, got shape {cs.shape}"
             )
+        if not (np.all(np.isfinite(ham)) and np.all(np.isfinite(cs))):
+            raise ValidationError("hamiltonian and coupling operators must have finite entries")
         if np.linalg.norm(ham - ham.conj().T) > DEFAULT_TOL * max(
             1.0, float(np.linalg.norm(ham))
         ):
@@ -70,6 +72,8 @@ def check_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatchError(f"state must be a square matrix, got {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValidationError("state has a non-finite entry")
     if np.linalg.norm(rho - rho.conj().T) > tol * max(1.0, float(np.linalg.norm(rho))):
         raise NotHermitianError("state is not Hermitian within tolerance")
     tr = complex(np.trace(rho))
@@ -243,13 +247,29 @@ def me_integrate(
         rho = engine.rk4(rho, dt)
         rho = (rho + rho.conj().T) / 2.0
         rho = rho / np.real(np.trace(rho))
-        wmin = float(np.linalg.eigvalsh(rho)[0])
-        if wmin < -positivity_tol:
-            raise StateInvalidError(
-                f"positivity lost at step {m + 1}: min eigenvalue {wmin:.3e}"
-            )
         out[m + 1] = rho
+    bad = _first_negative_state(out[1:], positivity_tol)
+    if bad is not None:
+        raise StateInvalidError(
+            f"positivity lost at step {bad[0] + 1}: min eigenvalue {bad[1]:.3e}"
+        )
     return out
+
+
+def _first_negative_state(states: np.ndarray, tol: float) -> tuple | None:
+    """(index, smallest eigenvalue) of the first state with an eigenvalue below -tol.
+
+    Returns None when there is none.  states + tol I has a Cholesky factor
+    exactly when every eigenvalue exceeds -tol; eigenvalues are computed only
+    when it has none, to name the state.
+    """
+    try:
+        np.linalg.cholesky(states + tol * np.eye(states.shape[-1]))
+        return None
+    except np.linalg.LinAlgError:
+        wmin = np.linalg.eigvalsh(states)[:, 0]
+    bad = np.flatnonzero(wmin < -tol)
+    return (int(bad[0]), float(wmin[bad[0]])) if bad.size else None
 
 
 # ---------------------------------------------------------------------------

@@ -327,17 +327,21 @@ def write_trajectory_csv(path, ensemble) -> Path:
     path = Path(path)
     d = ensemble.noise_dim
     header = "t,traj," + ",".join(f"y_{j + 1}" for j in range(d)) + ",purity,log_weight"
+    # "%.17g" % v renders a float exactly as _fmt does.
+    fields = ",".join(["%.17g"] * (d + 2))
     try:
         with path.open("w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
             for m in range(ensemble.steps):
-                t = _fmt(ensemble.times[m + 1])
-                for k in range(ensemble.n_traj):
-                    ys = ",".join(_fmt(v) for v in ensemble.currents[k, m])
-                    fh.write(
-                        f"{t},{k},{ys},{_fmt(ensemble.purity[k, m + 1])},"
-                        f"{_fmt(ensemble.log_weight[k, m + 1])}\n"
+                row = f"{_fmt(ensemble.times[m + 1])},%d,{fields}\n"
+                values = np.column_stack(
+                    (
+                        ensemble.currents[:, m],
+                        ensemble.purity[:, m + 1],
+                        ensemble.log_weight[:, m + 1],
                     )
+                ).tolist()
+                fh.write("".join(row % (k, *v) for k, v in enumerate(values)))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path

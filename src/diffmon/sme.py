@@ -21,6 +21,7 @@ import numpy as np
 from .dynamics import (
     LindbladModel,
     _Engine,
+    _first_negative_state,
     _traceless,
     check_density_matrix,
     measurement_ops,
@@ -34,7 +35,7 @@ from .errors import (
     WeightUnderflowError,
 )
 from .linalg import DEFAULT_TOL, positive_sqrt
-from .noise import NoiseSource
+from .noise import NoiseSource, lattice_normals
 from .reps import BRep, MRep, validate_brep
 
 MODES = ("nonlinear", "linear")
@@ -251,21 +252,12 @@ def _physical_memory() -> float:
 
 
 def _check_positivity(rho: np.ndarray, tol: float, step: int) -> None:
-    """Raise unless every state's smallest eigenvalue is at least -tol.
-
-    rho + tol I has a Cholesky factor exactly when every eigenvalue of rho
-    exceeds -tol; eigenvalues are computed only on failure, to name the state.
-    """
-    try:
-        np.linalg.cholesky(rho + tol * np.eye(rho.shape[-1]))
-    except np.linalg.LinAlgError:
-        wmin = np.linalg.eigvalsh(rho)[:, 0]
-        bad = np.flatnonzero(wmin < -tol)
-        if bad.size:
-            raise StateInvalidError(
-                f"trajectory {bad[0]}, step {step}: min eigenvalue {wmin[bad[0]]:.3e}"
-                f" below -{tol:.3e}"
-            ) from None
+    """Raise unless every state's smallest eigenvalue is at least -tol."""
+    bad = _first_negative_state(rho, tol)
+    if bad is not None:
+        raise StateInvalidError(
+            f"trajectory {bad[0]}, step {step}: min eigenvalue {bad[1]:.3e} below -{tol:.3e}"
+        )
 
 
 def _auto_positivity_tol(work: _StepWork, dt: float) -> float:
@@ -336,11 +328,22 @@ def simulate_ensemble(
     sources = [NoiseSource(config.seed, k, noise_dim) for k in range(n)]
     for start in range(0, steps, block_steps):
         block = min(block_steps, steps - start)
-        dw_block = np.stack([src.draw_block(block, dt) for src in sources])
+        # The map is elementwise, so these are exactly each stream's draw_block.
+        lattice = np.stack([src.lattice_block(block) for src in sources])
+        dw_block = lattice_normals(lattice)
+        dw_block *= np.sqrt(dt)
         for m in range(start, start + block):
             dw = dw_block[:, m - start]
             if linear:
                 out, tr = _step_linear(work, rho, dw, dt)
+            else:
+                out, y_dt, tr = _step_nonlinear(work, rho, dw, dt)
+            if not np.all(np.isfinite(tr)):
+                bad = int(np.argmax(~np.isfinite(tr)))
+                raise StateInvalidError(
+                    f"trajectory {bad}, step {m + 1}: non-finite trace {tr[bad]}"
+                )
+            if linear:
                 if np.any(tr <= 0.0):
                     bad = int(np.argmax(tr <= 0.0))
                     raise StateInvalidError(
@@ -356,7 +359,7 @@ def simulate_ensemble(
                 rho = out / tr[:, None, None]
                 y_dt = dw
             else:
-                rho, y_dt, _tr = _step_nonlinear(work, rho, dw, dt)
+                rho = out
             currents[:, m] = y_dt / dt
             if noise is not None:
                 noise[:, m] = dw

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diffmon
 from diffmon.cli import main
 from diffmon.serialize import load_rep, model_payload, rep_payload, RepFile
 from diffmon import OrthoMatrix, brep_o_to_mrep, heterodyne_mrep
@@ -284,3 +289,17 @@ def test_simulate_beyond_memory_exits_4(het_file, model_file, tmp_path, capsys):
     assert main(args) == 4
     assert "of physical memory" in capsys.readouterr().err
     assert not (tmp_path / "big").exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy.special alone took about 0.3 s of every command's start-up; only
+    # `diffmon check` needs scipy, and imports it when it runs.
+    env = dict(os.environ, PYTHONPATH=str(Path(diffmon.__file__).resolve().parents[1]))
+    code = (
+        "import sys, diffmon, diffmon.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

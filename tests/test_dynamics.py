@@ -25,6 +25,7 @@ from diffmon.errors import (
     DimensionMismatchError,
     NonPositiveLagError,
     StateInvalidError,
+    ValidationError,
 )
 from diffmon.reps import random_mrep, random_orthogonal
 
@@ -98,6 +99,40 @@ def test_me_integrate_reports_positivity_loss():
     model = decay_model(gamma=1.0)
     with pytest.raises(StateInvalidError):
         me_integrate(model, EXCITED, dt=3.0, steps=50)
+
+
+def test_me_integrate_names_first_negative_step():
+    # Same step and text as an eigenvalue test after every step.
+    model = decay_model(gamma=1.0)
+    rho = EXCITED
+    for m in range(1, 51):
+        rho = rk4_step(model, rho, 3.0)
+        rho = (rho + rho.conj().T) / 2.0
+        rho = rho / np.real(np.trace(rho))
+        wmin = float(np.linalg.eigvalsh(rho)[0])
+        if wmin < -1e-6:
+            break
+    message = f"positivity lost at step {m}: min eigenvalue {wmin:.3e}"
+    with pytest.raises(StateInvalidError) as info:
+        me_integrate(model, EXCITED, dt=3.0, steps=50)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field", ["hamiltonian", "lindblads"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_model_rejects_non_finite_entries(field, bad):
+    # NaN compares false against the Hermiticity tolerance, so it used to pass
+    # and a simulation returned NaN purities and currents without an error.
+    parts = {"hamiltonian": np.zeros((2, 2), dtype=complex), "lindblads": SIGMA_M.copy()}
+    parts[field][0, 0] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        LindbladModel(**parts)
+
+
+def test_state_check_rejects_non_finite_entries():
+    # A NaN state used to pass every comparison of the check.
+    with pytest.raises(ValidationError, match="non-finite"):
+        me_integrate(decay_model(), np.array([[np.nan, 0.0], [0.0, 1.0]]), dt=1e-3, steps=2)
 
 
 def test_backaction_vanishes_on_certain_outcome():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
+from scipy.special import ndtri
 
 from diffmon import NoiseSource, draw_wiener
 from diffmon.errors import ValidationError
+from diffmon.noise import lattice_normals
 
 
 def test_mean_within_clt_bound():
@@ -70,3 +73,61 @@ def test_increments_scale_with_dt():
     z1 = NoiseSource(7, 7, 1).draw_block(5, 1.0)
     z2 = NoiseSource(7, 7, 1).draw_block(5, 4.0)
     assert np.allclose(z2, 2.0 * z1, atol=1e-15)
+
+
+LATTICE = 1 << 53
+
+
+def test_lattice_map_is_finite_and_odd_at_the_ends():
+    ends = np.array([0, 1, 2, LATTICE - 3, LATTICE - 2, LATTICE - 1], dtype=np.uint64)
+    z = lattice_normals(ends)
+    assert np.all(np.isfinite(z))
+    assert z[0] == pytest.approx(-8.2924, abs=1e-4)
+    k = np.concatenate(
+        [ends, np.random.default_rng(3).integers(0, LATTICE, 10**5, dtype=np.uint64)]
+    )
+    assert np.array_equal(lattice_normals(k), -lattice_normals(np.uint64(LATTICE - 1) - k))
+
+
+def test_lattice_map_matches_scipy_ndtri():
+    edge = np.arange(1000, dtype=np.uint64)
+    k = np.concatenate(
+        [
+            np.random.default_rng(11).integers(0, LATTICE, 10**6, dtype=np.uint64),
+            edge,
+            np.uint64(LATTICE - 1) - edge,
+        ]
+    )
+    # ndtri at the exact midpoint: (j + 1/2) / 2^53 is a double for j < 2^52,
+    # and the upper half follows from ndtri(1 - u) = -ndtri(u).
+    upper = k >= np.uint64(LATTICE // 2)
+    j = np.where(upper, np.uint64(LATTICE - 1) - k, k)
+    want = ndtri((j.astype(np.float64) + 0.5) / LATTICE)
+    want[upper] *= -1.0
+    got = lattice_normals(k)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+
+def test_lattice_map_is_elementwise():
+    gen = np.random.default_rng(12)
+    # Mostly tail values, so the logarithm's path is covered too.
+    k = np.concatenate(
+        [
+            gen.integers(0, LATTICE // 8, 800, dtype=np.uint64),
+            gen.integers(0, 10**6, 100, dtype=np.uint64),
+            gen.integers(0, LATTICE, 800, dtype=np.uint64),
+        ]
+    )
+    one_by_one = np.array([lattice_normals(k[i : i + 1])[0] for i in range(k.size)])
+    assert np.array_equal(lattice_normals(k), one_by_one)
+    assert np.array_equal(lattice_normals(k.reshape(2, -1, 1)).reshape(-1), one_by_one)
+
+
+def test_lattice_block_is_the_generator_integer_stream():
+    for base_seed, stream_id in ((0, 0), (123, 7), (2**63 + 5, 2**40)):
+        src = NoiseSource(base_seed, stream_id, 3)
+        got = src.lattice_block(4000)
+        gen = Generator(Philox(key=base_seed + (stream_id << 64)))
+        want = gen.integers(0, LATTICE, size=12000, dtype=np.uint64)
+        assert np.array_equal(got.reshape(-1), want)
+        assert src.step == 4000

@@ -222,3 +222,25 @@ def test_trajectory_csv_two_channel_header(tmp_path):
     ens = simulate_ensemble(model2, m, EXCITED, config)
     path = write_trajectory_csv(tmp_path / "traj4.csv", ens)
     assert path.read_text().splitlines()[0] == "t,traj,y_1,y_2,y_3,y_4,purity,log_weight"
+
+
+def test_trajectory_csv_matches_per_value_rendering(tmp_path):
+    import dataclasses
+
+    config = SimulationConfig(dt=1e-2, steps=6, n_traj=4, seed=8)
+    ens = simulate_ensemble(decay_model(rabi=1.0), heterodyne_mrep(0.8), EXCITED, config)
+    currents, pur, logw = ens.currents.copy(), ens.purity.copy(), ens.log_weight.copy()
+    currents[0, 0, 0], currents[1, 2, 1], currents[3, 5, 0] = -0.0, 5e-324, -1.7976931348623157e308
+    currents[2, 4, 1], pur[1, 3], logw[2, 6] = 1e-300, 1.0 - 2.0**-53, -0.0
+    ens = dataclasses.replace(ens, currents=currents, purity=pur, log_weight=logw)
+    path = write_trajectory_csv(tmp_path / "traj.csv", ens)
+
+    def fmt(v):
+        return f"{float(v):.17g}"
+
+    lines = ["t,traj,y_1,y_2,purity,log_weight"]
+    for m in range(ens.steps):
+        for k in range(ens.n_traj):
+            values = [*currents[k, m], pur[k, m + 1], logw[k, m + 1]]
+            lines.append(f"{fmt(ens.times[m + 1])},{k}," + ",".join(fmt(v) for v in values))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")

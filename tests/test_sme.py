@@ -3,6 +3,7 @@ import pytest
 
 from diffmon import (
     BRep,
+    LindbladModel,
     MRep,
     SimulationConfig,
     brep_noise_matrices,
@@ -30,6 +31,7 @@ from diffmon.sme import NoiseSource, _mean_current, _step_nonlinear, _StepWork
 from conftest import (
     EXCITED,
     SIGMA_M,
+    SIGMA_X,
     decay_model,
     random_pure_state,
     rng,
@@ -331,3 +333,23 @@ def test_ensemble_allocation_failure_is_validation_error(monkeypatch):
     config = SimulationConfig(dt=1e-3, steps=10**8, n_traj=10**8, seed=1)
     with pytest.raises(ValidationError, match="cannot allocate"):
         simulate_ensemble(decay_model(), heterodyne_mrep(0.8), EXCITED, config)
+
+
+def test_ensemble_noise_is_each_streams_draw_block():
+    model = decay_model(rabi=1.0)
+    config = SimulationConfig(dt=5e-3, steps=21, n_traj=5, seed=13)
+    ens = simulate_ensemble(model, heterodyne_mrep(0.8), EXCITED, config, block_steps=8)
+    for k in range(config.n_traj):
+        want = NoiseSource(config.seed, k, 2).draw_block(config.steps, config.dt)
+        assert np.array_equal(ens.noise[k], want)
+
+
+@pytest.mark.parametrize("mode", ["nonlinear", "linear"])
+def test_ensemble_names_non_finite_trace(mode):
+    # The positivity monitor's Cholesky does not fail on a NaN state, so a
+    # step that overflows must be caught by its trace.
+    config = SimulationConfig(dt=1e-3, steps=5, n_traj=3, seed=1, mode=mode)
+    with np.errstate(all="ignore"):
+        model = LindbladModel(hamiltonian=1e300 * SIGMA_X, lindblads=SIGMA_M)
+        with pytest.raises(StateInvalidError, match="trajectory 0, step 1: non-finite trace"):
+            simulate_ensemble(model, heterodyne_mrep(0.8), EXCITED, config)
