@@ -12,8 +12,9 @@ propagation routines integrate ``drho/dt``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -124,6 +125,81 @@ def hermitian_basis(n: int) -> np.ndarray:
 _SUPEROPERATOR_MAX_DIM = 12
 
 
+def _frozen(*arrays: np.ndarray) -> tuple:
+    """The arrays, read-only: cached tables are shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _coordinate_slots(n: int) -> tuple:
+    """Index tables between coordinates and the flat float view of complex n x n matrices.
+
+    ``slot[k]`` is where coordinate k sits and ``mirror[k]`` its mirror entry,
+    of sign ``sign[k]``: ``Re x_ii`` is its own mirror, ``Re x_ij`` mirrors
+    ``Re x_ji`` and ``Im x_ij`` mirrors ``-Im x_ji``.  ``source[s]`` is the
+    coordinate that float slot s holds, up to the sign ``source_sign[s]``
+    (0 on the imaginary parts of the diagonal).
+    """
+    iu, ju = np.triu_indices(n, 1)
+    diag = 2 * np.arange(n) * (n + 1)
+    up, low = 2 * (iu * n + ju), 2 * (ju * n + iu)
+    slot = np.concatenate([diag, up, up + 1])
+    mirror = np.concatenate([diag, low, low + 1])
+    sign = np.concatenate([np.ones(n + iu.size), -np.ones(iu.size)])
+    source, source_sign = np.zeros(2 * n * n, dtype=np.intp), np.zeros(2 * n * n)
+    source[mirror], source_sign[mirror] = np.arange(n * n), sign
+    source[slot], source_sign[slot] = np.arange(n * n), 1.0
+    return _frozen(slot, mirror, sign, source, source_sign)
+
+
+def _gather(x: np.ndarray) -> np.ndarray:
+    """Real coordinates ``(x_ii ; Re x_ij ; Im x_ij, i < j)`` of the Hermitian part of x.
+
+    Maps stacks (..., d, d) to (..., d^2); on a Hermitian x the coordinates
+    are exact copies of its entries.
+    """
+    n = x.shape[-1]
+    flat = np.ascontiguousarray(x, dtype=complex).view(np.float64)
+    flat = flat.reshape(*x.shape[:-2], 2 * n * n)
+    slot, mirror, sign, _, _ = _coordinate_slots(n)
+    g = np.take(flat, slot, axis=-1)
+    g += sign * np.take(flat, mirror, axis=-1)
+    g *= 0.5
+    return g
+
+
+def _scatter(g: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices with real coordinates g, the inverse of ``_gather``.
+
+    For finite g they are exactly Hermitian.
+    """
+    n = math.isqrt(g.shape[-1])
+    _, _, _, source, source_sign = _coordinate_slots(n)
+    flat = np.take(g, source, axis=-1)
+    flat *= source_sign
+    return flat.view(complex).reshape(*g.shape[:-1], n, n)
+
+
+@lru_cache(maxsize=None)
+def _coordinate_weights(n: int) -> tuple:
+    """(trace, purity) weights: ``Tr x = g @ t`` and ``Tr x^2 = g^2 @ p`` for coordinates g."""
+    t, p = np.zeros(n * n), np.full(n * n, 2.0)
+    t[:n] = p[:n] = 1.0
+    return _frozen(t, p)
+
+
+def _trace(g: np.ndarray) -> np.ndarray:
+    """Trace of the Hermitian matrices with real coordinates g (..., d^2)."""
+    return g @ _coordinate_weights(math.isqrt(g.shape[-1]))[0]
+
+
+def _purity(g: np.ndarray) -> np.ndarray:
+    """Tr x^2 of the Hermitian matrices with real coordinates g (..., d^2)."""
+    return np.square(g) @ _coordinate_weights(math.isqrt(g.shape[-1]))[1]
+
+
 def _backaction(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``a x + x a^dag``, broadcast over stacks of operators ``a`` and matrices ``x``."""
     return a @ x + x @ a.conj().swapaxes(-1, -2)
@@ -143,10 +219,13 @@ class _Engine:
     """The generator and the back-action along ``ops`` of one model, built once.
 
     ``generator`` writes ``L x = (K x + x K^dag + sum_k c_k x c_k^dag) / hbar``,
-    ``K = -i H - 1/2 sum_k c_k^dag c_k``.  Up to ``_SUPEROPERATOR_MAX_DIM`` both
-    maps are tabulated on the d^2 unit matrices (row j holds the image of unit
-    j, so row-vectorized stacks map as ``x @ table``) and an RK4 step is its
-    exact polynomial ``I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24``.
+    ``K = -i H - 1/2 sum_k c_k^dag c_k``.  Both maps take Hermitian matrices to
+    Hermitian matrices, so on states they are real-linear maps of the d^2
+    real coordinates of ``_gather``.  Up to ``_SUPEROPERATOR_MAX_DIM`` the
+    engine tabulates them there (row k holds the image of unit coordinate k,
+    so stacks of coordinates map as ``g @ table``) and an RK4 step is its exact
+    polynomial ``I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24``; above it the four
+    stages run as matrix products.
     """
 
     def __init__(self, model: LindbladModel, ops: np.ndarray | None = None):
@@ -157,50 +236,112 @@ class _Engine:
         self.k = -1j * model.hamiltonian - 0.5 * np.sum(self.cs_dag @ self.cs, axis=0)
         self.ops = np.zeros((0, n, n), dtype=complex) if ops is None else ops
         self.tabulated = n <= _SUPEROPERATOR_MAX_DIM
-        self._poly = (None, None)
+        self._poly = self._sme = (None, None)  # (step size, table) of the last h
 
     @cached_property
     def tables(self) -> tuple:
-        """(generator, back-action along every op) as d^2 x d^2 and d^2 x J d^2 maps."""
-        n2 = self.dim**2
-        units = np.eye(n2, dtype=complex).reshape(n2, self.dim, self.dim)
-        back = _backaction(self.ops, units[:, None]).reshape(n2, -1)
-        return self.generator(units).reshape(n2, n2), back
+        """(generator, back-action along each op) on coordinates: d^2 x d^2 and J x d^2 x d^2."""
+        units = _scatter(np.eye(self.dim**2))
+        return _gather(self.generator(units)), _gather(_backaction(self.ops[:, None], units))
 
     def generator(self, x: np.ndarray) -> np.ndarray:
         """drho/dt applied to a (stack of) matrices x."""
         jumps = np.sum(self.cs @ x[..., None, :, :] @ self.cs_dag, axis=-3)
         return (_backaction(self.k, x) + jumps) / self.hbar
 
-    def rk4(self, x: np.ndarray, h: float) -> np.ndarray:
-        """One classical fourth-order step of size h for a (stack of) matrices x."""
-        if not self.tabulated:
-            k1 = self.generator(x)
-            k2 = self.generator(x + 0.5 * h * k1)
-            k3 = self.generator(x + 0.5 * h * k2)
-            k4 = self.generator(x + h * k3)
-            return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def _stages(self, x: np.ndarray, h: float) -> np.ndarray:
+        """One RK4 step of size h as four generator stages on a (stack of) matrices x."""
+        k1 = self.generator(x)
+        k2 = self.generator(x + 0.5 * h * k1)
+        k3 = self.generator(x + 0.5 * h * k2)
+        k4 = self.generator(x + h * k3)
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def poly(self, h: float) -> np.ndarray:
+        """The RK4 step of size h as a d^2 x d^2 map of coordinates."""
         if self._poly[0] != h:  # callers step many times with one h
             a = h * self.tables[0]
             p = np.eye(self.dim**2) + a / 4.0
             for j in (3.0, 2.0, 1.0):  # Horner form
                 p = np.eye(self.dim**2) + (a @ p) / j
             self._poly = (h, p)
-        return (x.reshape(-1, self.dim**2) @ self._poly[1]).reshape(x.shape)
+        return self._poly[1]
+
+    def sme_table(self, h: float) -> np.ndarray:
+        """``[[P_h, c], [B / hbar, 0]]`` for ``[g | w (x) g] @ table`` (see ``sme_step``).
+
+        P_h is ``poly(h)``, B stacks the J back-action tables, and column j of
+        c maps coordinates to ``Tr(a_j rho + rho a_j^dag) / hbar``, the mean
+        current along op j.
+        """
+        if self._sme[0] != h:
+            n2, back = self.dim**2, self.tables[1]
+            table = np.zeros(((1 + len(back)) * n2, n2 + len(back)))
+            table[:n2, :n2] = self.poly(h)
+            table[:n2, n2:] = back[..., : self.dim].sum(axis=-1).T / self.hbar
+            table[n2:, :n2] = back.reshape(-1, n2) / self.hbar
+            self._sme = (h, table)
+        return self._sme[1]
+
+    @cached_property
+    def _kron(self) -> tuple:
+        """0/1 matrices with ``(w @ repeat) * (g @ tile) = w (x) g``.
+
+        Exact for finite entries, and much faster than a broadcast product at
+        small d.
+        """
+        n2, j = self.dim**2, len(self.ops)
+        return np.repeat(np.eye(j), n2, axis=1), np.tile(np.eye(n2), j)
+
+    def drift(self, g: np.ndarray, h: float) -> np.ndarray:
+        """One RK4 step of size h on the coordinates g (..., d^2) of Hermitian matrices."""
+        if self.tabulated:
+            return g @ self.poly(h)
+        return _gather(self._stages(_scatter(g), h))
+
+    def sme_step(self, g: np.ndarray, w: np.ndarray, h: float) -> tuple:
+        """Drift plus linear back-action of the coordinates g, and the mean current.
+
+        Returns the RK4 step of g plus ``sum_j w_j (a_j rho + rho a_j^dag) /
+        hbar``, shape (..., d^2), and the mean current along each op in the
+        state g, shape (..., J).  Tabulated, both come from one product of
+        ``[g | w (x) g]`` with ``sme_table(h)``.
+        """
+        if self.tabulated:
+            repeat, tile = self._kron
+            wg = (w @ repeat) * (g @ tile)
+            out = np.concatenate([g, wg], axis=-1) @ self.sme_table(h)
+            return out[..., : self.dim**2], out[..., self.dim**2 :]
+        x = _scatter(g)
+        lin = self.backaction(x, w) / self.hbar
+        return _gather(self._stages(x, h) + lin), self.current(x)
 
     def propagate(self, x: np.ndarray, span: float, dt: float) -> np.ndarray:
-        """x carried over ``span`` in equal RK4 steps of about dt."""
+        """(A stack of) complex matrices x carried over ``span`` in equal RK4 steps of about dt."""
         steps = max(1, int(round(span / dt)))
+        h = span / steps
+        if not self.tabulated:
+            for _ in range(steps):
+                x = self._stages(x, h)
+            return x
+        # x = H1 + i H2 with Hermitian H1 and H2, and the step is real-linear on each.
+        g = _gather(np.stack([x, -1j * x]))
         for _ in range(steps):
-            x = self.rk4(x, span / steps)
-        return x
+            g = g @ self.poly(h)
+        h1, h2 = _scatter(g)
+        return h1 + 1j * h2
+
+    def rk4(self, x: np.ndarray, h: float) -> np.ndarray:
+        """One classical fourth-order step of size h for a (stack of) matrices x."""
+        return self.propagate(x, h, h)
+
+    def current(self, x: np.ndarray) -> np.ndarray:
+        """Mean current ``2 Re Tr(a_j x) / hbar`` along each op, shape (..., J)."""
+        return 2.0 * np.real(np.einsum("jab,...ba->...j", self.ops, x)) / self.hbar
 
     def backaction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """``sum_j w_j (a_j x + x a_j^dag)`` over ``ops`` for real weights w of shape (..., J)."""
-        if not self.tabulated:
-            return _backaction(np.tensordot(w, self.ops, axes=([-1], [0])), x)
-        parts = (x.reshape(-1, self.dim**2) @ self.tables[1]).reshape(*w.shape, -1)
-        return np.einsum("...j,...jk->...k", w, parts).reshape(x.shape)
+        return _backaction(np.tensordot(w, self.ops, axes=([-1], [0])), x)
 
 
 def liouvillian_apply(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
@@ -232,22 +373,22 @@ def me_integrate(
 ) -> np.ndarray:
     """Integrate the master equation; returns states at all steps+1 grid points.
 
-    Each output state is Hermitized and renormalized; positivity is monitored
-    and a violation beyond ``positivity_tol`` raises ``StateInvalidError``
-    rather than being silently repaired.
+    Steps the real coordinates of the state, so each output state is exactly
+    Hermitian, and renormalizes it; positivity is monitored and a violation
+    beyond ``positivity_tol`` raises ``StateInvalidError`` rather than being
+    silently repaired.
     """
     check_density_matrix(rho0)
     if dt <= 0.0 or steps < 0:
         raise ValidationError("dt must be positive and steps non-negative")
     engine = _Engine(model)
-    out = np.empty((steps + 1, model.dim, model.dim), dtype=complex)
-    out[0] = np.asarray(rho0, dtype=complex)
-    rho = out[0]
+    g = np.empty((steps + 1, model.dim**2))
+    g[0] = _gather(np.asarray(rho0, dtype=complex))
     for m in range(steps):
-        rho = engine.rk4(rho, dt)
-        rho = (rho + rho.conj().T) / 2.0
-        rho = rho / np.real(np.trace(rho))
-        out[m + 1] = rho
+        x = engine.drift(g[m], dt)
+        g[m + 1] = x / _trace(x)
+    out = _scatter(g)
+    out[0] = rho0
     bad = _first_negative_state(out[1:], positivity_tol)
     if bad is not None:
         raise StateInvalidError(

@@ -13,6 +13,7 @@ blocks of the optical realization.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -22,7 +23,10 @@ from .dynamics import (
     LindbladModel,
     _Engine,
     _first_negative_state,
-    _traceless,
+    _gather,
+    _purity,
+    _scatter,
+    _trace,
     check_density_matrix,
     measurement_ops,
 )
@@ -74,6 +78,13 @@ class SimulationConfig:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.snapshot_stride is not None and self.snapshot_stride < 1:
             raise ValidationError("snapshot_stride must be at least 1 when given")
+        if self.positivity_tol is not None and not self.positivity_tol >= 0.0:
+            raise ValidationError(
+                f"positivity_tol must be non-negative (inf disables monitoring), got"
+                f" {self.positivity_tol}"
+            )
+        if np.isnan(self.log_weight_floor):
+            raise ValidationError("log_weight_floor must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -165,28 +176,32 @@ class _StepWork:
 
 def _mean_current(work: _StepWork, rho: np.ndarray) -> np.ndarray:
     """True mean of the measured current for a (batch of) state(s), shape (..., 2L)."""
-    return 2.0 * np.real(np.einsum("jab,...ba->...j", work.xops, rho)) / work.hbar
+    return work.engine.current(rho)
 
 
-def _step(work: _StepWork, rho: np.ndarray, v: np.ndarray, dt: float, linear: bool):
-    """Batched RK4 drift plus back-action along v; returns (Hermitized state, its trace)."""
-    lin = work.engine.backaction(rho, v)
+def _advance(work: _StepWork, g: np.ndarray, w: np.ndarray, dt: float, linear: bool):
+    """Batched Ito step on real coordinates g along increments w.
+
+    Returns (RK4 drift plus back-action, its trace, mean current in g).  The
+    nonlinear form subtracts the trace the back-action adds, ``(cur . w) g``,
+    because ``Tr(a_j rho + rho a_j^dag) = hbar cur_j``.
+    """
+    out, cur = work.engine.sme_step(g, w, dt)
     if not linear:
-        lin = _traceless(lin, rho)
-    out = work.engine.rk4(rho, dt) + lin / work.hbar
-    out = (out + out.conj().swapaxes(-1, -2)) / 2.0
-    return out, np.real(np.einsum("...ii->...", out))
+        out -= np.einsum("...j,...j->...", cur, w)[..., None] * g
+    return out, _trace(out), cur
 
 
 def _step_nonlinear(work: _StepWork, rho: np.ndarray, dw: np.ndarray, dt: float):
     """Batched nonlinear step; returns (normalized state, current increment, pre-norm trace)."""
-    out, tr = _step(work, rho, dw, dt, linear=False)
-    return out / tr[..., None, None], _mean_current(work, rho) * dt + dw, tr
+    out, tr, cur = _advance(work, _gather(rho), dw, dt, linear=False)
+    return _scatter(out / tr[..., None]), cur * dt + dw, tr
 
 
 def _step_linear(work: _StepWork, rho: np.ndarray, y_dt: np.ndarray, dt: float):
     """Batched linear step; returns (unnormalized state, its trace)."""
-    return _step(work, rho, y_dt, dt, linear=True)
+    out, tr, _cur = _advance(work, _gather(rho), y_dt, dt, linear=True)
+    return _scatter(out), tr
 
 
 def _step_args(model: LindbladModel, mrep: MRep, rho, vec, dt: float, name: str):
@@ -211,8 +226,8 @@ def sme_step_nonlinear(
     """One normalized conditioned step; returns (new state, current increment).
 
     The current increment carries the true-mean term plus the supplied Wiener
-    increment; the returned state is Hermitized and renormalized.  Positivity
-    is not checked here (the ensemble runner monitors it).
+    increment; the returned state is exactly Hermitian and renormalized.
+    Positivity is not checked here (the ensemble runner monitors it).
     """
     work, rho, dw = _step_args(model, mrep, rho, dw, dt, "dw")
     out, y_dt, _tr = _step_nonlinear(work, rho, dw, dt)
@@ -251,13 +266,38 @@ def _physical_memory() -> float:
         return np.inf
 
 
-def _check_positivity(rho: np.ndarray, tol: float, step: int) -> None:
-    """Raise unless every state's smallest eigenvalue is at least -tol."""
-    bad = _first_negative_state(rho, tol)
+def _uncertified(g: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the states (coordinates g, purity p) that purity cannot show to be >= -tol/2.
+
+    By Cauchy-Schwarz on the other d - 1 eigenvalues, a Hermitian state of
+    trace t has ``lambda_min >= (t - sqrt((d - 1)(d p - t^2))) / d``, exact
+    for d = 2.  A state above -tol/2 has ``rho + tol I >= tol/2 I``; a NaN
+    purity is never certified.
+    """
+    d, t = math.isqrt(g.shape[-1]), _trace(g)
+    bound = (t - np.sqrt((d - 1) * np.maximum(d * p - t * t, 0.0))) / d
+    return ~(bound >= -0.5 * tol)
+
+
+def _monitor(g: np.ndarray, p: np.ndarray, tol: float, step: int) -> None:
+    """Raise unless every state (coordinates g, purity p) has no eigenvalue below -tol.
+
+    Only the states the purity bound does not certify are factorized, and
+    trajectories are numbered in the whole stack.
+    """
+    idx = np.flatnonzero(_uncertified(g, p, tol))
+    bad = _first_negative_state(_scatter(g[idx]), tol) if idx.size else None
     if bad is not None:
         raise StateInvalidError(
-            f"trajectory {bad[0]}, step {step}: min eigenvalue {bad[1]:.3e} below -{tol:.3e}"
+            f"trajectory {idx[bad[0]]}, step {step}: min eigenvalue {bad[1]:.3e}"
+            f" below -{tol:.3e}"
         )
+
+
+def _check_positivity(rho: np.ndarray, tol: float, step: int) -> None:
+    """``_monitor`` on a stack of Hermitian matrices."""
+    g = _gather(rho)
+    _monitor(g, _purity(g), tol, step)
 
 
 def _auto_positivity_tol(work: _StepWork, dt: float) -> float:
@@ -320,10 +360,11 @@ def simulate_ensemble(
         ) from exc
     snap_pos = {int(s): i for i, s in enumerate(snap_steps)}
 
-    rho = np.broadcast_to(np.asarray(rho0, dtype=complex), (n, dim, dim)).copy()
+    rho0 = np.asarray(rho0, dtype=complex)
+    g = np.broadcast_to(_gather(rho0), (n, dim**2)).copy()
     if pur is not None:
-        pur[:, 0] = np.real(np.einsum("nab,nba->n", rho, rho))
-    snaps[0] = rho
+        pur[:, 0] = _purity(g)
+    snaps[0] = rho0
 
     sources = [NoiseSource(config.seed, k, noise_dim) for k in range(n)]
     for start in range(0, steps, block_steps):
@@ -332,13 +373,11 @@ def simulate_ensemble(
         lattice = np.stack([src.lattice_block(block) for src in sources])
         dw_block = lattice_normals(lattice)
         dw_block *= np.sqrt(dt)
+        cur_block = np.zeros_like(dw_block)  # mean currents, nonlinear mode
         for m in range(start, start + block):
             dw = dw_block[:, m - start]
-            if linear:
-                out, tr = _step_linear(work, rho, dw, dt)
-            else:
-                out, y_dt, tr = _step_nonlinear(work, rho, dw, dt)
-            if not np.all(np.isfinite(tr)):
+            out, tr, cur = _advance(work, g, dw, dt, linear)
+            if not np.isfinite(tr).all():
                 bad = int(np.argmax(~np.isfinite(tr)))
                 raise StateInvalidError(
                     f"trajectory {bad}, step {m + 1}: non-finite trace {tr[bad]}"
@@ -356,19 +395,20 @@ def simulate_ensemble(
                         f"trajectory {bad}, step {m + 1}: log-weight"
                         f" {logw[bad, m + 1]:.1f} below floor"
                     )
-                rho = out / tr[:, None, None]
-                y_dt = dw
             else:
-                rho = out
-            currents[:, m] = y_dt / dt
-            if noise is not None:
-                noise[:, m] = dw
+                cur_block[:, m - start] = cur
+            g = out / tr[:, None]
+            p = _purity(g)
             if np.isfinite(pos_tol):
-                _check_positivity(rho, pos_tol, m + 1)
+                _monitor(g, p, pos_tol, m + 1)
             if pur is not None:
-                pur[:, m + 1] = np.real(np.einsum("nab,nba->n", rho, rho))
+                pur[:, m + 1] = p
             if (m + 1) in snap_pos:
-                snaps[snap_pos[m + 1]] = rho
+                snaps[snap_pos[m + 1]] = _scatter(g)
+        # The current increment is the mean current times dt plus the noise.
+        currents[:, start : start + block] = (cur_block * dt + dw_block) / dt
+        if noise is not None:
+            noise[:, start : start + block] = dw_block
 
     return Ensemble(
         config=config,

@@ -303,3 +303,38 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_simulate_loads_no_scipy(het_file, model_file, tmp_path):
+    # The manifest records scipy's version without importing scipy, which
+    # cost about 13 ms of every `simulate` and `autocorr` run.
+    env = dict(os.environ, PYTHONPATH=str(Path(diffmon.__file__).resolve().parents[1]))
+    out = tmp_path / "run"
+    argv = [
+        "simulate", "--model", str(model_file), "--rep", str(het_file),
+        "--dt", "0.005", "--steps", "4", "--ntraj", "2", "--out", str(out),
+    ]
+    code = (
+        "import sys; from diffmon.cli import main; code = main(sys.argv[1:]); "
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.splitlines()[-1] == "0 []"
+    from importlib.metadata import version
+
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"] == version("scipy")
+
+
+def test_scipy_version_without_version_file(monkeypatch, tmp_path):
+    # An install without scipy/version.py falls back to the package metadata.
+    from importlib.machinery import ModuleSpec
+    from importlib.metadata import version
+
+    from diffmon import serialize
+
+    spec = ModuleSpec("scipy", None, origin=str(tmp_path / "__init__.py"))
+    monkeypatch.setattr(serialize.importlib.util, "find_spec", lambda name: spec)
+    assert serialize._scipy_version() == version("scipy")

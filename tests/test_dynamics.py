@@ -20,7 +20,7 @@ from diffmon import (
     urep_current_mean,
 )
 from diffmon.checks import liouvillian_superoperator
-from diffmon.dynamics import _Engine, measurement_ops, rk4_step
+from diffmon.dynamics import _Engine, _gather, _scatter, measurement_ops, rk4_step
 from diffmon.errors import (
     DimensionMismatchError,
     NonPositiveLagError,
@@ -472,3 +472,71 @@ def test_predicted_autocorrelation_uneven_lags_match_exponential(dim):
             for b, y in enumerate(xops):
                 want = np.real(np.trace((y + y.conj().T) @ xt))
                 assert abs(got[i, a, b] - want) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# real coordinates of Hermitian matrices
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 8))
+def test_gather_scatter_round_trip_is_exact(dim):
+    gen = rng(75 + dim)
+    x = gen.normal(size=(4, dim, dim)) + 1j * gen.normal(size=(4, dim, dim))
+    herm = x + x.conj().transpose(0, 2, 1)
+    g = _gather(herm)
+    assert g.shape == (4, dim * dim) and g.dtype == np.float64
+    assert np.array_equal(_scatter(g), herm)
+    assert np.array_equal(_gather(herm[2]), g[2])
+    assert np.array_equal(_scatter(g[2]), herm[2])
+    # Any real vector scatters to an exactly Hermitian matrix, and back.
+    v = gen.normal(size=(5, dim * dim))
+    y = _scatter(v)
+    assert np.array_equal(y, y.conj().transpose(0, 2, 1))
+    assert np.array_equal(_gather(y), v)
+    # The trace is the sum of the first d coordinates.
+    assert np.max(np.abs(np.trace(y, axis1=1, axis2=2) - v[:, :dim].sum(axis=1))) <= 1e-14
+    # A non-Hermitian matrix gives the coordinates of its Hermitian part.
+    assert np.max(np.abs(_scatter(_gather(x)) - herm / 2.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", ENGINE_DIMS)
+def test_engine_coordinate_step_matches_oracle(dim):
+    # Drift, back-action and mean current of one step on coordinates, against
+    # the kron-built generator and the back-action written out per direction.
+    gen = rng(76 + dim)
+    model = _scaled_model(gen, dim)
+    ops = measurement_ops(random_mrep(gen, 2), model.lindblads)
+    engine = _Engine(model, ops)
+    h = 2e-2
+    a = h * liouvillian_superoperator(model)
+    taylor = np.eye(dim * dim) + a + a @ a / 2.0 + a @ a @ a / 6.0 + a @ a @ a @ a / 24.0
+    rhos = np.stack([random_state(gen, dim) for _ in range(3)])
+    w = gen.normal(size=(3, ops.shape[0]))
+    drift, cur = engine.sme_step(_gather(rhos), w, h)
+    want_drift = _gather((rhos.reshape(3, -1) @ taylor.T).reshape(rhos.shape))
+    assert np.max(np.abs(engine.drift(_gather(rhos), h) - want_drift)) <= 1e-13
+    for k in range(3):
+        e = np.tensordot(w[k], ops, axes=1)
+        step = (taylor @ rhos[k].reshape(-1)).reshape(dim, dim)
+        want = step + (e @ rhos[k] + rhos[k] @ e.conj().T) / model.hbar
+        assert np.max(np.abs(_scatter(drift[k]) - want)) <= 1e-13
+        want_cur = [2.0 * np.real(np.trace(op @ rhos[k])) / model.hbar for op in ops]
+        assert np.max(np.abs(cur[k] - want_cur)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", ENGINE_DIMS)
+def test_propagate_non_hermitian_matches_oracle(dim):
+    # Regression propagates products like rho A, which are not Hermitian: the
+    # tabulated engine steps their Hermitian and anti-Hermitian parts apart.
+    gen = rng(77 + dim)
+    model = _scaled_model(gen, dim)
+    a = 1e-2 * liouvillian_superoperator(model)
+    taylor = np.eye(dim * dim) + a + a @ a / 2.0 + a @ a @ a / 6.0 + a @ a @ a @ a / 24.0
+    x = gen.normal(size=(2, dim, dim)) + 1j * gen.normal(size=(2, dim, dim))
+    want = x.reshape(2, -1).T
+    for _ in range(5):
+        want = taylor @ want
+    want = want.T.reshape(x.shape)
+    engine, scale = _Engine(model), np.max(np.abs(want))
+    assert np.max(np.abs(engine.propagate(x, 5e-2, 1e-2) - want)) <= 1e-13 * scale
+    assert np.max(np.abs(engine.propagate(x[1], 5e-2, 1e-2) - want[1])) <= 1e-13 * scale

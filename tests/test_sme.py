@@ -353,3 +353,71 @@ def test_ensemble_names_non_finite_trace(mode):
         model = LindbladModel(hamiltonian=1e300 * SIGMA_X, lindblads=SIGMA_M)
         with pytest.raises(StateInvalidError, match="trajectory 0, step 1: non-finite trace"):
             simulate_ensemble(model, heterodyne_mrep(0.8), EXCITED, config)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("positivity_tol", np.nan), ("positivity_tol", -1.0), ("log_weight_floor", np.nan)],
+)
+def test_config_rejects_bad_monitor_settings(field, value):
+    # A NaN tolerance used to switch the monitor off, a negative one printed
+    # "below --1.000e+00", and a NaN floor never fired.
+    with pytest.raises(ValidationError, match=field):
+        SimulationConfig(dt=1e-3, steps=1, n_traj=1, seed=0, **{field: value})
+    for tol in (0.0, np.inf):
+        SimulationConfig(dt=1e-3, steps=1, n_traj=1, seed=0, positivity_tol=tol)
+
+
+def _states_with_min_eigenvalue(gen, dim, lams):
+    """Unit-trace Hermitian states whose smallest eigenvalue is each of lams."""
+    out = []
+    for lam in lams:
+        rest = gen.uniform(0.5, 1.5, size=dim - 1)
+        vals = np.concatenate([[lam], (1.0 - lam) * rest / rest.sum()])
+        q, _ = np.linalg.qr(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))
+        rho = (q * vals) @ q.conj().T
+        out.append((rho + rho.conj().T) / 2.0)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("dim", (2, 3, 8))
+def test_positivity_monitor_matches_eigenvalue_reference(dim):
+    from diffmon.dynamics import _gather, _purity
+    from diffmon.sme import _check_positivity, _uncertified
+
+    tol = 1e-3
+    gen = rng(64 + dim)
+    # Smallest eigenvalues straddling -tol, and mixed states the purity bound
+    # certifies (at d = 2 the bound is the smallest eigenvalue itself).
+    lams = np.array([-2.0, -1.01, -0.99, -0.6, -0.4, 0.0]) * tol
+    mixed = np.full(dim, 1.0 / dim) * np.eye(dim) + 1e-3 * np.diag(np.linspace(-1.0, 1.0, dim))
+    for trial in range(30):
+        n = 12
+        rho = _states_with_min_eigenvalue(gen, dim, gen.choice(lams, size=n))
+        if trial % 3 == 0:  # only the last trajectory may fail
+            rho[:-1] = _states_with_min_eigenvalue(gen, dim, [0.0] * (n - 1))
+        rho[gen.integers(n - 1)] = mixed
+        g = _gather(rho)
+        mask = _uncertified(g, _purity(g), tol)
+        assert not mask.all()
+        wmin = np.linalg.eigvalsh(rho)[:, 0]
+        bad = np.flatnonzero(wmin < -tol)
+        if bad.size == 0:
+            _check_positivity(rho, tol, 5)
+            continue
+        k = int(bad[0])
+        message = f"trajectory {k}, step 5: min eigenvalue {wmin[k]:.3e} below -{tol:.3e}"
+        with pytest.raises(StateInvalidError) as info:
+            _check_positivity(rho, tol, 5)
+        assert str(info.value) == message
+
+
+def test_purity_bound_never_certifies_nan():
+    from diffmon.dynamics import _gather, _purity
+    from diffmon.sme import _uncertified
+
+    rho = np.stack([np.eye(3, dtype=complex) / 3.0] * 2)
+    g = _gather(rho)
+    assert not _uncertified(g, _purity(g), 1e-3).any()
+    g[1, 4] = np.nan  # an off-diagonal coordinate
+    assert _uncertified(g, _purity(g), 1e-3).tolist() == [False, True]
