@@ -26,6 +26,7 @@ from .errors import (
     NotHermitianError,
     StateInvalidError,
     ValidationError,
+    check_dt,
 )
 from .linalg import DEFAULT_TOL, positive_sqrt, pseudo_inverse
 from .reps import MRep, TRep, URep, _check_hbar, urep_split
@@ -268,18 +269,22 @@ class _Engine:
         return self._poly[1]
 
     def sme_table(self, h: float) -> np.ndarray:
-        """``[[P_h, c], [B / hbar, 0]]`` for ``[g | w (x) g] @ table`` (see ``sme_step``).
+        """``[[P_h, c, 0], [B / hbar, 0, vec(c)]]`` for ``[g | w (x) g] @ table``.
 
         P_h is ``poly(h)``, B stacks the J back-action tables, and column j of
         c maps coordinates to ``Tr(a_j rho + rho a_j^dag) / hbar``, the mean
-        current along op j.
+        current along op j.  The last column takes ``w (x) g`` to ``cur . w``,
+        the weight of the nonlinear correction (see ``sme_step``).
         """
         if self._sme[0] != h:
             n2, back = self.dim**2, self.tables[1]
-            table = np.zeros(((1 + len(back)) * n2, n2 + len(back)))
+            j = len(back)
+            cur = back[..., : self.dim].sum(axis=-1).T / self.hbar
+            table = np.zeros(((1 + j) * n2, n2 + j + 1))
             table[:n2, :n2] = self.poly(h)
-            table[:n2, n2:] = back[..., : self.dim].sum(axis=-1).T / self.hbar
+            table[:n2, n2 : n2 + j] = cur
             table[n2:, :n2] = back.reshape(-1, n2) / self.hbar
+            table[n2:, -1] = cur.T.reshape(-1)
             self._sme = (h, table)
         return self._sme[1]
 
@@ -300,25 +305,27 @@ class _Engine:
         return _gather(self._stages(_scatter(g), h))
 
     def sme_step(self, g: np.ndarray, w: np.ndarray, h: float) -> tuple:
-        """Drift plus linear back-action of the coordinates g, and the mean current.
+        """Drift plus linear back-action of the coordinates g, the mean current, and ``cur . w``.
 
         Returns the RK4 step of g plus ``sum_j w_j (a_j rho + rho a_j^dag) /
-        hbar``, shape (..., d^2), and the mean current along each op in the
-        state g, shape (..., J).  Tabulated, both come from one product of
-        ``[g | w (x) g]`` with ``sme_table(h)``.
+        hbar``, shape (..., d^2), the mean current ``cur`` along each op in
+        the state g, shape (..., J), and ``cur . w``, shape (...).  Tabulated,
+        all three come from one product of ``[g | w (x) g]`` with
+        ``sme_table(h)``.
         """
         if self.tabulated:
-            repeat, tile = self._kron
+            n2, repeat, tile = self.dim**2, *self._kron
             wg = (w @ repeat) * (g @ tile)
             out = np.concatenate([g, wg], axis=-1) @ self.sme_table(h)
-            return out[..., : self.dim**2], out[..., self.dim**2 :]
+            return out[..., :n2], out[..., n2:-1], out[..., -1]
         x = _scatter(g)
         lin = self.backaction(x, w) / self.hbar
-        return _gather(self._stages(x, h) + lin), self.current(x)
+        cur = self.current(x)
+        return _gather(self._stages(x, h) + lin), cur, np.einsum("...j,...j->...", cur, w)
 
     def propagate(self, x: np.ndarray, span: float, dt: float) -> np.ndarray:
         """(A stack of) complex matrices x carried over ``span`` in equal RK4 steps of about dt."""
-        steps = max(1, int(round(span / dt)))
+        steps = max(1, int(round(span / check_dt(dt))))
         h = span / steps
         if not self.tabulated:
             for _ in range(steps):
@@ -379,8 +386,9 @@ def me_integrate(
     silently repaired.
     """
     check_density_matrix(rho0)
-    if dt <= 0.0 or steps < 0:
-        raise ValidationError("dt must be positive and steps non-negative")
+    dt = check_dt(dt)
+    if steps < 0:
+        raise ValidationError(f"steps must be non-negative, got {steps}")
     engine = _Engine(model)
     g = np.empty((steps + 1, model.dim**2))
     g[0] = _gather(np.asarray(rho0, dtype=complex))

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the step-size check."""
+
+import math
 
 
 class DiffmonError(Exception):
@@ -91,3 +93,14 @@ class SchemaError(DiffmonError):
 
 class IoError(DiffmonError):
     """Writing an output artifact failed."""
+
+
+def check_dt(dt) -> float:
+    """dt as a float; raises ``ValidationError`` unless it is finite and positive."""
+    try:
+        value = float(dt)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"dt must be positive, got {dt}")
+    return value

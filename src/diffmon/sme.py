@@ -37,6 +37,7 @@ from .errors import (
     StateInvalidError,
     ValidationError,
     WeightUnderflowError,
+    check_dt,
 )
 from .linalg import DEFAULT_TOL, positive_sqrt
 from .noise import NoiseSource, lattice_normals
@@ -68,8 +69,7 @@ class SimulationConfig:
     log_weight_floor: float = -700.0
 
     def __post_init__(self):
-        if self.dt <= 0.0 or not np.isfinite(self.dt):
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+        check_dt(self.dt)
         if self.steps < 1:
             raise ValidationError(f"steps must be at least 1, got {self.steps}")
         if self.n_traj < 1:
@@ -186,9 +186,9 @@ def _advance(work: _StepWork, g: np.ndarray, w: np.ndarray, dt: float, linear: b
     nonlinear form subtracts the trace the back-action adds, ``(cur . w) g``,
     because ``Tr(a_j rho + rho a_j^dag) = hbar cur_j``.
     """
-    out, cur = work.engine.sme_step(g, w, dt)
+    out, cur, cur_w = work.engine.sme_step(g, w, dt)
     if not linear:
-        out -= np.einsum("...j,...j->...", cur, w)[..., None] * g
+        out -= cur_w[..., None] * g
     return out, _trace(out), cur
 
 
@@ -215,9 +215,7 @@ def _step_args(model: LindbladModel, mrep: MRep, rho, vec, dt: float, name: str)
         raise DimensionMismatchError(
             f"{name} must have length {work.xops.shape[0]}, got shape {vec.shape}"
         )
-    if dt <= 0.0:
-        raise ValidationError("dt must be positive")
-    return work, rho, vec
+    return work, rho, vec, check_dt(dt)
 
 
 def sme_step_nonlinear(
@@ -229,7 +227,7 @@ def sme_step_nonlinear(
     increment; the returned state is exactly Hermitian and renormalized.
     Positivity is not checked here (the ensemble runner monitors it).
     """
-    work, rho, dw = _step_args(model, mrep, rho, dw, dt, "dw")
+    work, rho, dw, dt = _step_args(model, mrep, rho, dw, dt, "dw")
     out, y_dt, _tr = _step_nonlinear(work, rho, dw, dt)
     return out, y_dt
 
@@ -243,7 +241,7 @@ def sme_step_linear(
     component).  Returns the unnormalized updated matrix and the log-weight
     increment log Tr[out] - log Tr[in].
     """
-    work, rho_bar, y_dt = _step_args(model, mrep, rho_bar, y_dt, dt, "y_dt")
+    work, rho_bar, y_dt, dt = _step_args(model, mrep, rho_bar, y_dt, dt, "y_dt")
     tr_in = float(np.real(np.trace(rho_bar)))
     if tr_in <= 0.0:
         raise StateInvalidError(f"input trace {tr_in} is not positive")
@@ -275,8 +273,10 @@ def _uncertified(g: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
     purity is never certified.
     """
     d, t = math.isqrt(g.shape[-1]), _trace(g)
-    bound = (t - np.sqrt((d - 1) * np.maximum(d * p - t * t, 0.0))) / d
-    return ~(bound >= -0.5 * tol)
+    # The bound is >= -tol/2 exactly when s = t + d tol/2 >= 0 and
+    # (d - 1)(d p - t^2) <= s^2, which needs no square root.
+    s = t + 0.5 * d * tol
+    return ~(((d - 1) * (d * p - t * t) <= s * s) & (s >= 0.0))
 
 
 def _monitor(g: np.ndarray, p: np.ndarray, tol: float, step: int) -> None:
@@ -285,8 +285,11 @@ def _monitor(g: np.ndarray, p: np.ndarray, tol: float, step: int) -> None:
     Only the states the purity bound does not certify are factorized, and
     trajectories are numbered in the whole stack.
     """
-    idx = np.flatnonzero(_uncertified(g, p, tol))
-    bad = _first_negative_state(_scatter(g[idx]), tol) if idx.size else None
+    uncertified = _uncertified(g, p, tol)
+    if not uncertified.any():
+        return
+    idx = np.flatnonzero(uncertified)
+    bad = _first_negative_state(_scatter(g[idx]), tol)
     if bad is not None:
         raise StateInvalidError(
             f"trajectory {idx[bad[0]]}, step {step}: min eigenvalue {bad[1]:.3e}"
@@ -338,9 +341,11 @@ def simulate_ensemble(
         pos_tol = _auto_positivity_tol(work, dt)
 
     snap_steps = _snapshot_steps(steps, config.snapshot_stride)
-    # Bytes of the records: currents and noise per step, purity and
-    # log-weights per grid point, and the snapshots.
-    per_traj = steps * noise_dim * (1 + config.store_dw) + (steps + 1) * (1 + config.store_purity)
+    # Bytes of the records: currents and noise per step, purity and (linear
+    # mode) log-weights per grid point, and the snapshots.
+    per_traj = steps * noise_dim * (1 + config.store_dw) + (steps + 1) * (
+        linear + config.store_purity
+    )
     need, limit = n * (8 * per_traj + 16 * snap_steps.size * dim**2), _physical_memory()
     if need > limit:
         raise ValidationError(
@@ -351,7 +356,8 @@ def simulate_ensemble(
         currents = np.empty((n, steps, noise_dim))
         noise = np.empty((n, steps, noise_dim)) if config.store_dw else None
         pur = np.empty((n, steps + 1)) if config.store_purity else None
-        logw = np.zeros((n, steps + 1))
+        # Nonlinear runs carry no weights: a read-only view of one zero.
+        logw = np.zeros((n, steps + 1)) if linear else np.broadcast_to(0.0, (n, steps + 1))
         snaps = np.empty((snap_steps.size, n, dim, dim), dtype=complex)
         times = np.arange(steps + 1) * dt
     except MemoryError as exc:

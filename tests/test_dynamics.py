@@ -135,6 +135,22 @@ def test_state_check_rejects_non_finite_entries():
         me_integrate(decay_model(), np.array([[np.nan, 0.0], [0.0, 1.0]]), dt=1e-3, steps=2)
 
 
+BAD_DT = [0.0, -1e-3, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("dt", BAD_DT)
+def test_integrators_reject_bad_dt(dt):
+    # A NaN dt used to return NaN states after the initial one from
+    # me_integrate, and a bare ValueError from rk4_step.
+    model = decay_model(rabi=1.0)
+    with pytest.raises(ValidationError, match="dt must be positive"):
+        me_integrate(model, EXCITED, dt, 3)
+    with pytest.raises(ValidationError, match="dt must be positive"):
+        rk4_step(model, EXCITED, dt)
+    with pytest.raises(ValidationError, match="dt must be positive"):
+        regression_correlation(model, SIGMA_P, SIGMA_M, EXCITED, 0.5, dt=dt)
+
+
 def test_backaction_vanishes_on_certain_outcome():
     model_c = np.array([SIGMA_Z], dtype=complex)
     out = backaction_apply(np.array([1.0 + 0j]), model_c, EXCITED)
@@ -512,7 +528,7 @@ def test_engine_coordinate_step_matches_oracle(dim):
     taylor = np.eye(dim * dim) + a + a @ a / 2.0 + a @ a @ a / 6.0 + a @ a @ a @ a / 24.0
     rhos = np.stack([random_state(gen, dim) for _ in range(3)])
     w = gen.normal(size=(3, ops.shape[0]))
-    drift, cur = engine.sme_step(_gather(rhos), w, h)
+    drift, cur, _cur_w = engine.sme_step(_gather(rhos), w, h)
     want_drift = _gather((rhos.reshape(3, -1) @ taylor.T).reshape(rhos.shape))
     assert np.max(np.abs(engine.drift(_gather(rhos), h) - want_drift)) <= 1e-13
     for k in range(3):
@@ -522,6 +538,23 @@ def test_engine_coordinate_step_matches_oracle(dim):
         assert np.max(np.abs(_scatter(drift[k]) - want)) <= 1e-13
         want_cur = [2.0 * np.real(np.trace(op @ rhos[k])) / model.hbar for op in ops]
         assert np.max(np.abs(cur[k] - want_cur)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", ENGINE_DIMS)
+def test_engine_step_weights_the_mean_current(dim):
+    # The nonlinear correction's weight cur . w comes out of the step itself:
+    # a column of the table up to d = 12, the stage path above.
+    gen = rng(78 + dim)
+    model = _scaled_model(gen, dim)
+    ops = measurement_ops(random_mrep(gen, 2), model.lindblads)
+    engine = _Engine(model, ops)
+    rhos = np.stack([random_state(gen, dim) for _ in range(4)])
+    w = gen.normal(size=(4, ops.shape[0]))
+    _drift, cur, cur_w = engine.sme_step(_gather(rhos), w, 1e-2)
+    assert cur_w.shape == (4,)
+    assert np.max(np.abs(cur_w - (cur * w).sum(-1))) <= 1e-13
+    _drift, cur1, cur_w1 = engine.sme_step(_gather(rhos[1]), w[1], 1e-2)
+    assert abs(cur_w1 - (cur1 * w[1]).sum()) <= 1e-13
 
 
 @pytest.mark.parametrize("dim", ENGINE_DIMS)

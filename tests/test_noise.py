@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
+import diffmon
 from diffmon import NoiseSource, draw_wiener
 from diffmon.errors import ValidationError
 from diffmon.noise import lattice_normals
@@ -131,3 +138,103 @@ def test_lattice_block_is_the_generator_integer_stream():
         want = gen.integers(0, LATTICE, size=12000, dtype=np.uint64)
         assert np.array_equal(got.reshape(-1), want)
         assert src.step == 4000
+
+
+def _raw_lattice(base_seed, stream_id, n):
+    """The first n lattice integers of a stream, from a freshly keyed generator."""
+    return Philox(key=base_seed + (stream_id << 64)).random_raw(n) >> np.uint64(11)
+
+
+def test_interleaved_sources_resume_mid_counter():
+    # dim 3 with blocks of 1, 2 and 5 steps puts most draws at an offset that
+    # is not a multiple of Philox's four outputs per counter value.
+    a, b = NoiseSource(21, 4, 3), NoiseSource(21, 5, 3)
+    got = {4: [], 5: []}
+    for n in (1, 2, 5, 1, 1, 2, 5, 5, 1, 2):
+        for src in (a, b, a):
+            got[src.stream_id].append(src.lattice_block(n).reshape(-1))
+    for stream_id, src in ((4, a), (5, b)):
+        drawn = np.concatenate(got[stream_id])
+        assert src.step * 3 == drawn.size
+        assert np.array_equal(drawn, _raw_lattice(21, stream_id, drawn.size))
+
+
+def test_threads_drawing_different_streams():
+    # More threads than cores, switching often, all on the one shared
+    # generator: a draw that lost its state to another thread's would differ.
+    sizes = [1, 2, 5, 3, 7] * 80
+    n_threads = 4
+    barrier = threading.Barrier(n_threads)
+    got = {}
+
+    def draw(stream_id):
+        src = NoiseSource(33, stream_id, 3)
+        barrier.wait()
+        got[stream_id] = np.concatenate([src.lattice_block(n).reshape(-1) for n in sizes])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(n_threads):
+        assert np.array_equal(got[k], _raw_lattice(33, k, 3 * sum(sizes)))
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf, -np.inf, "abc"])
+def test_draw_block_rejects_bad_dt(dt):
+    src = NoiseSource(0, 0, 2)
+    with pytest.raises(ValidationError, match="dt must be positive"):
+        src.draw_block(3, dt)
+    assert src.step == 0
+
+
+def test_lattice_block_rejects_bad_lengths():
+    # -1 used to end in a bare ValueError from numpy, 1.5 in a TypeError.
+    src = NoiseSource(0, 0, 2)
+    for n_steps in (-1, 1.5):
+        with pytest.raises(ValidationError, match="n_steps must be a non-negative integer"):
+            src.lattice_block(n_steps)
+    assert src.lattice_block(0).shape == (0, 2)
+    assert src.step == 0
+
+
+def test_generator_construction_count():
+    # One Philox serves every stream: importing the CLI builds none, and a
+    # run builds at most one, whatever its number of trajectories.
+    code = """
+import numpy as np
+import numpy.random
+
+built = []
+real = numpy.random.Philox
+
+def counting(*args, **kwargs):
+    built.append(args)
+    return real(*args, **kwargs)
+
+numpy.random.Philox = counting
+import diffmon.cli
+print(len(built))
+from diffmon import LindbladModel, SimulationConfig, heterodyne_mrep, simulate_ensemble
+from diffmon.noise import _shared_bits
+
+model = LindbladModel(hamiltonian=np.zeros((2, 2)), lindblads=[[0, 0], [1, 0]])
+for n in (1, 40, 300):
+    _shared_bits.cache_clear()
+    before = len(built)
+    config = SimulationConfig(dt=1e-3, steps=3, n_traj=n, seed=n)
+    simulate_ensemble(model, heterodyne_mrep(0.8), np.diag([1.0, 0.0]), config)
+    print(len(built) - before)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(diffmon.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0", "1", "1", "1"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random import Philox
 
 from diffmon import (
     BRep,
@@ -26,6 +27,7 @@ from diffmon.errors import (
     WeightUnderflowError,
 )
 from diffmon.reps import random_brep, random_mrep
+from diffmon.noise import lattice_normals
 from diffmon.sme import NoiseSource, _mean_current, _step_nonlinear, _StepWork
 
 from conftest import (
@@ -344,6 +346,66 @@ def test_ensemble_noise_is_each_streams_draw_block():
         assert np.array_equal(ens.noise[k], want)
 
 
+def test_ensemble_noise_matches_independent_generators():
+    # Trajectory k's increments are the raw outputs of a freshly keyed
+    # Philox(key=seed + (k << 64)), top 53 bits, through the lattice map.
+    config = SimulationConfig(dt=2e-3, steps=19, n_traj=4, seed=2**40 + 3)
+    ens = simulate_ensemble(decay_model(rabi=1.0), heterodyne_mrep(0.8), EXCITED, config)
+    for k in range(config.n_traj):
+        raw = Philox(key=config.seed + (k << 64)).random_raw(config.steps * 2)
+        want = lattice_normals(raw >> np.uint64(11)).reshape(config.steps, 2) * np.sqrt(2e-3)
+        assert np.array_equal(ens.noise[k], want)
+
+
+@pytest.mark.parametrize("mode", ["nonlinear", "linear"])
+def test_ensemble_records_independent_of_block_steps(mode):
+    model = decay_model(rabi=1.0)
+    config = SimulationConfig(dt=5e-3, steps=23, n_traj=5, seed=14, mode=mode, snapshot_stride=4)
+    runs = [
+        simulate_ensemble(model, heterodyne_mrep(0.8), EXCITED, config, block_steps=b)
+        for b in (1, 3, 7, 256)
+    ]
+    for ens in runs[1:]:
+        for field in ("currents", "noise", "purity", "log_weight", "snapshots"):
+            assert np.array_equal(getattr(ens, field), getattr(runs[0], field)), field
+
+
+def test_nonlinear_log_weight_is_a_read_only_zero_view():
+    model = decay_model(rabi=1.0)
+    config = SimulationConfig(dt=5e-3, steps=12, n_traj=3, seed=15)
+    ens = simulate_ensemble(model, heterodyne_mrep(0.8), EXCITED, config)
+    assert ens.log_weight.shape == (3, 13)
+    assert not ens.log_weight.flags.writeable
+    assert np.all(ens.log_weight == 0.0)
+    with pytest.raises(ValueError):
+        ens.log_weight[0, 1] = 1.0
+    assert np.array_equal(ens.trajectory(1).log_weight, np.zeros(13))
+
+
+def test_memory_estimate_counts_log_weights_in_linear_mode_only(monkeypatch):
+    # Exactly the nonlinear run's records: (12 currents + 12 noise + 7
+    # purities) x 8 bytes per trajectory, and 16 bytes for each entry of its
+    # 7 snapshots of 2 x 2 states.
+    n, steps = 3, 6
+    need = n * (8 * (steps * 2 * 2 + (steps + 1)) + 16 * (steps + 1) * 4)
+    monkeypatch.setattr("diffmon.sme._physical_memory", lambda: float(need))
+    common = dict(dt=5e-3, steps=steps, n_traj=n, seed=16, snapshot_stride=1)
+    model, m = decay_model(rabi=1.0), heterodyne_mrep(0.8)
+    simulate_ensemble(model, m, EXCITED, SimulationConfig(**common))
+    with pytest.raises(ValidationError, match="of physical memory"):
+        simulate_ensemble(model, m, PLUS, SimulationConfig(mode="linear", **common))
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+def test_single_steps_reject_bad_dt(dt):
+    # A NaN dt used to return a NaN state without an error.
+    model, m = decay_model(rabi=1.0), heterodyne_mrep(0.8)
+    with pytest.raises(ValidationError, match="dt must be positive"):
+        sme_step_nonlinear(model, m, EXCITED, np.zeros(2), dt)
+    with pytest.raises(ValidationError, match="dt must be positive"):
+        sme_step_linear(model, m, PLUS, np.zeros(2), dt)
+
+
 @pytest.mark.parametrize("mode", ["nonlinear", "linear"])
 def test_ensemble_names_non_finite_trace(mode):
     # The positivity monitor's Cholesky does not fail on a NaN state, so a
@@ -421,3 +483,16 @@ def test_purity_bound_never_certifies_nan():
     assert not _uncertified(g, _purity(g), 1e-3).any()
     g[1, 4] = np.nan  # an off-diagonal coordinate
     assert _uncertified(g, _purity(g), 1e-3).tolist() == [False, True]
+
+
+def test_purity_bound_in_squared_form_keeps_the_sign_of_the_trace():
+    # -I/d has the purity of a maximally mixed state, but the bound it gives
+    # is -2/d; squaring t + d tol/2 alone would certify it.
+    from diffmon.dynamics import _gather, _purity
+    from diffmon.sme import _check_positivity, _uncertified
+
+    rho = np.stack([np.eye(2, dtype=complex) / 2.0, -np.eye(2, dtype=complex) / 2.0])
+    g = _gather(rho)
+    assert _uncertified(g, _purity(g), 1e-3).tolist() == [False, True]
+    with pytest.raises(StateInvalidError, match="trajectory 1, step 3"):
+        _check_positivity(rho, 1e-3, 3)
