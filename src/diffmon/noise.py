@@ -135,8 +135,8 @@ class NoiseSource:
             raise ValidationError("base_seed must fit in an unsigned 64-bit integer")
         if not (0 <= stream_id < (1 << 64)):
             raise ValidationError("stream_id must fit in an unsigned 64-bit integer")
-        if dim < 1:
-            raise ValidationError("dim must be at least 1")
+        if not (isinstance(dim, (int, np.integer)) and dim >= 1):
+            raise ValidationError(f"dim must be a positive integer, got {dim!r}")
         self.base_seed = base_seed
         self.stream_id = stream_id
         self.dim = int(dim)

@@ -20,6 +20,7 @@ equivalent measurement matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,9 +43,30 @@ from .linalg import DEFAULT_TOL, polar_decompose
 
 def _check_hbar(hbar: float) -> float:
     hbar = float(hbar)
-    if not np.isfinite(hbar) or hbar <= 0.0:
+    if not math.isfinite(hbar) or hbar <= 0.0:
         raise ValidationError(f"hbar must be a positive real number, got {hbar}")
     return hbar
+
+
+def _check_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} has non-finite entries")
+
+
+def _check_unit_range(vec: np.ndarray, slack: float, label: str, error=EfficiencyOutOfRangeError):
+    """Raise ``error`` naming the first entry outside [-slack, 1 + slack] (NaN included)."""
+    for k, v in enumerate(vec.tolist()):
+        if not (-slack <= v <= 1.0 + slack):
+            raise error(f"{label}[{k}] = {vec[k]} falls outside [0, 1]")
+
+
+def _check_unitary(a: np.ndarray, tol: float, failure: str) -> None:
+    """Raise ``failure`` with the defect unless ``|a^dag a - I| <= tol max(1, |a|^2)``."""
+    gram = a.conj().T @ a
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    defect = np.linalg.norm(gram)
+    if defect > tol * max(1.0, float(np.linalg.norm(a)) ** 2):
+        raise ValidationError(f"{failure} (defect {defect:.3e})")
 
 
 def _store_matrix(rep, dtype, what: str, square: bool) -> None:
@@ -54,8 +76,7 @@ def _store_matrix(rep, dtype, what: str, square: bool) -> None:
     if rows < 1 or m.shape[1] != (rows if square else 2 * rows) or (square and rows % 2):
         shape = "2L x 2L" if square else "L x 2L"
         raise DimensionMismatchError(f"{what} must be {shape}, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError(f"{what} has non-finite entries")
+    _check_finite(m, what)
     object.__setattr__(rep, "matrix", m)
     object.__setattr__(rep, "hbar", _check_hbar(rep.hbar))
 
@@ -136,6 +157,9 @@ class BRep:
             raise DimensionMismatchError(
                 "efficiencies, splittings and the mixing unitary must share one channel count"
             )
+        _check_finite(eta, "efficiency vector")
+        _check_finite(s, "mixing unitary")
+        _check_finite(theta, "splitting vector")
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "mixing", s)
         object.__setattr__(self, "theta", theta)
@@ -147,16 +171,9 @@ class BRep:
 
 def validate_brep(brep: BRep, tol: float = DEFAULT_TOL) -> None:
     """Check efficiency/splitting ranges and unitarity of the mixing matrix."""
-    for name, vec in (("eta", brep.eta), ("theta", brep.theta)):
-        for k, v in enumerate(vec):
-            if not (-tol <= v <= 1.0 + tol):
-                raise EfficiencyOutOfRangeError(
-                    f"{name}[{k}] = {v} falls outside [0, 1]"
-                )
-    L = brep.channels
-    defect = np.linalg.norm(brep.mixing.conj().T @ brep.mixing - np.eye(L))
-    if defect > tol * max(1.0, float(np.linalg.norm(brep.mixing)) ** 2):
-        raise ValidationError(f"mixing matrix is not unitary (defect {defect:.3e})")
+    _check_unit_range(brep.eta, tol, "eta")
+    _check_unit_range(brep.theta, tol, "theta")
+    _check_unitary(brep.mixing, tol, "mixing matrix is not unitary")
 
 
 @dataclass(frozen=True)
@@ -170,6 +187,7 @@ class OrthoMatrix:
         o = np.array(self.matrix, dtype=float)
         if o.ndim != 2 or o.shape[0] != o.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got {o.shape}")
+        _check_finite(o, "post-processing matrix")
         object.__setattr__(self, "matrix", o)
         det = float(np.linalg.det(o))
         sign = 1 if det > 0 else -1
@@ -181,10 +199,7 @@ class OrthoMatrix:
             )
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
-        o = self.matrix
-        defect = np.linalg.norm(o.T @ o - np.eye(o.shape[0]))
-        if defect > tol * max(1.0, float(np.linalg.norm(o)) ** 2):
-            raise ValidationError(f"matrix is not orthogonal (defect {defect:.3e})")
+        _check_unitary(self.matrix, tol, "matrix is not orthogonal")
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +220,17 @@ def validate_mrep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TO
     hbar = _check_hbar(hbar)
     gram = m @ m.conj().T / hbar
     atol = tol * max(1.0, float(np.linalg.norm(gram)))
-    diag = np.real(np.diagonal(gram)).copy()
-    off = gram - np.diag(np.diagonal(gram))
-    if off.size and np.max(np.abs(off)) > atol:
-        j, k = np.unravel_index(int(np.argmax(np.abs(off))), off.shape)
+    d = gram.diagonal().copy()
+    # Subtracting the diagonal from itself zeroes it, and keeps a NaN there.
+    gram.flat[:: d.size + 1] -= d
+    mag = np.abs(gram)
+    if mag.size and mag.max() > atol:
+        j, k = np.unravel_index(int(mag.argmax()), mag.shape)
         raise OffDiagonalError(
             f"channel gram matrix has off-diagonal entry ({j},{k}) = {gram[j, k]:.3e}"
         )
-    for k, v in enumerate(diag):
-        if not (-atol <= v <= 1.0 + atol):
-            raise EfficiencyOutOfRangeError(f"efficiency[{k}] = {v} falls outside [0, 1]")
-    return np.clip(diag, 0.0, 1.0)
+    _check_unit_range(d.real, atol, "efficiency")
+    return d.real.clip(0.0, 1.0)
 
 
 def validate_urep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -230,24 +245,22 @@ def validate_urep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TO
         raise DimensionMismatchError(f"unravelling matrix must be 2L x 2L, got {u.shape}")
     _check_hbar(hbar)
     atol = tol * max(1.0, float(np.linalg.norm(u)))
-    if np.linalg.norm(u - u.T) > atol:
+    skew = u - u.T
+    if np.linalg.norm(skew) > atol:
         raise NotPSDError("unravelling matrix is not symmetric")
-    w = np.linalg.eigvalsh((u + u.T) / 2.0)
+    w = np.linalg.eigvalsh(u - 0.5 * skew)
     if w[0] < -atol:
         raise NotPSDError(f"unravelling matrix has eigenvalue {w[0]:.3e} below zero")
     L = u.shape[0] // 2
-    u11, u12, u21, u22 = u[:L, :L], u[:L, L:], u[L:, :L], u[L:, L:]
-    if np.linalg.norm(u12 - u21) > atol:
+    if np.linalg.norm(u[:L, L:] - u[L:, :L]) > atol:
         raise OffBlockAsymmetricError("off-diagonal blocks of the unravelling matrix differ")
-    s = u11 + u22
-    off = s - np.diag(np.diagonal(s))
-    if off.size and np.max(np.abs(off)) > atol:
+    s = u[:L, :L] + u[L:, L:]
+    diag = s.diagonal().copy()
+    s.flat[:: L + 1] -= diag
+    if s.size and np.abs(s).max() > atol:
         raise SumNotInHError("diagonal-block sum of the unravelling matrix is not diagonal")
-    diag = np.diagonal(s).copy()
-    for k, v in enumerate(diag):
-        if not (-atol <= v <= 1.0 + atol):
-            raise SumNotInHError(f"diagonal-block sum entry [{k}] = {v} falls outside [0, 1]")
-    return np.clip(diag, 0.0, 1.0)
+    _check_unit_range(diag, atol, "diagonal-block sum entry ", SumNotInHError)
+    return diag.clip(0.0, 1.0)
 
 
 def validate_trep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -259,8 +272,9 @@ def validate_trep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TO
     L = t.shape[0] // 2
     t1, t2 = t[:L], t[L:]
     atol = tol * max(1.0, float(np.linalg.norm(t)) ** 2 / hbar)
-    cross = t1 @ t2.T - t2 @ t1.T
-    if cross.size and np.max(np.abs(cross)) > atol * hbar:
+    c = t1 @ t2.T
+    cross = c - c.T
+    if cross.size and np.abs(cross).max() > atol * hbar:
         raise OffBlockAsymmetricError("block cross products of the stacked matrix differ")
     return validate_mrep(t1 + 1j * t2, hbar=hbar, tol=tol)
 
@@ -271,7 +285,7 @@ def validate_trep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TO
 
 def mrep_to_trep(mrep: MRep) -> TRep:
     """Stack real and imaginary parts; exact (no arithmetic beyond copies)."""
-    return TRep(np.vstack([mrep.matrix.real, mrep.matrix.imag]), hbar=mrep.hbar)
+    return TRep(np.concatenate([mrep.matrix.real, mrep.matrix.imag]), hbar=mrep.hbar)
 
 
 def trep_to_mrep(trep: TRep) -> MRep:
@@ -290,8 +304,7 @@ def mrep_trep(rep):
 
 def trep_to_urep(trep: TRep, tol: float = DEFAULT_TOL) -> URep:
     """Unravelling matrix of a stacked measurement matrix: t @ t.T / hbar."""
-    u = trep.matrix @ trep.matrix.T / trep.hbar
-    u = (u + u.T) / 2.0
+    u = trep.matrix @ trep.matrix.T / trep.hbar  # (j, k) and (k, j) sum the same products
     try:
         validate_urep(u, hbar=trep.hbar, tol=tol)
     except ValidationError as exc:
@@ -342,34 +355,33 @@ def trep_polar(trep: TRep, tol: float = DEFAULT_TOL):
 def brep_to_mrep(brep: BRep, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> MRep:
     """Measurement matrix realized by an optical block arrangement.
 
-    The two column blocks carry the measured and conjugate quadrature
+    ``M = sqrt(hbar diag(eta)) S^dag [diag(sqrt(theta)), -i diag(sqrt(1 - theta))]``:
+    the two column blocks carry the measured and conjugate quadrature
     couplings, scaled by the efficiencies and rotated by the mixing unitary.
     """
     validate_brep(brep, tol=tol)
     hbar = _check_hbar(hbar)
-    rh = np.sqrt(hbar * np.clip(brep.eta, 0.0, 1.0))
-    rq = np.sqrt(np.clip(brep.theta, 0.0, 1.0))
-    rqb = np.sqrt(np.clip(1.0 - brep.theta, 0.0, 1.0))
-    sd = brep.mixing.conj().T
-    left = (rh[:, None] * sd) * rq[None, :]
-    right = -1j * (rh[:, None] * sd) * rqb[None, :]
-    return MRep(np.hstack([left, right]), hbar=hbar)
+    a = np.sqrt(hbar * brep.eta.clip(0.0, 1.0))[:, None] * brep.mixing.conj().T
+    rq, rqb = np.sqrt(np.array([brep.theta, 1.0 - brep.theta]).clip(0.0, 1.0))
+    return MRep(np.concatenate([a * rq, -1j * a * rqb], axis=1), hbar=hbar)
 
 
 def brep_to_urep(brep: BRep, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> URep:
-    """Unravelling matrix of an optical realization, from the explicit block formulas."""
+    """Unravelling matrix of an optical realization, as the product of its stages.
+
+    ``U = (W D)^T (W D)``.  ``D = diag(sqrt(eta), sqrt(eta))`` attenuates each
+    mode, and ``W = diag(sqrt(theta), sqrt(1 - theta)) [[S_r, -S_i], [S_i, S_r]]``
+    mixes the modes by the real form of ``S`` and splits each output between
+    its homodyne pair.  The route does not pass through ``brep_to_mrep``, so
+    the two conversions check each other.
+    """
     validate_brep(brep, tol=tol)
     hbar = _check_hbar(hbar)
-    rh = np.diag(np.sqrt(np.clip(brep.eta, 0.0, 1.0)))
-    q = np.diag(np.clip(brep.theta, 0.0, 1.0))
-    qb = np.diag(np.clip(1.0 - brep.theta, 0.0, 1.0))
-    sr = brep.mixing.real
-    si = brep.mixing.imag
-    u11 = rh @ (sr.T @ q @ sr + si.T @ qb @ si) @ rh
-    u12 = rh @ (-sr.T @ q @ si + si.T @ qb @ sr) @ rh
-    u21 = rh @ (-si.T @ q @ sr + sr.T @ qb @ si) @ rh
-    u22 = rh @ (si.T @ q @ si + sr.T @ qb @ sr) @ rh
-    u = np.block([[u11, u12], [u21, u22]])
+    z = brep.mixing * np.sqrt(brep.eta.clip(0.0, 1.0))
+    rs = np.concatenate([z, 1j * z], axis=1)  # real part [S_r, -S_i] D, imaginary [S_i, S_r] D
+    split = np.sqrt(np.concatenate([brep.theta, 1.0 - brep.theta]).clip(0.0, 1.0))
+    wd = np.concatenate([rs.real, rs.imag]) * split[:, None]
+    u = wd.T @ wd
     try:
         validate_urep(u, hbar=hbar, tol=max(tol, 1e-12))
     except ValidationError as exc:
@@ -429,9 +441,7 @@ def custom_efficiency_mrep(
         raise DimensionMismatchError(
             f"unit-efficiency factor must be L x 2L with L = len(eta), got {mp.shape}"
         )
-    for k, v in enumerate(eta):
-        if not (0.0 <= v <= 1.0):
-            raise EfficiencyOutOfRangeError(f"eta[{k}] = {v} falls outside [0, 1]")
+    _check_unit_range(eta, 0.0, "eta")
     gram = mp @ mp.conj().T / hbar
     if np.linalg.norm(gram - np.eye(eta.shape[0])) > tol * max(1.0, float(np.linalg.norm(gram))):
         raise InvalidEfficientPartError(
@@ -455,28 +465,22 @@ def efficient_decomposition(mrep: MRep, tol: float = DEFAULT_TOL):
     hbar = mrep.hbar
     dark = eta <= tol
     mp = np.zeros((L, 2 * L), dtype=complex)
-    live = [k for k in range(L) if not dark[k]]
-    for k in live:
-        mp[k] = mrep.matrix[k] / np.sqrt(eta[k])
-    rows = [mp[k] for k in live]
-    for k in range(L):
-        if not dark[k]:
-            continue
-        chosen = None
-        for j in list(range(k, 2 * L)) + list(range(k)):
+    mp[~dark] = mrep.matrix[~dark] / np.sqrt(eta[~dark])[:, None]
+    rows = list(mp[~dark])
+    for k in np.flatnonzero(dark):
+        for j in [*range(k, 2 * L), *range(k)]:
             cand = np.zeros(2 * L, dtype=complex)
             cand[j] = np.sqrt(hbar)
             for r in rows:
                 cand = cand - r * (np.vdot(r, cand) / np.vdot(r, r))
             if np.linalg.norm(cand) > np.sqrt(hbar) * 1e-6:
-                chosen = cand * (np.sqrt(hbar) / np.linalg.norm(cand))
                 break
-        if chosen is None:
+        else:
             raise InternalInconsistencyError(
                 "could not complete the unit-efficiency rows (should be unreachable)"
             )
-        mp[k] = chosen
-        rows.append(chosen)
+        mp[k] = cand * (np.sqrt(hbar) / np.linalg.norm(cand))
+        rows.append(mp[k])
     return eta, mp, dark
 
 

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, positive_sqrt
 from .noise import NoiseSource, lattice_normals
-from .reps import BRep, MRep, validate_brep
+from .reps import BRep, MRep, _check_hbar, validate_brep
 
 MODES = ("nonlinear", "linear")
 
@@ -504,13 +504,9 @@ def brep_noise_matrices(
 ) -> BrepNoiseMatrices:
     """Noise-coupling blocks of an optical realization, checked for completeness."""
     validate_brep(brep, tol=tol)
-    hbar = float(hbar)
-    if hbar <= 0.0:
-        raise ValidationError(f"hbar must be positive, got {hbar}")
-    rh = np.sqrt(np.clip(brep.eta, 0.0, 1.0))
-    rhb = np.sqrt(np.clip(1.0 - brep.eta, 0.0, 1.0))
-    rq = np.sqrt(np.clip(brep.theta, 0.0, 1.0))
-    rqb = np.sqrt(np.clip(1.0 - brep.theta, 0.0, 1.0))
+    hbar = _check_hbar(hbar)
+    stages = [brep.eta, 1.0 - brep.eta, brep.theta, 1.0 - brep.theta]
+    rh, rhb, rq, rqb = np.sqrt(np.array(stages).clip(0.0, 1.0))
     s = brep.mixing
     top = (rq[:, None] * s) * rh[None, :]
     bot = 1j * (rqb[:, None] * s) * rh[None, :]

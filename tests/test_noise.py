@@ -76,6 +76,13 @@ def test_argument_validation():
         NoiseSource(0, 0, 2).draw_block(3, 0.0)
 
 
+def test_noise_dim_must_be_a_positive_integer():
+    for dim in (2.5, 2.0, "2", 0, -1):
+        with pytest.raises(ValidationError, match="dim must be a positive integer"):
+            NoiseSource(0, 0, dim)
+    assert NoiseSource(0, 0, np.int64(3)).dim == 3
+
+
 def test_increments_scale_with_dt():
     z1 = NoiseSource(7, 7, 1).draw_block(5, 1.0)
     z2 = NoiseSource(7, 7, 1).draw_block(5, 4.0)

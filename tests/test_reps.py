@@ -22,7 +22,9 @@ from diffmon import (
     trep_to_urep,
     urep_assemble,
     urep_split,
+    validate_brep,
     validate_mrep,
+    validate_trep,
     validate_urep,
 )
 from diffmon.errors import (
@@ -130,6 +132,7 @@ def test_trep_to_urep_random_valid():
     for _ in range(25):
         u = mrep_to_urep(random_mrep(gen, 2))
         validate_urep(u.matrix)
+        assert np.array_equal(u.matrix, u.matrix.T)
 
 
 def test_urep_split_heterodyne():
@@ -367,3 +370,136 @@ def test_hbar_must_be_positive():
         MRep(np.zeros((1, 2)), hbar=0.0)
     with pytest.raises(ValidationError):
         validate_mrep(np.zeros((1, 2)), hbar=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# validator error parity: every failing branch keeps its error class and message
+
+_R2 = np.sqrt(2.0)
+_NAN = np.nan
+
+VALIDATOR_FAILURES = [
+    (validate_mrep, np.zeros((2, 3)), DimensionMismatchError,
+     "measurement matrix must be L x 2L, got (2, 3)"),
+    (validate_mrep, np.array([[1, 0, 0, 0], [1, 0, 0, 0]]) / _R2, OffDiagonalError,
+     "channel gram matrix has off-diagonal entry (0,1) = 5.000e-01+0.000e+00j"),
+    (validate_mrep, np.array([[0.5, 0, 0, 0], [0, 1.5, 0, 0]]), EfficiencyOutOfRangeError,
+     "efficiency[1] = 2.25 falls outside [0, 1]"),
+    (validate_mrep, np.array([[_NAN, 0]]), EfficiencyOutOfRangeError,
+     "efficiency[0] = nan falls outside [0, 1]"),
+    (validate_mrep, np.array([[0.5, 0, 0, 0], [0, _NAN, 0, 0]]), EfficiencyOutOfRangeError,
+     "efficiency[1] = nan falls outside [0, 1]"),
+    (validate_urep, np.zeros((3, 3)), DimensionMismatchError,
+     "unravelling matrix must be 2L x 2L, got (3, 3)"),
+    (validate_urep, np.array([[0.5, 0.1], [0.0, 0.5]]), NotPSDError,
+     "unravelling matrix is not symmetric"),
+    (validate_urep, np.array([[0.6, 0.59], [0.59, 0.4]]), NotPSDError,
+     "unravelling matrix has eigenvalue -9.841e-02 below zero"),
+    (validate_urep,
+     np.block([[0.45 * np.eye(2), np.array([[0, 0.1], [-0.1, 0]])],
+               [np.array([[0, -0.1], [0.1, 0]]), 0.45 * np.eye(2)]]),
+     OffBlockAsymmetricError, "off-diagonal blocks of the unravelling matrix differ"),
+    (validate_urep, 0.25 * np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1.0]]),
+     SumNotInHError, "diagonal-block sum of the unravelling matrix is not diagonal"),
+    (validate_urep, np.diag([0.25, 0.75, 0.25, 0.5]), SumNotInHError,
+     "diagonal-block sum entry [1] = 1.25 falls outside [0, 1]"),
+    (validate_urep, np.array([[_NAN, 0], [0, 0.5]]), SumNotInHError,
+     "diagonal-block sum entry [0] = nan falls outside [0, 1]"),
+    (validate_urep, np.full((2, 2), _NAN), SumNotInHError,
+     "diagonal-block sum entry [0] = nan falls outside [0, 1]"),
+    (validate_trep, np.zeros((2, 4)), DimensionMismatchError,
+     "stacked matrix must be 2L x 2L, got (2, 4)"),
+    (validate_trep, 0.5 * np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0.0]]),
+     OffBlockAsymmetricError, "block cross products of the stacked matrix differ"),
+    (validate_trep, np.array([[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]) / _R2,
+     OffDiagonalError, "channel gram matrix has off-diagonal entry (0,1) = 5.000e-01+0.000e+00j"),
+    (validate_trep, np.array([[0.5, 0, 0, 0], [0, 1.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+     EfficiencyOutOfRangeError, "efficiency[1] = 2.25 falls outside [0, 1]"),
+    (validate_trep, np.array([[0.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0, _NAN], [0, 0, 0, 0]]),
+     EfficiencyOutOfRangeError, "efficiency[0] = nan falls outside [0, 1]"),
+    (lambda b: validate_brep(BRep(*b)), ([0.5, 1.5], np.eye(2), [0.5, 0.5]),
+     EfficiencyOutOfRangeError, "eta[1] = 1.5 falls outside [0, 1]"),
+    (lambda b: validate_brep(BRep(*b)), ([0.5, 0.5], np.eye(2), [0.2, -0.5]),
+     EfficiencyOutOfRangeError, "theta[1] = -0.5 falls outside [0, 1]"),
+    (lambda b: validate_brep(BRep(*b)), ([0.5, 0.5], [[1.0, 1.0], [0, 1.0]], [0.5, 0.5]),
+     ValidationError, "mixing matrix is not unitary (defect 1.732e+00)"),
+    (lambda o: OrthoMatrix(o).validate(), [[1.0, 0.5], [0.0, 1.0]],
+     ValidationError, "matrix is not orthogonal (defect 7.500e-01)"),
+]
+
+
+@pytest.mark.parametrize("validator, arg, cls, message", VALIDATOR_FAILURES)
+def test_validator_failures_keep_class_and_message(validator, arg, cls, message):
+    with pytest.raises(ValidationError) as info:
+        validator(arg)
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("validator", [validate_mrep, validate_urep, validate_trep])
+def test_validators_reject_nan_hbar(validator):
+    arg = np.zeros((1, 2)) if validator is validate_mrep else np.zeros((2, 2))
+    with pytest.raises(ValidationError, match=r"^hbar must be a positive real number, got nan$"):
+        validator(arg, hbar=np.nan)
+
+
+def test_validator_efficiencies_are_the_clamped_diagonals_bitwise():
+    gen = rng(32)
+    for channels in (1, 2, 3, 4):
+        for hbar in (0.5, 2.0):
+            for _ in range(10):
+                m = random_mrep(gen, channels, hbar=hbar)
+                u = mrep_to_urep(m).matrix
+                t = mrep_to_trep(m).matrix
+                gram = m.matrix @ m.matrix.conj().T / hbar
+                want_m = np.clip(np.real(np.diagonal(gram)), 0.0, 1.0)
+                assert np.array_equal(validate_mrep(m.matrix, hbar=hbar), want_m)
+                ell = channels
+                want_u = np.clip(np.diagonal(u[:ell, :ell] + u[ell:, ell:]), 0.0, 1.0)
+                assert np.array_equal(validate_urep(u, hbar=hbar), want_u)
+                tm = t[:ell] + 1j * t[ell:]
+                want_t = np.clip(np.real(np.diagonal(tm @ tm.conj().T / hbar)), 0.0, 1.0)
+                assert np.array_equal(validate_trep(t, hbar=hbar), want_t)
+
+
+def _block_formula_urep(brep):
+    """The four explicit block formulas of the B -> U relation."""
+    rh = np.diag(np.sqrt(np.clip(brep.eta, 0.0, 1.0)))
+    q = np.diag(np.clip(brep.theta, 0.0, 1.0))
+    qb = np.diag(np.clip(1.0 - brep.theta, 0.0, 1.0))
+    sr, si = brep.mixing.real, brep.mixing.imag
+    u11 = rh @ (sr.T @ q @ sr + si.T @ qb @ si) @ rh
+    u12 = rh @ (-sr.T @ q @ si + si.T @ qb @ sr) @ rh
+    u21 = rh @ (-si.T @ q @ sr + sr.T @ qb @ si) @ rh
+    u22 = rh @ (si.T @ q @ si + sr.T @ qb @ sr) @ rh
+    return np.block([[u11, u12], [u21, u22]])
+
+
+def test_brep_to_urep_stage_product_matches_block_formulas():
+    gen = rng(33)
+    for channels in (1, 2, 3, 4):
+        for hbar in (0.5, 2.0):
+            for _ in range(10):
+                b = random_brep(gen, channels)
+                u = brep_to_urep(b, hbar=hbar).matrix
+                want = _block_formula_urep(b)
+                assert np.max(np.abs(u - want)) <= 1e-14 * np.max(np.abs(want))
+                assert np.array_equal(u, u.T)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_brep_rejects_non_finite_entries(bad):
+    with pytest.raises(ValidationError, match="^efficiency vector has non-finite entries$"):
+        BRep([0.5, bad], np.eye(2), [0.5, 0.5])
+    with pytest.raises(ValidationError, match="^mixing unitary has non-finite entries$"):
+        BRep([0.5], [[bad]], [0.5])
+    with pytest.raises(ValidationError, match="^splitting vector has non-finite entries$"):
+        BRep([0.5], [[1.0]], [bad])
+    with pytest.raises(ValidationError, match="^mixing unitary has non-finite entries$"):
+        BRep([0.5], [[complex(0.0, bad)]], [0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ortho_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ValidationError, match="^post-processing matrix has non-finite entries$"):
+        OrthoMatrix([[bad, 0.0], [0.0, 1.0]])

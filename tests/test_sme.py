@@ -194,6 +194,12 @@ def test_brep_noise_blocks_dual_homodyne():
     assert np.max(np.abs(blocks.splitter - want_split)) <= 1e-12
 
 
+@pytest.mark.parametrize("hbar", [np.nan, np.inf, 0.0])
+def test_brep_noise_blocks_reject_invalid_hbar(hbar):
+    with pytest.raises(ValidationError, match="hbar must be a positive real number"):
+        brep_noise_matrices(BRep([0.5], [[1.0]], [0.5]), hbar=hbar)
+
+
 def test_brep_noise_blocks_completeness_and_mrep():
     gen = rng(65)
     for _ in range(20):
