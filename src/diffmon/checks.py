@@ -336,10 +336,10 @@ def check_step_trace_hermiticity(seed: int) -> CheckResult:
     rng = _rng(seed, 16)
     model = _decay_model(rabi=1.0)
     m = reps.heterodyne_mrep(0.7)
-    work = sme._StepWork(model, m)
+    engine = sme._step_engine(model, m)
     rho = np.broadcast_to(_excited(), (200, 2, 2)).copy()
     dw = rng.normal(scale=np.sqrt(1e-3), size=(200, 2))
-    out, _y, tr = sme._step_nonlinear(work, rho, dw, 1e-3)
+    out, _y, tr = sme._step_nonlinear(engine, rho, dw, 1e-3)
     herm = float(np.max(np.abs(out - out.conj().transpose(0, 2, 1))))
     tr_dev = float(np.max(np.abs(tr - 1.0)))
     ok = herm == 0.0 and tr_dev <= 1e-12
@@ -353,17 +353,17 @@ def check_step_trace_hermiticity(seed: int) -> CheckResult:
 def check_one_step_mean(seed: int) -> CheckResult:
     model = _decay_model(rabi=1.0)
     m = reps.heterodyne_mrep(0.8)
-    work = sme._StepWork(model, m)
+    engine = sme._step_engine(model, m)
     dt = 1e-3
     n = 20000
     rho0 = _excited()
     src = sme.NoiseSource(seed, 0, 2)
     dw = src.draw_block(n, dt)
     rho = np.broadcast_to(rho0, (n, 2, 2)).copy()
-    out, _y, _tr = sme._step_nonlinear(work, rho, dw, dt)
+    out, _y, _tr = sme._step_nonlinear(engine, rho, dw, dt)
     mean = out.mean(axis=0)
     se = out.std(axis=0, ddof=1) / np.sqrt(n)
-    det = work.engine.rk4(rho0, dt)
+    det = engine.rk4(rho0, dt)
     excess = np.abs(mean - det) - 3.0 * np.abs(se) - 10.0 * dt**2
     worst = float(np.max(excess.real))
     return CheckResult(
@@ -384,11 +384,11 @@ def check_purity_rate(seed: int) -> CheckResult:
         (reps.heterodyne_mrep(1.0), reps.homodyne_mrep(0.5), MRep(np.zeros((1, 2))))
     ):
         predicted = sme.purity_increment_predicted(model, m, rho0)
-        work = sme._StepWork(model, m)
+        engine = sme._step_engine(model, m)
         src = sme.NoiseSource(seed, idx + 1, 2)
         dw = src.draw_block(n, dt)
         rho = np.broadcast_to(rho0, (n, 2, 2)).copy()
-        out, _y, _tr = sme._step_nonlinear(work, rho, dw, dt)
+        out, _y, _tr = sme._step_nonlinear(engine, rho, dw, dt)
         dp = (np.real(np.einsum("nab,nba->n", out, out)) - 1.0) / dt
         se = float(dp.std(ddof=1) / np.sqrt(n))
         dev = abs(float(dp.mean()) - predicted)
@@ -400,18 +400,18 @@ def check_purity_rate(seed: int) -> CheckResult:
 def check_linear_martingale(seed: int) -> CheckResult:
     model = _decay_model(rabi=1.0)
     m = reps.homodyne_mrep(0.8)
-    work = sme._StepWork(model, m)
+    engine = sme._step_engine(model, m)
     dt = 1e-3
     n = 20000
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     src = sme.NoiseSource(seed, 5, 2)
     y_dt = src.draw_block(n, dt)
     rho = np.broadcast_to(plus, (n, 2, 2)).copy()
-    _out, tr = sme._step_linear(work, rho, y_dt, dt)
+    _out, tr = sme._step_linear(engine, rho, y_dt, dt)
     se = float(tr.std(ddof=1) / np.sqrt(n))
     dev = abs(float(tr.mean()) - 1.0)
     mean_y = y_dt * tr[:, None] / dt
-    truth = sme._mean_current(work, plus)
+    truth = engine.current(plus)
     dev_y = np.abs(mean_y.mean(axis=0) - truth)
     se_y = mean_y.std(axis=0, ddof=1) / np.sqrt(n)
     ok = dev <= 3.0 * se + 1e-12 and bool(np.all(dev_y <= 3.0 * se_y + 10.0 * dt))

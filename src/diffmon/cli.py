@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import run_all_checks
 from .dynamics import me_integrate, predicted_autocorrelation
 from .errors import (
     DiffmonError,
@@ -237,6 +236,7 @@ def _cmd_autocorr(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .checks import run_all_checks  # only this command needs the self-checks
     results = run_all_checks(args.seed)
     for res in results:
         tag = "PASS" if res.passed else "FAIL"

@@ -269,22 +269,23 @@ class _Engine:
         return self._poly[1]
 
     def sme_table(self, h: float) -> np.ndarray:
-        """``[[P_h, c, 0], [B / hbar, 0, vec(c)]]`` for ``[g | w (x) g] @ table``.
+        """``[[P_h, c, 0, P_h t], [B / hbar, 0, vec(c), B t / hbar]]``, for ``[g | w (x) g] @``.
 
-        P_h is ``poly(h)``, B stacks the J back-action tables, and column j of
-        c maps coordinates to ``Tr(a_j rho + rho a_j^dag) / hbar``, the mean
-        current along op j.  The last column takes ``w (x) g`` to ``cur . w``,
-        the weight of the nonlinear correction (see ``sme_step``).
+        P_h is ``poly(h)``, B stacks the J back-action tables, column j of c
+        maps coordinates to ``Tr(a_j rho + rho a_j^dag) / hbar``, the mean
+        current along op j, column J gives ``cur . w`` and the last column the
+        trace t of the linear output (see ``sme_step``).
         """
         if self._sme[0] != h:
             n2, back = self.dim**2, self.tables[1]
             j = len(back)
             cur = back[..., : self.dim].sum(axis=-1).T / self.hbar
-            table = np.zeros(((1 + j) * n2, n2 + j + 1))
+            table = np.zeros(((1 + j) * n2, n2 + j + 2))
             table[:n2, :n2] = self.poly(h)
             table[:n2, n2 : n2 + j] = cur
             table[n2:, :n2] = back.reshape(-1, n2) / self.hbar
-            table[n2:, -1] = cur.T.reshape(-1)
+            table[n2:, -2] = cur.T.reshape(-1)
+            table[:, -1] = table[:, :n2] @ _coordinate_weights(self.dim)[0]
             self._sme = (h, table)
         return self._sme[1]
 
@@ -304,24 +305,28 @@ class _Engine:
             return g @ self.poly(h)
         return _gather(self._stages(_scatter(g), h))
 
-    def sme_step(self, g: np.ndarray, w: np.ndarray, h: float) -> tuple:
-        """Drift plus linear back-action of the coordinates g, the mean current, and ``cur . w``.
+    def sme_step(self, g: np.ndarray, w: np.ndarray, h: float, linear: bool = True) -> tuple:
+        """One Ito step of the coordinates g along increments w: (output, its trace, mean current).
 
-        Returns the RK4 step of g plus ``sum_j w_j (a_j rho + rho a_j^dag) /
-        hbar``, shape (..., d^2), the mean current ``cur`` along each op in
-        the state g, shape (..., J), and ``cur . w``, shape (...).  Tabulated,
-        all three come from one product of ``[g | w (x) g]`` with
-        ``sme_table(h)``.
+        The linear output is the RK4 step plus ``sum_j w_j (a_j rho + rho a_j^dag) / hbar``
+        and ``cur`` the mean current along each op.  The nonlinear output subtracts
+        ``(cur . w) g`` and its trace ``cur . w``, the trace this adds to a unit-trace g.
+        Tabulated, all three come from one product with ``sme_table(h)``.
         """
         if self.tabulated:
             n2, repeat, tile = self.dim**2, *self._kron
             wg = (w @ repeat) * (g @ tile)
             out = np.concatenate([g, wg], axis=-1) @ self.sme_table(h)
-            return out[..., :n2], out[..., n2:-1], out[..., -1]
-        x = _scatter(g)
-        lin = self.backaction(x, w) / self.hbar
-        cur = self.current(x)
-        return _gather(self._stages(x, h) + lin), cur, np.einsum("...j,...j->...", cur, w)
+            out, cur, cur_w, tr = out[..., :n2], out[..., n2:-2], out[..., -2], out[..., -1]
+        else:
+            x = _scatter(g)
+            cur = self.current(x)
+            out = _gather(self._stages(x, h) + self.backaction(x, w) / self.hbar)
+            cur_w, tr = np.einsum("...j,...j->...", cur, w), _trace(out)
+        if not linear:
+            out -= cur_w[..., None] * g
+            tr = tr - cur_w
+        return out, tr, cur
 
     def propagate(self, x: np.ndarray, span: float, dt: float) -> np.ndarray:
         """(A stack of) complex matrices x carried over ``span`` in equal RK4 steps of about dt."""

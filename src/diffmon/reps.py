@@ -215,7 +215,7 @@ def validate_mrep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TO
     ``EfficiencyOutOfRangeError`` naming the offending entry.
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[1] != 2 * m.shape[0]:
+    if m.ndim != 2 or m.shape[1] != 2 * m.shape[0] or not m.size:
         raise DimensionMismatchError(f"measurement matrix must be L x 2L, got {m.shape}")
     hbar = _check_hbar(hbar)
     gram = m @ m.conj().T / hbar
@@ -224,7 +224,7 @@ def validate_mrep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TO
     # Subtracting the diagonal from itself zeroes it, and keeps a NaN there.
     gram.flat[:: d.size + 1] -= d
     mag = np.abs(gram)
-    if mag.size and mag.max() > atol:
+    if mag.max() > atol:
         j, k = np.unravel_index(int(mag.argmax()), mag.shape)
         raise OffDiagonalError(
             f"channel gram matrix has off-diagonal entry ({j},{k}) = {gram[j, k]:.3e}"
@@ -241,23 +241,26 @@ def validate_urep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TO
     off-diagonal blocks are equal.
     """
     u = np.asarray(matrix, dtype=float)
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] % 2:
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] % 2 or not u.size:
         raise DimensionMismatchError(f"unravelling matrix must be 2L x 2L, got {u.shape}")
     _check_hbar(hbar)
-    atol = tol * max(1.0, float(np.linalg.norm(u)))
+    L, norm = u.shape[0] // 2, float(np.linalg.norm(u))
+    s = u[:L, :L] + u[L:, L:]
+    diag = s.diagonal().copy()
+    if not math.isfinite(norm):  # a NaN in the diagonal-block sum is named first
+        _check_unit_range(diag, tol, "diagonal-block sum entry ", SumNotInHError)
+        raise ValidationError("unravelling matrix has non-finite entries")
+    atol = tol * max(1.0, norm)
     skew = u - u.T
     if np.linalg.norm(skew) > atol:
         raise NotPSDError("unravelling matrix is not symmetric")
     w = np.linalg.eigvalsh(u - 0.5 * skew)
     if w[0] < -atol:
         raise NotPSDError(f"unravelling matrix has eigenvalue {w[0]:.3e} below zero")
-    L = u.shape[0] // 2
     if np.linalg.norm(u[:L, L:] - u[L:, :L]) > atol:
         raise OffBlockAsymmetricError("off-diagonal blocks of the unravelling matrix differ")
-    s = u[:L, :L] + u[L:, L:]
-    diag = s.diagonal().copy()
     s.flat[:: L + 1] -= diag
-    if s.size and np.abs(s).max() > atol:
+    if np.abs(s).max() > atol:
         raise SumNotInHError("diagonal-block sum of the unravelling matrix is not diagonal")
     _check_unit_range(diag, atol, "diagonal-block sum entry ", SumNotInHError)
     return diag.clip(0.0, 1.0)
@@ -266,7 +269,7 @@ def validate_urep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TO
 def validate_trep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate a stacked real measurement matrix; returns the efficiency vector."""
     t = np.asarray(matrix, dtype=float)
-    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] % 2:
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] % 2 or not t.size:
         raise DimensionMismatchError(f"stacked matrix must be 2L x 2L, got {t.shape}")
     hbar = _check_hbar(hbar)
     L = t.shape[0] // 2
@@ -274,7 +277,7 @@ def validate_trep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TO
     atol = tol * max(1.0, float(np.linalg.norm(t)) ** 2 / hbar)
     c = t1 @ t2.T
     cross = c - c.T
-    if cross.size and np.abs(cross).max() > atol * hbar:
+    if np.abs(cross).max() > atol * hbar:
         raise OffBlockAsymmetricError("block cross products of the stacked matrix differ")
     return validate_mrep(t1 + 1j * t2, hbar=hbar, tol=tol)
 

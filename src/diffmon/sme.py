@@ -155,67 +155,43 @@ class Ensemble:
         return int(hits[0])
 
 
-class _StepWork:
-    """Precomputed operators shared by every step of one (model, measurement) pair."""
-
-    def __init__(self, model: LindbladModel, mrep: MRep):
-        if model.channels != mrep.channels:
-            raise DimensionMismatchError(
-                f"model has {model.channels} channels, measurement matrix {mrep.channels}"
-            )
-        if abs(model.hbar - mrep.hbar) > 1e-12 * max(model.hbar, mrep.hbar):
-            raise ValidationError(
-                f"model and measurement matrix carry different scales:"
-                f" {model.hbar} vs {mrep.hbar}"
-            )
-        self.hbar = model.hbar
-        self.dim = model.dim
-        self.xops = measurement_ops(mrep, model.lindblads)
-        self.engine = _Engine(model, self.xops)
+def _step_engine(model: LindbladModel, mrep: MRep) -> _Engine:
+    """The engine of one (model, measurement) pair, along the 2L measurement ops."""
+    if model.channels != mrep.channels:
+        raise DimensionMismatchError(
+            f"model has {model.channels} channels, measurement matrix {mrep.channels}"
+        )
+    if abs(model.hbar - mrep.hbar) > 1e-12 * max(model.hbar, mrep.hbar):
+        raise ValidationError(
+            f"model and measurement matrix carry different scales:"
+            f" {model.hbar} vs {mrep.hbar}"
+        )
+    return _Engine(model, measurement_ops(mrep, model.lindblads))
 
 
-def _mean_current(work: _StepWork, rho: np.ndarray) -> np.ndarray:
-    """True mean of the measured current for a (batch of) state(s), shape (..., 2L)."""
-    return work.engine.current(rho)
-
-
-def _advance(work: _StepWork, g: np.ndarray, w: np.ndarray, dt: float, linear: bool):
-    """Batched Ito step on real coordinates g along increments w.
-
-    Returns (RK4 drift plus back-action, its trace, mean current in g).  The
-    nonlinear form subtracts the trace the back-action adds, ``(cur . w) g``,
-    because ``Tr(a_j rho + rho a_j^dag) = hbar cur_j``.
-    """
-    out, cur, cur_w = work.engine.sme_step(g, w, dt)
-    if not linear:
-        out -= cur_w[..., None] * g
-    return out, _trace(out), cur
-
-
-def _step_nonlinear(work: _StepWork, rho: np.ndarray, dw: np.ndarray, dt: float):
+def _step_nonlinear(engine: _Engine, rho: np.ndarray, dw: np.ndarray, dt: float):
     """Batched nonlinear step; returns (normalized state, current increment, pre-norm trace)."""
-    out, tr, cur = _advance(work, _gather(rho), dw, dt, linear=False)
+    out, _tr, cur = engine.sme_step(_gather(rho), dw, dt, linear=False)
+    tr = _trace(out)  # summed, since rho need not have unit trace here
     return _scatter(out / tr[..., None]), cur * dt + dw, tr
 
 
-def _step_linear(work: _StepWork, rho: np.ndarray, y_dt: np.ndarray, dt: float):
+def _step_linear(engine: _Engine, rho: np.ndarray, y_dt: np.ndarray, dt: float):
     """Batched linear step; returns (unnormalized state, its trace)."""
-    out, tr, _cur = _advance(work, _gather(rho), y_dt, dt, linear=True)
+    out, tr, _cur = engine.sme_step(_gather(rho), y_dt, dt)
     return _scatter(out), tr
 
 
 def _step_args(model: LindbladModel, mrep: MRep, rho, vec, dt: float, name: str):
-    work = _StepWork(model, mrep)
+    engine = _step_engine(model, mrep)
     rho, vec = np.asarray(rho, dtype=complex), np.asarray(vec, dtype=float)
-    if rho.shape != (work.dim, work.dim):
+    if rho.shape != (engine.dim, engine.dim):
+        raise DimensionMismatchError(f"state must be {engine.dim} x {engine.dim}, got {rho.shape}")
+    if vec.shape != (len(engine.ops),):
         raise DimensionMismatchError(
-            f"state must be {work.dim} x {work.dim}, got {rho.shape}"
+            f"{name} must have length {len(engine.ops)}, got shape {vec.shape}"
         )
-    if vec.shape != (work.xops.shape[0],):
-        raise DimensionMismatchError(
-            f"{name} must have length {work.xops.shape[0]}, got shape {vec.shape}"
-        )
-    return work, rho, vec, check_dt(dt)
+    return engine, rho, vec, check_dt(dt)
 
 
 def sme_step_nonlinear(
@@ -227,8 +203,8 @@ def sme_step_nonlinear(
     increment; the returned state is exactly Hermitian and renormalized.
     Positivity is not checked here (the ensemble runner monitors it).
     """
-    work, rho, dw, dt = _step_args(model, mrep, rho, dw, dt, "dw")
-    out, y_dt, _tr = _step_nonlinear(work, rho, dw, dt)
+    engine, rho, dw, dt = _step_args(model, mrep, rho, dw, dt, "dw")
+    out, y_dt, _tr = _step_nonlinear(engine, rho, dw, dt)
     return out, y_dt
 
 
@@ -241,20 +217,19 @@ def sme_step_linear(
     component).  Returns the unnormalized updated matrix and the log-weight
     increment log Tr[out] - log Tr[in].
     """
-    work, rho_bar, y_dt, dt = _step_args(model, mrep, rho_bar, y_dt, dt, "y_dt")
+    engine, rho_bar, y_dt, dt = _step_args(model, mrep, rho_bar, y_dt, dt, "y_dt")
     tr_in = float(np.real(np.trace(rho_bar)))
     if tr_in <= 0.0:
         raise StateInvalidError(f"input trace {tr_in} is not positive")
-    out, tr = _step_linear(work, rho_bar, y_dt, dt)
+    out, tr = _step_linear(engine, rho_bar, y_dt, dt)
     if tr <= 0.0:
         raise StateInvalidError(f"updated trace {float(tr)} is not positive")
     return out, float(np.log(tr / tr_in))
 
 
 def _snapshot_steps(steps: int, stride: int | None) -> np.ndarray:
-    if stride is None:
-        stride = max(1, steps // 50)
-    return np.union1d(np.arange(0, steps + 1, stride), [steps])
+    grid = np.arange(0, steps + 1, stride or max(1, steps // 50))
+    return grid if grid[-1] == steps else np.append(grid, steps)
 
 
 def _physical_memory() -> float:
@@ -277,6 +252,25 @@ def _uncertified(g: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
     # (d - 1)(d p - t^2) <= s^2, which needs no square root.
     s = t + 0.5 * d * tol
     return ~(((d - 1) * (d * p - t * t) <= s * s) & (s >= 0.0))
+
+
+def _purity_ceiling(d: int, tol: float) -> float:
+    """Purity under which every trace-one state of dimension d passes ``_uncertified``.
+
+    At t = 1 the bound's test is ``p <= (1 + (1 + d tol/2)^2 / (d - 1)) / d``; the
+    ceiling sits 1e-12 below it, far above the rounding of the test and of t.
+    """
+    return (1.0 + (1.0 + 0.5 * d * tol) ** 2 / max(d - 1, 1)) / d * (1.0 - 1e-12)
+
+
+def _check_trace(tr: np.ndarray, linear: bool, step: int) -> None:
+    """Raise on the first non-finite, or in linear mode non-positive, trace of a step."""
+    if not np.isfinite(tr).all():
+        bad = int(np.argmax(~np.isfinite(tr)))
+        raise StateInvalidError(f"trajectory {bad}, step {step}: non-finite trace {tr[bad]}")
+    if linear and np.any(tr <= 0.0):
+        bad = int(np.argmax(tr <= 0.0))
+        raise StateInvalidError(f"trajectory {bad}, step {step}: non-positive trace {tr[bad]:.3e}")
 
 
 def _monitor(g: np.ndarray, p: np.ndarray, tol: float, step: int) -> None:
@@ -303,11 +297,11 @@ def _check_positivity(rho: np.ndarray, tol: float, step: int) -> None:
     _monitor(g, _purity(g), tol, step)
 
 
-def _auto_positivity_tol(work: _StepWork, dt: float) -> float:
+def _auto_positivity_tol(engine: _Engine, dt: float) -> float:
     # An Ito step from a nearly pure state acquires a negative eigenvalue of
     # order dt * |z|^2 * (noise scale); the threshold sits far above that so
     # only genuine instability (dt too large for the rates) trips it.
-    noise_scale = float(np.sum(np.abs(work.xops) ** 2)) / work.hbar**2
+    noise_scale = float(np.sum(np.abs(engine.ops) ** 2)) / engine.hbar**2
     return max(1e-6, 60.0 * dt * max(1.0, noise_scale))
 
 
@@ -331,14 +325,14 @@ def simulate_ensemble(
 
     model_fp = fingerprint_model(model)
     rep_fp = fingerprint_rep(RepFile("mrep", mrep, mrep.hbar))
-    work = _StepWork(model, mrep)
+    engine = _step_engine(model, mrep)
     n, steps, dt = config.n_traj, config.steps, config.dt
     linear = config.mode == "linear"
-    noise_dim = work.xops.shape[0]
+    noise_dim = len(engine.ops)
     dim = model.dim
     pos_tol = config.positivity_tol
     if pos_tol is None:
-        pos_tol = _auto_positivity_tol(work, dt)
+        pos_tol = _auto_positivity_tol(engine, dt)
 
     snap_steps = _snapshot_steps(steps, config.snapshot_stride)
     # Bytes of the records: currents and noise per step, purity and (linear
@@ -371,50 +365,48 @@ def simulate_ensemble(
     if pur is not None:
         pur[:, 0] = _purity(g)
     snaps[0] = rho0
+    # States have unit trace, so one purity ceiling screens them for the exact monitor.
+    p_max, lw = _purity_ceiling(dim, pos_tol), np.zeros(n)
 
     sources = [NoiseSource(config.seed, k, noise_dim) for k in range(n)]
     for start in range(0, steps, block_steps):
         block = min(block_steps, steps - start)
-        # The map is elementwise, so these are exactly each stream's draw_block.
-        lattice = np.stack([src.lattice_block(block) for src in sources])
-        dw_block = lattice_normals(lattice)
+        # Time-major (step, trajectory, J).  The map is elementwise, so these
+        # are exactly each stream's draw_block.
+        dw_block = lattice_normals(np.stack([src.lattice_block(block) for src in sources], 1))
         dw_block *= np.sqrt(dt)
         cur_block = np.zeros_like(dw_block)  # mean currents, nonlinear mode
-        for m in range(start, start + block):
-            dw = dw_block[:, m - start]
-            out, tr, cur = _advance(work, g, dw, dt, linear)
-            if not np.isfinite(tr).all():
-                bad = int(np.argmax(~np.isfinite(tr)))
-                raise StateInvalidError(
-                    f"trajectory {bad}, step {m + 1}: non-finite trace {tr[bad]}"
-                )
+        p_block, lw_block = np.empty((2, block, n))
+        for i, dw in enumerate(dw_block):
+            m = start + i + 1
+            out, tr, cur = engine.sme_step(g, dw, dt, linear)
+            if not (math.isfinite(tr.sum()) and (not linear or tr.min() > 0.0)):
+                _check_trace(tr, linear, m)
             if linear:
-                if np.any(tr <= 0.0):
-                    bad = int(np.argmax(tr <= 0.0))
-                    raise StateInvalidError(
-                        f"trajectory {bad}, step {m + 1}: non-positive trace {tr[bad]:.3e}"
-                    )
-                logw[:, m + 1] = logw[:, m] + np.log(tr)
-                if np.any(logw[:, m + 1] < config.log_weight_floor):
-                    bad = int(np.argmax(logw[:, m + 1] < config.log_weight_floor))
+                lw += np.log(tr)
+                if lw.min() < config.log_weight_floor:
+                    bad = int(np.argmax(lw < config.log_weight_floor))
                     raise WeightUnderflowError(
-                        f"trajectory {bad}, step {m + 1}: log-weight"
-                        f" {logw[bad, m + 1]:.1f} below floor"
+                        f"trajectory {bad}, step {m}: log-weight {lw[bad]:.1f} below floor"
                     )
+                lw_block[i] = lw
             else:
-                cur_block[:, m - start] = cur
+                cur_block[i] = cur
             g = out / tr[:, None]
-            p = _purity(g)
-            if np.isfinite(pos_tol):
-                _monitor(g, p, pos_tol, m + 1)
-            if pur is not None:
-                pur[:, m + 1] = p
-            if (m + 1) in snap_pos:
-                snaps[snap_pos[m + 1]] = _scatter(g)
+            p_block[i] = p = _purity(g)
+            if not p.max() <= p_max and np.isfinite(pos_tol):
+                _monitor(g, p, pos_tol, m)
+            if m in snap_pos:
+                snaps[snap_pos[m]] = _scatter(g)
         # The current increment is the mean current times dt plus the noise.
-        currents[:, start : start + block] = (cur_block * dt + dw_block) / dt
+        stop = start + block
+        currents[:, start:stop] = ((cur_block * dt + dw_block) / dt).transpose(1, 0, 2)
         if noise is not None:
-            noise[:, start : start + block] = dw_block
+            noise[:, start:stop] = dw_block.transpose(1, 0, 2)
+        if pur is not None:
+            pur[:, start + 1 : stop + 1] = p_block.T
+        if linear:
+            logw[:, start + 1 : stop + 1] = lw_block.T
 
     return Ensemble(
         config=config,

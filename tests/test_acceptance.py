@@ -40,7 +40,7 @@ from diffmon.reps import (
     random_mrep,
     random_orthogonal,
 )
-from diffmon.sme import _step_nonlinear, _StepWork
+from diffmon.sme import _step_engine, _step_nonlinear
 
 from conftest import EXCITED, SIGMA_Z, decay_model, random_state, rng
 
@@ -166,10 +166,10 @@ def test_criterion_6_purity_lemma_and_rate():
     dt = 1e-3
     ideal = heterodyne_mrep(1.0)
     assert abs(purity_increment_predicted(model, ideal, EXCITED)) <= 1e-12
-    work = _StepWork(model, ideal)
+    engine = _step_engine(model, ideal)
 
     def purity_after(dw):
-        out, _y, _tr = _step_nonlinear(work, EXCITED[None], np.asarray(dw, float)[None], dt)
+        out, _y, _tr = _step_nonlinear(engine, EXCITED[None], np.asarray(dw, float)[None], dt)
         return float(np.real(np.einsum("ab,ba->", out[0], out[0])))
 
     # The step is affine in the increments, so the purity is a quadratic
@@ -187,11 +187,11 @@ def test_criterion_6_purity_lemma_and_rate():
 
     m_half = homodyne_mrep(0.5)
     predicted = purity_increment_predicted(model, m_half, EXCITED)
-    work_half = _StepWork(model, m_half)
+    engine_half = _step_engine(model, m_half)
     n, dt_mc = 10000, 1e-4
     dw = NoiseSource(SEED, 6, 2).draw_block(n, dt_mc)
     rho = np.broadcast_to(EXCITED, (n, 2, 2)).copy()
-    out, _y, _tr = _step_nonlinear(work_half, rho, dw, dt_mc)
+    out, _y, _tr = _step_nonlinear(engine_half, rho, dw, dt_mc)
     dp = (np.real(np.einsum("nab,nba->n", out, out)) - 1.0) / dt_mc
     se = float(dp.std(ddof=1) / np.sqrt(n))
     dev = abs(float(dp.mean()) - predicted)

@@ -328,6 +328,34 @@ def test_simulate_loads_no_scipy(het_file, model_file, tmp_path):
     assert manifest["versions"]["scipy"] == version("scipy")
 
 
+def test_simulate_loads_no_numpy_ma(het_file, model_file, tmp_path):
+    # The snapshot grid came from np.union1d, whose first call imports
+    # numpy.ma: about 6 ms of every `simulate` and `autocorr` run.
+    env = dict(os.environ, PYTHONPATH=str(Path(diffmon.__file__).resolve().parents[1]))
+    argv = [
+        "simulate", "--model", str(model_file), "--rep", str(het_file),
+        "--dt", "0.005", "--steps", "4", "--ntraj", "2", "--out", str(tmp_path / "run"),
+    ]
+    code = (
+        "import sys; from diffmon.cli import main; code = main(sys.argv[1:]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.splitlines()[-1] == "0 []"
+
+
+def test_import_loads_no_self_checks():
+    # Only `diffmon check` needs the self-checks module, and imports it when it runs.
+    env = dict(os.environ, PYTHONPATH=str(Path(diffmon.__file__).resolve().parents[1]))
+    code = "import sys, diffmon.cli; print('diffmon.checks' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_scipy_version_without_version_file(monkeypatch, tmp_path):
     # An install without scipy/version.py falls back to the package metadata.
     from importlib.machinery import ModuleSpec

@@ -20,7 +20,7 @@ from diffmon import (
     urep_current_mean,
 )
 from diffmon.checks import liouvillian_superoperator
-from diffmon.dynamics import _Engine, _gather, _scatter, measurement_ops, rk4_step
+from diffmon.dynamics import _Engine, _gather, _scatter, _trace, measurement_ops, rk4_step
 from diffmon.errors import (
     DimensionMismatchError,
     NonPositiveLagError,
@@ -528,7 +528,7 @@ def test_engine_coordinate_step_matches_oracle(dim):
     taylor = np.eye(dim * dim) + a + a @ a / 2.0 + a @ a @ a / 6.0 + a @ a @ a @ a / 24.0
     rhos = np.stack([random_state(gen, dim) for _ in range(3)])
     w = gen.normal(size=(3, ops.shape[0]))
-    drift, cur, _cur_w = engine.sme_step(_gather(rhos), w, h)
+    drift, _tr, cur = engine.sme_step(_gather(rhos), w, h)
     want_drift = _gather((rhos.reshape(3, -1) @ taylor.T).reshape(rhos.shape))
     assert np.max(np.abs(engine.drift(_gather(rhos), h) - want_drift)) <= 1e-13
     for k in range(3):
@@ -542,19 +542,27 @@ def test_engine_coordinate_step_matches_oracle(dim):
 
 @pytest.mark.parametrize("dim", ENGINE_DIMS)
 def test_engine_step_weights_the_mean_current(dim):
-    # The nonlinear correction's weight cur . w comes out of the step itself:
-    # a column of the table up to d = 12, the stage path above.
+    # The step returns the trace of its output, a column of the table up to
+    # d = 12 and a reduction above, and the nonlinear form subtracts
+    # (cur . w) g and cur . w from it.
     gen = rng(78 + dim)
     model = _scaled_model(gen, dim)
     ops = measurement_ops(random_mrep(gen, 2), model.lindblads)
     engine = _Engine(model, ops)
-    rhos = np.stack([random_state(gen, dim) for _ in range(4)])
+    g = _gather(np.stack([random_state(gen, dim) for _ in range(4)]))
     w = gen.normal(size=(4, ops.shape[0]))
-    _drift, cur, cur_w = engine.sme_step(_gather(rhos), w, 1e-2)
-    assert cur_w.shape == (4,)
-    assert np.max(np.abs(cur_w - (cur * w).sum(-1))) <= 1e-13
-    _drift, cur1, cur_w1 = engine.sme_step(_gather(rhos[1]), w[1], 1e-2)
-    assert abs(cur_w1 - (cur1 * w[1]).sum()) <= 1e-13
+    out, tr, cur = engine.sme_step(g, w, 1e-2)
+    assert tr.shape == (4,)
+    assert np.max(np.abs(tr - _trace(out))) <= 1e-13
+    cur_w = (cur * w).sum(-1)
+    out_nl, tr_nl, cur_nl = engine.sme_step(g, w, 1e-2, linear=False)
+    assert np.array_equal(cur_nl, cur)
+    assert np.max(np.abs(out_nl - (out - cur_w[:, None] * g))) <= 1e-13
+    assert np.max(np.abs(tr_nl - (tr - cur_w))) <= 1e-13
+    assert np.max(np.abs(tr_nl - _trace(out_nl))) <= 1e-13
+    out1, tr1, cur1 = engine.sme_step(g[1], w[1], 1e-2, linear=False)
+    assert abs(tr1 - _trace(out1)) <= 1e-13
+    assert np.max(np.abs(cur1 - cur[1])) <= 1e-13
 
 
 @pytest.mark.parametrize("dim", ENGINE_DIMS)

@@ -436,6 +436,37 @@ def test_validator_failures_keep_class_and_message(validator, arg, cls, message)
     assert str(info.value) == message
 
 
+NON_FINITE_AND_EMPTY = [
+    (validate_urep, [[np.inf, 0.0], [0.0, 0.5]], SumNotInHError,
+     "diagonal-block sum entry [0] = inf falls outside [0, 1]"),
+    (validate_urep, [[0.5, np.inf], [np.inf, 0.5]], ValidationError,
+     "unravelling matrix has non-finite entries"),
+    (validate_urep, [[0.5, _NAN], [_NAN, 0.5]], ValidationError,
+     "unravelling matrix has non-finite entries"),
+    (validate_urep, np.diag([0.25, _NAN, 0.25, 0.5]), SumNotInHError,
+     "diagonal-block sum entry [1] = nan falls outside [0, 1]"),
+    (validate_urep, 0.1 * np.ones((4, 4)) + np.diag([0.15, 0.15, 0.15, _NAN]), SumNotInHError,
+     "diagonal-block sum entry [1] = nan falls outside [0, 1]"),
+    (validate_urep, np.zeros((0, 0)), DimensionMismatchError,
+     "unravelling matrix must be 2L x 2L, got (0, 0)"),
+    (validate_mrep, np.zeros((0, 0)), DimensionMismatchError,
+     "measurement matrix must be L x 2L, got (0, 0)"),
+    (validate_trep, np.zeros((0, 0)), DimensionMismatchError,
+     "stacked matrix must be 2L x 2L, got (0, 0)"),
+]
+
+
+@pytest.mark.parametrize("validator, arg, cls, message", NON_FINITE_AND_EMPTY)
+def test_validators_reject_non_finite_and_empty_matrices(validator, arg, cls, message):
+    # validate_urep returned [1.] for an infinite entry, leaked numpy's
+    # LinAlgError for some NaNs and an IndexError for L = 0, which
+    # validate_mrep and validate_trep accepted.
+    with pytest.raises(ValidationError) as info:
+        validator(np.array(arg))
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("validator", [validate_mrep, validate_urep, validate_trep])
 def test_validators_reject_nan_hbar(validator):
     arg = np.zeros((1, 2)) if validator is validate_mrep else np.zeros((2, 2))

@@ -21,6 +21,7 @@ from diffmon import (
 )
 from diffmon.dynamics import rk4_step
 from diffmon.errors import (
+    DiffmonError,
     NotPureError,
     StateInvalidError,
     ValidationError,
@@ -28,7 +29,7 @@ from diffmon.errors import (
 )
 from diffmon.reps import random_brep, random_mrep
 from diffmon.noise import lattice_normals
-from diffmon.sme import NoiseSource, _mean_current, _step_nonlinear, _StepWork
+from diffmon.sme import NoiseSource, _step_engine, _step_nonlinear
 
 from conftest import (
     EXCITED,
@@ -70,23 +71,32 @@ def test_nonlinear_step_homodyne_current_form():
 def test_nonlinear_step_trace_and_hermiticity():
     model = decay_model(rabi=1.0)
     m = heterodyne_mrep(0.7)
-    work = _StepWork(model, m)
+    engine = _step_engine(model, m)
     gen = rng(61)
     rho = np.stack([random_pure_state(gen, 2) for _ in range(100)])
     dw = gen.normal(scale=np.sqrt(1e-3), size=(100, 2))
-    out, _y, tr = _step_nonlinear(work, rho, dw, 1e-3)
+    out, _y, tr = _step_nonlinear(engine, rho, dw, 1e-3)
     assert np.max(np.abs(tr - 1.0)) <= 1e-12
     assert np.max(np.abs(out - out.conj().transpose(0, 2, 1))) == 0.0
+
+
+def test_nonlinear_step_renormalizes_any_trace():
+    # The ensemble's trace shortcut assumes unit-trace input; the single step
+    # sums the trace of its output instead, so any input comes back at trace 1.
+    model, m = decay_model(rabi=1.0), heterodyne_mrep(0.8)
+    rho = np.array([[1.0, 0.7], [0.7, 1.0]], dtype=complex)
+    out, _y = sme_step_nonlinear(model, m, rho, np.array([0.03, -0.02]), dt=1e-3)
+    assert abs(np.trace(out).real - 1.0) <= 1e-15
 
 
 def test_one_step_mean_matches_deterministic_step():
     model = decay_model(rabi=1.0)
     m = heterodyne_mrep(0.8)
-    work = _StepWork(model, m)
+    engine = _step_engine(model, m)
     dt, n = 1e-3, 4000
     dw = NoiseSource(77, 0, 2).draw_block(n, dt)
     rho = np.broadcast_to(EXCITED, (n, 2, 2)).copy()
-    out, _y, _tr = _step_nonlinear(work, rho, dw, dt)
+    out, _y, _tr = _step_nonlinear(engine, rho, dw, dt)
     mean = out.mean(axis=0)
     se = out.std(axis=0, ddof=1) / np.sqrt(n)
     det = rk4_step(model, EXCITED, dt)
@@ -105,20 +115,20 @@ def test_linear_step_without_measurement():
 def test_linear_weighted_current_reproduces_true_mean():
     model = decay_model(rabi=1.0)
     m = homodyne_mrep(0.8)
-    work = _StepWork(model, m)
+    engine = _step_engine(model, m)
     dt, n = 1e-3, 20000
     y_dt = NoiseSource(78, 0, 2).draw_block(n, dt)
     rho = np.broadcast_to(PLUS, (n, 2, 2)).copy()
     from diffmon.sme import _step_linear
 
-    _out, tr = _step_linear(work, rho, y_dt, dt)
+    _out, tr = _step_linear(engine, rho, y_dt, dt)
     # Martingale: ostensible expectation of the trace stays 1.
     se = tr.std(ddof=1) / np.sqrt(n)
     assert abs(tr.mean() - 1.0) <= 3.0 * se + 1e-12
     # Weighted ostensible current mean reproduces the true mean.
     weighted = (y_dt * tr[:, None] / dt).mean(axis=0)
     se_y = (y_dt * tr[:, None] / dt).std(axis=0, ddof=1) / np.sqrt(n)
-    truth = _mean_current(work, PLUS)
+    truth = engine.current(PLUS)
     assert np.all(np.abs(weighted - truth) <= 3.0 * se_y + 10.0 * dt)
 
 
@@ -502,3 +512,128 @@ def test_purity_bound_in_squared_form_keeps_the_sign_of_the_trace():
     assert _uncertified(g, _purity(g), 1e-3).tolist() == [False, True]
     with pytest.raises(StateInvalidError, match="trajectory 1, step 3"):
         _check_positivity(rho, 1e-3, 3)
+
+
+@pytest.mark.parametrize(
+    "steps, stride",
+    [(1, None), (7, None), (50, None), (101, None), (149, None), (3000, None),
+     (5, 10), (12, 3), (12, 5), (1, 1), (10, 10), (10, 11)],
+)
+def test_snapshot_grid_matches_union(steps, stride):
+    # The grid used to come from np.union1d, whose first call imports numpy.ma.
+    from diffmon.sme import _snapshot_steps
+
+    want = np.union1d(np.arange(0, steps + 1, stride or max(1, steps // 50)), [steps])
+    got = _snapshot_steps(steps, stride)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+class _ScriptedNoise:
+    """Streams of zero increments but for ``kicks[(trajectory, step)]``, in normal units."""
+
+    kicks: dict = {}
+
+    def __init__(self, seed, stream_id, dim):
+        self.k, self.dim, self.pos = stream_id, dim, 0
+
+    def lattice_block(self, n_steps):
+        z = np.zeros((n_steps, self.dim))
+        for (k, step), v in self.kicks.items():
+            if k == self.k and self.pos < step <= self.pos + n_steps:
+                z[step - 1 - self.pos] = v
+        self.pos += n_steps
+        return z
+
+
+def _scripted_failure(monkeypatch, kicks, model, m, rho0, **config):
+    """The error of a run whose only noise is ``kicks``, the same for block_steps 1, 37 and 256."""
+    monkeypatch.setattr("diffmon.sme.NoiseSource", _ScriptedNoise)
+    monkeypatch.setattr("diffmon.sme.lattice_normals", np.array)
+    monkeypatch.setattr(_ScriptedNoise, "kicks", kicks)
+    found = set()
+    for block_steps in (1, 37, 256):
+        config = dict(dict(dt=1e-3, steps=150, n_traj=5, seed=0), **config)
+        with pytest.raises(DiffmonError) as info, np.errstate(all="ignore"):
+            simulate_ensemble(model, m, rho0, SimulationConfig(**config), block_steps=block_steps)
+        found.add((type(info.value), str(info.value)))
+    assert len(found) == 1
+    return found.pop()
+
+
+def _kick_for_trace(model, m, rho0, step, trace, dt=1e-3):
+    """Normals at ``step`` that take the noise-free state's linear trace to ``trace``."""
+    from diffmon.dynamics import measurement_ops
+
+    rho = me_integrate(model, rho0, dt, step - 1)[-1]
+    ops = measurement_ops(m, model.lindblads)
+    cur = [2.0 * np.real(np.trace(op @ rho)) / model.hbar for op in ops]
+    return np.array([(trace - 1.0) / (cur[0] * np.sqrt(dt)), 0.0])
+
+
+@pytest.mark.parametrize("mode", ["nonlinear", "linear"])
+def test_ensemble_names_non_finite_trace_mid_block(monkeypatch, mode):
+    model, m = decay_model(rabi=1.0), heterodyne_mrep(0.8)
+    cls, message = _scripted_failure(
+        monkeypatch, {(2, 100): [np.inf, 0.0]}, model, m, EXCITED, mode=mode
+    )
+    assert cls is StateInvalidError
+    assert message == "trajectory 2, step 100: non-finite trace nan"
+
+
+def test_ensemble_names_non_positive_trace_mid_block(monkeypatch):
+    model, m = decay_model(), homodyne_mrep(1.0)
+    kick = _kick_for_trace(model, m, PLUS, 100, -0.5)
+    cls, message = _scripted_failure(monkeypatch, {(3, 100): kick}, model, m, PLUS, mode="linear")
+    assert cls is StateInvalidError
+    assert message == "trajectory 3, step 100: non-positive trace -5.000e-01"
+
+
+def test_ensemble_names_weight_floor_mid_block(monkeypatch):
+    model, m = decay_model(), homodyne_mrep(1.0)
+    kick = _kick_for_trace(model, m, PLUS, 100, 2e-3)
+    cls, message = _scripted_failure(
+        monkeypatch, {(1, 100): kick}, model, m, PLUS, mode="linear", log_weight_floor=-5.0
+    )
+    assert cls is WeightUnderflowError
+    assert message == f"trajectory 1, step 100: log-weight {np.log(2e-3):.1f} below floor"
+
+
+def test_ensemble_names_positivity_loss_mid_block(monkeypatch):
+    model, m, dt, tol = decay_model(), heterodyne_mrep(0.8), 1e-3, 1e-3
+    kick = np.array([40.0, 0.0])
+    rho = me_integrate(model, EXCITED, dt, 99)[-1]
+    out, _y = sme_step_nonlinear(model, m, rho, kick * np.sqrt(dt), dt)
+    lam = np.linalg.eigvalsh(out)[0]
+    assert lam < -tol
+    cls, message = _scripted_failure(
+        monkeypatch, {(4, 100): kick}, model, m, EXCITED, positivity_tol=tol
+    )
+    assert cls is StateInvalidError
+    assert message == f"trajectory 4, step 100: min eigenvalue {lam:.3e} below -{tol:.3e}"
+
+
+@pytest.mark.parametrize("dim", (2, 3, 8))
+@pytest.mark.parametrize("tol", (0.0, 1e-6, 0.06, 1.0))
+def test_purity_ceiling_passes_only_certified_states(dim, tol):
+    # Trace-one states with purities straddling the ceiling, normalized as the
+    # ensemble normalizes them: every one the ceiling passes, the exact bound
+    # certifies, and the ceiling gives up almost nothing.
+    from diffmon.dynamics import _gather, _purity, _trace
+    from diffmon.sme import _purity_ceiling, _uncertified
+
+    gen = rng(900 + 10 * dim + int(100 * tol))
+    p_max = _purity_ceiling(dim, tol)
+    rel = np.concatenate([np.arange(-300, 301) * 1e-14, gen.uniform(-1e-9, 1e-9, 400)])
+    x = gen.normal(size=(rel.size, dim, dim)) + 1j * gen.normal(size=(rel.size, dim, dim))
+    x = x + x.conj().transpose(0, 2, 1)
+    x -= np.trace(x, axis1=1, axis2=2)[:, None, None].real / dim * np.eye(dim)
+    x /= np.sqrt(np.real(np.einsum("nab,nba->n", x, x)))[:, None, None]
+    scale = np.sqrt(p_max * (1.0 + rel) - 1.0 / dim)
+    g = _gather(np.eye(dim) / dim + scale[:, None, None] * x)
+    g /= _trace(g)[:, None]
+    p = _purity(g)
+    passed = p <= p_max
+    assert 0 < passed.sum() < p.size
+    assert not _uncertified(g[passed], p[passed], tol).any()
+    assert _uncertified(g[rel > 2e-12], p[rel > 2e-12], tol).all()
