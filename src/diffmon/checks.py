@@ -339,7 +339,7 @@ def check_step_trace_hermiticity(seed: int) -> CheckResult:
     engine = sme._step_engine(model, m)
     rho = np.broadcast_to(_excited(), (200, 2, 2)).copy()
     dw = rng.normal(scale=np.sqrt(1e-3), size=(200, 2))
-    out, _y, tr = sme._step_nonlinear(engine, rho, dw, 1e-3)
+    out, tr, _cur = sme._step_states(engine, rho, dw, 1e-3, linear=False)
     herm = float(np.max(np.abs(out - out.conj().transpose(0, 2, 1))))
     tr_dev = float(np.max(np.abs(tr - 1.0)))
     ok = herm == 0.0 and tr_dev <= 1e-12
@@ -360,10 +360,10 @@ def check_one_step_mean(seed: int) -> CheckResult:
     src = sme.NoiseSource(seed, 0, 2)
     dw = src.draw_block(n, dt)
     rho = np.broadcast_to(rho0, (n, 2, 2)).copy()
-    out, _y, _tr = sme._step_nonlinear(engine, rho, dw, dt)
+    out, _tr, _cur = sme._step_states(engine, rho, dw, dt, linear=False)
     mean = out.mean(axis=0)
     se = out.std(axis=0, ddof=1) / np.sqrt(n)
-    det = engine.rk4(rho0, dt)
+    det = engine.propagate(rho0, dt, dt)
     excess = np.abs(mean - det) - 3.0 * np.abs(se) - 10.0 * dt**2
     worst = float(np.max(excess.real))
     return CheckResult(
@@ -388,7 +388,7 @@ def check_purity_rate(seed: int) -> CheckResult:
         src = sme.NoiseSource(seed, idx + 1, 2)
         dw = src.draw_block(n, dt)
         rho = np.broadcast_to(rho0, (n, 2, 2)).copy()
-        out, _y, _tr = sme._step_nonlinear(engine, rho, dw, dt)
+        out, _tr, _cur = sme._step_states(engine, rho, dw, dt, linear=False)
         dp = (np.real(np.einsum("nab,nba->n", out, out)) - 1.0) / dt
         se = float(dp.std(ddof=1) / np.sqrt(n))
         dev = abs(float(dp.mean()) - predicted)
@@ -407,7 +407,7 @@ def check_linear_martingale(seed: int) -> CheckResult:
     src = sme.NoiseSource(seed, 5, 2)
     y_dt = src.draw_block(n, dt)
     rho = np.broadcast_to(plus, (n, 2, 2)).copy()
-    _out, tr = sme._step_linear(engine, rho, y_dt, dt)
+    _out, tr, _cur = sme._step_states(engine, rho, y_dt, dt, linear=True)
     se = float(tr.std(ddof=1) / np.sqrt(n))
     dev = abs(float(tr.mean()) - 1.0)
     mean_y = y_dt * tr[:, None] / dt

@@ -226,7 +226,7 @@ class _Engine:
     engine tabulates them there (row k holds the image of unit coordinate k,
     so stacks of coordinates map as ``g @ table``) and an RK4 step is its exact
     polynomial ``I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24``; above it the four
-    stages run as matrix products.
+    stages run as matrix products.  SME steps take states as columns (d^2, n).
     """
 
     def __init__(self, model: LindbladModel, ops: np.ndarray | None = None):
@@ -269,7 +269,7 @@ class _Engine:
         return self._poly[1]
 
     def sme_table(self, h: float) -> np.ndarray:
-        """``[[P_h, c, 0, P_h t], [B / hbar, 0, vec(c), B t / hbar]]``, for ``[g | w (x) g] @``.
+        """``[[P_h, c, 0, P_h t], [B / hbar, 0, vec(c), B t / hbar]]^T``, for ``@ [g ; w (x) g]``.
 
         P_h is ``poly(h)``, B stacks the J back-action tables, column j of c
         maps coordinates to ``Tr(a_j rho + rho a_j^dag) / hbar``, the mean
@@ -286,18 +286,8 @@ class _Engine:
             table[n2:, :n2] = back.reshape(-1, n2) / self.hbar
             table[n2:, -2] = cur.T.reshape(-1)
             table[:, -1] = table[:, :n2] @ _coordinate_weights(self.dim)[0]
-            self._sme = (h, table)
+            self._sme = (h, np.ascontiguousarray(table.T))
         return self._sme[1]
-
-    @cached_property
-    def _kron(self) -> tuple:
-        """0/1 matrices with ``(w @ repeat) * (g @ tile) = w (x) g``.
-
-        Exact for finite entries, and much faster than a broadcast product at
-        small d.
-        """
-        n2, j = self.dim**2, len(self.ops)
-        return np.repeat(np.eye(j), n2, axis=1), np.tile(np.eye(n2), j)
 
     def drift(self, g: np.ndarray, h: float) -> np.ndarray:
         """One RK4 step of size h on the coordinates g (..., d^2) of Hermitian matrices."""
@@ -305,28 +295,35 @@ class _Engine:
             return g @ self.poly(h)
         return _gather(self._stages(_scatter(g), h))
 
-    def sme_step(self, g: np.ndarray, w: np.ndarray, h: float, linear: bool = True) -> tuple:
-        """One Ito step of the coordinates g along increments w: (output, its trace, mean current).
+    def operand(self, g: np.ndarray) -> np.ndarray:
+        """The columns g (d^2, n) with room below them for ``w (x) g`` when tabulated."""
+        return np.concatenate([g, np.empty((len(self.ops) * self.tabulated * len(g), *g[0].shape))])
 
-        The linear output is the RK4 step plus ``sum_j w_j (a_j rho + rho a_j^dag) / hbar``
-        and ``cur`` the mean current along each op.  The nonlinear output subtracts
-        ``(cur . w) g`` and its trace ``cur . w``, the trace this adds to a unit-trace g.
-        Tabulated, all three come from one product with ``sme_table(h)``.
+    def sme_step(self, x: np.ndarray, w: np.ndarray, h: float, linear: bool = True, out=None):
+        """One Ito step of the columns ``g = x[:d^2]`` of an ``operand`` along increments w (J, n).
+
+        Returns (output, its trace, mean current), views of ``out`` (d^2 + J + 2, n).
+        The linear output is the RK4 step plus ``sum_j w_j (a_j rho + rho a_j^dag) / hbar``;
+        the nonlinear one subtracts ``(cur . w) g`` and its trace ``cur . w``, the trace
+        this adds to a unit-trace g.  Tabulated, ``w (x) g`` is one broadcast product
+        and ``sme_table(h) @ x`` gives all three.
         """
+        n2, j, g = self.dim**2, len(self.ops), x[: self.dim**2]
+        out = np.empty((n2 + j + 2, *g.shape[1:])) if out is None else out
         if self.tabulated:
-            n2, repeat, tile = self.dim**2, *self._kron
-            wg = (w @ repeat) * (g @ tile)
-            out = np.concatenate([g, wg], axis=-1) @ self.sme_table(h)
-            out, cur, cur_w, tr = out[..., :n2], out[..., n2:-2], out[..., -2], out[..., -1]
+            np.multiply(w[:, None], g, out=x[n2:].reshape(j, *g.shape))
+            np.matmul(self.sme_table(h), x, out=out)
         else:
-            x = _scatter(g)
-            cur = self.current(x)
-            out = _gather(self._stages(x, h) + self.backaction(x, w) / self.hbar)
-            cur_w, tr = np.einsum("...j,...j->...", cur, w), _trace(out)
+            rho, ws = _scatter(g.T), w.T
+            cur = self.current(rho)
+            rows = _gather(self._stages(rho, h) + self.backaction(rho, ws) / self.hbar)
+            out[:n2], out[n2:-2] = rows.T, cur.T
+            out[-2], out[-1] = np.einsum("...j,...j->...", cur, ws), _trace(rows)
+        step, cur, cur_w, tr = out[:n2], out[n2:-2], out[-2], out[-1]
         if not linear:
-            out -= cur_w[..., None] * g
-            tr = tr - cur_w
-        return out, tr, cur
+            step -= cur_w * g
+            tr -= cur_w
+        return step, tr, cur
 
     def propagate(self, x: np.ndarray, span: float, dt: float) -> np.ndarray:
         """(A stack of) complex matrices x carried over ``span`` in equal RK4 steps of about dt."""
@@ -342,10 +339,6 @@ class _Engine:
             g = g @ self.poly(h)
         h1, h2 = _scatter(g)
         return h1 + 1j * h2
-
-    def rk4(self, x: np.ndarray, h: float) -> np.ndarray:
-        """One classical fourth-order step of size h for a (stack of) matrices x."""
-        return self.propagate(x, h, h)
 
     def current(self, x: np.ndarray) -> np.ndarray:
         """Mean current ``2 Re Tr(a_j x) / hbar`` along each op, shape (..., J)."""
@@ -373,7 +366,7 @@ def liouvillian_apply(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
 
 def rk4_step(model: LindbladModel, x: np.ndarray, dt: float) -> np.ndarray:
     """One fourth-order step of the master equation applied to an arbitrary matrix."""
-    return _Engine(model).rk4(np.asarray(x, dtype=complex), dt)
+    return _Engine(model).propagate(np.asarray(x, dtype=complex), dt, dt)
 
 
 def me_integrate(
@@ -400,30 +393,55 @@ def me_integrate(
     for m in range(steps):
         x = engine.drift(g[m], dt)
         g[m + 1] = x / _trace(x)
-    out = _scatter(g)
-    out[0] = rho0
-    bad = _first_negative_state(out[1:], positivity_tol)
+    bad = _first_negative_state(g[1:], _purity(g[1:]), positivity_tol)
     if bad is not None:
         raise StateInvalidError(
             f"positivity lost at step {bad[0] + 1}: min eigenvalue {bad[1]:.3e}"
         )
+    out = _scatter(g)
+    out[0] = rho0
     return out
 
 
-def _first_negative_state(states: np.ndarray, tol: float) -> tuple | None:
-    """(index, smallest eigenvalue) of the first state with an eigenvalue below -tol.
+def _uncertified(g: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the states (coordinates g, purity p) that purity cannot show to be >= -tol/2.
 
-    Returns None when there is none.  states + tol I has a Cholesky factor
-    exactly when every eigenvalue exceeds -tol; eigenvalues are computed only
-    when it has none, to name the state.
+    By Cauchy-Schwarz on the other d - 1 eigenvalues, a Hermitian state of
+    trace t has ``lambda_min >= (t - sqrt((d - 1)(d p - t^2))) / d``, exact
+    for d = 2.  A state above -tol/2 has ``rho + tol I >= tol/2 I``; a NaN
+    purity is never certified.
     """
+    d, t = math.isqrt(g.shape[-1]), _trace(g)
+    # The bound is >= -tol/2 exactly when s = t + d tol/2 >= 0 and
+    # (d - 1)(d p - t^2) <= s^2, which needs no square root.
+    s = t + 0.5 * d * tol
+    return ~(((d - 1) * (d * p - t * t) <= s * s) & (s >= 0.0))
+
+
+def _purity_ceiling(d: int, tol: float) -> float:
+    """Purity under which every trace-one state of dimension d passes ``_uncertified``.
+
+    At t = 1 the bound's test is ``p <= (1 + (1 + d tol/2)^2 / (d - 1)) / d``; the
+    ceiling sits 1e-12 below it, far above the rounding of the test and of t.
+    """
+    return (1.0 + (1.0 + 0.5 * d * tol) ** 2 / max(d - 1, 1)) / d * (1.0 - 1e-12)
+
+
+def _first_negative_state(g: np.ndarray, p: np.ndarray, tol: float) -> tuple | None:
+    """(index, least eigenvalue) of the first state (coordinates g, purity p) below -tol, or None.
+
+    Only states the purity bound does not certify are factorized: rho + tol I has a Cholesky
+    factor exactly when no eigenvalue is below -tol; eigenvalues only name a failing state.
+    """
+    idx = np.flatnonzero(_uncertified(g, p, tol))
+    states = _scatter(g[idx])
     try:
         np.linalg.cholesky(states + tol * np.eye(states.shape[-1]))
         return None
     except np.linalg.LinAlgError:
         wmin = np.linalg.eigvalsh(states)[:, 0]
     bad = np.flatnonzero(wmin < -tol)
-    return (int(bad[0]), float(wmin[bad[0]])) if bad.size else None
+    return (int(idx[bad[0]]), float(wmin[bad[0]])) if bad.size else None
 
 
 # ---------------------------------------------------------------------------

@@ -93,18 +93,17 @@ def _normals(kf: np.ndarray) -> np.ndarray:
 
 
 def lattice_normals(k: np.ndarray) -> np.ndarray:
-    """Standard normals at the midpoints (k + 1/2) / 2^53 of 53-bit integers k.
+    """Standard normals at the midpoints (k + 1/2) / 2^53 of 53-bit integers k (or their floats).
 
     Elementwise and shape-preserving; the result is finite for every k in
     [0, 2^53) and exactly odd under k <-> 2^53 - 1 - k.
     """
-    k = np.asarray(k, dtype=np.uint64)
-    flat = k.reshape(-1)
+    flat = np.asarray(k, dtype=np.float64).reshape(-1)
     z = np.empty(flat.shape)
     # Chunks of 256 KB keep the Horner temporaries in cache.
     for i in range(0, flat.size, _CHUNK):
-        z[i : i + _CHUNK] = _normals(flat[i : i + _CHUNK].astype(np.float64))
-    return z.reshape(k.shape)
+        z[i : i + _CHUNK] = _normals(flat[i : i + _CHUNK])
+    return z.reshape(np.shape(k))
 
 
 @cache
@@ -171,7 +170,7 @@ class NoiseSource:
             bits.state = state
             raw = bits.random_raw(skip + n_steps * self.dim)
         self.step += n_steps
-        return (raw[skip:] >> np.uint64(11)).reshape(n_steps, self.dim)
+        return np.right_shift(raw, np.uint64(11), out=raw)[skip:].reshape(n_steps, self.dim)
 
     def draw_block(self, n_steps: int, dt: float) -> np.ndarray:
         """Increments for the next ``n_steps`` steps, shape (n_steps, dim)."""

@@ -244,12 +244,16 @@ def validate_urep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TO
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] % 2 or not u.size:
         raise DimensionMismatchError(f"unravelling matrix must be 2L x 2L, got {u.shape}")
     _check_hbar(hbar)
-    L, norm = u.shape[0] // 2, float(np.linalg.norm(u))
+    with np.errstate(over="ignore"):  # the squares of huge finite entries overflow
+        L, norm = u.shape[0] // 2, float(np.linalg.norm(u))
     s = u[:L, :L] + u[L:, L:]
     diag = s.diagonal().copy()
-    if not math.isfinite(norm):  # a NaN in the diagonal-block sum is named first
-        _check_unit_range(diag, tol, "diagonal-block sum entry ", SumNotInHError)
-        raise ValidationError("unravelling matrix has non-finite entries")
+    if not math.isfinite(norm):
+        if not np.isfinite(u).all():  # a NaN in the diagonal-block sum is named first
+            _check_unit_range(diag, tol, "diagonal-block sum entry ", SumNotInHError)
+            raise ValidationError("unravelling matrix has non-finite entries")
+        top = float(np.abs(u).max())  # finite entries whose squares overflow
+        norm = min(top * float(np.linalg.norm(u / top)), np.finfo(float).max)
     atol = tol * max(1.0, norm)
     skew = u - u.T
     if np.linalg.norm(skew) > atol:

@@ -56,7 +56,7 @@ def fingerprint_payload(payload: dict) -> str:
 
 def _complex_to_pairs(matrix: np.ndarray) -> list:
     m = np.asarray(matrix, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()  # Python floats, as float() gives
 
 
 def _float_array(rows, field: str, ndim: int, what: str) -> np.ndarray:
@@ -135,11 +135,11 @@ def rep_payload(rep_file: RepFile) -> dict:
     if kind == "mrep":
         out["matrix"] = _complex_to_pairs(rep.matrix)
     elif kind in ("urep", "trep"):
-        out["matrix"] = [[float(v) for v in row] for row in rep.matrix]
+        out["matrix"] = rep.matrix.tolist()
     elif kind == "brep":
-        out["eta"] = [float(v) for v in rep.eta]
+        out["eta"] = rep.eta.tolist()
         out["S"] = _complex_to_pairs(rep.mixing)
-        out["theta"] = [float(v) for v in rep.theta]
+        out["theta"] = rep.theta.tolist()
     else:
         raise SchemaError(f"unknown measurement kind {kind!r}")
     return out
@@ -252,7 +252,7 @@ def model_payload(model: LindbladModel) -> dict:
         "hbar": float(model.hbar),
         "dim": int(model.dim),
         "hamiltonian": _complex_to_pairs(model.hamiltonian),
-        "lindblads": [_complex_to_pairs(c) for c in model.lindblads],
+        "lindblads": _complex_to_pairs(model.lindblads),
     }
 
 

@@ -21,10 +21,12 @@ import numpy as np
 
 from .dynamics import (
     LindbladModel,
+    _coordinate_weights,
     _Engine,
     _first_negative_state,
     _gather,
     _purity,
+    _purity_ceiling,
     _scatter,
     _trace,
     check_density_matrix,
@@ -169,17 +171,18 @@ def _step_engine(model: LindbladModel, mrep: MRep) -> _Engine:
     return _Engine(model, measurement_ops(mrep, model.lindblads))
 
 
-def _step_nonlinear(engine: _Engine, rho: np.ndarray, dw: np.ndarray, dt: float):
-    """Batched nonlinear step; returns (normalized state, current increment, pre-norm trace)."""
-    out, _tr, cur = engine.sme_step(_gather(rho), dw, dt, linear=False)
-    tr = _trace(out)  # summed, since rho need not have unit trace here
-    return _scatter(out / tr[..., None]), cur * dt + dw, tr
+def _step_states(engine: _Engine, rho: np.ndarray, w: np.ndarray, dt: float, linear: bool):
+    """One step of the states (..., d, d), passed as columns: (states, pre-norm trace, current).
 
-
-def _step_linear(engine: _Engine, rho: np.ndarray, y_dt: np.ndarray, dt: float):
-    """Batched linear step; returns (unnormalized state, its trace)."""
-    out, tr, _cur = engine.sme_step(_gather(rho), y_dt, dt)
-    return _scatter(out), tr
+    Nonlinear states are renormalized by their summed trace: rho need not have unit trace.
+    """
+    lead = rho.shape[:-2]
+    g = _gather(rho).reshape(-1, engine.dim**2).T
+    out, tr, cur = engine.sme_step(engine.operand(g), w.reshape(-1, len(engine.ops)).T, dt, linear)
+    if not linear:
+        tr = _trace(out.T)
+        out = out / tr
+    return _scatter(out.T.reshape(*lead, -1)), tr.reshape(lead), cur.T.reshape(*lead, -1)
 
 
 def _step_args(model: LindbladModel, mrep: MRep, rho, vec, dt: float, name: str):
@@ -204,8 +207,8 @@ def sme_step_nonlinear(
     Positivity is not checked here (the ensemble runner monitors it).
     """
     engine, rho, dw, dt = _step_args(model, mrep, rho, dw, dt, "dw")
-    out, y_dt, _tr = _step_nonlinear(engine, rho, dw, dt)
-    return out, y_dt
+    out, _tr, cur = _step_states(engine, rho, dw, dt, linear=False)
+    return out, cur * dt + dw
 
 
 def sme_step_linear(
@@ -221,7 +224,7 @@ def sme_step_linear(
     tr_in = float(np.real(np.trace(rho_bar)))
     if tr_in <= 0.0:
         raise StateInvalidError(f"input trace {tr_in} is not positive")
-    out, tr = _step_linear(engine, rho_bar, y_dt, dt)
+    out, tr, _cur = _step_states(engine, rho_bar, y_dt, dt, linear=True)
     if tr <= 0.0:
         raise StateInvalidError(f"updated trace {float(tr)} is not positive")
     return out, float(np.log(tr / tr_in))
@@ -239,30 +242,6 @@ def _physical_memory() -> float:
         return np.inf
 
 
-def _uncertified(g: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the states (coordinates g, purity p) that purity cannot show to be >= -tol/2.
-
-    By Cauchy-Schwarz on the other d - 1 eigenvalues, a Hermitian state of
-    trace t has ``lambda_min >= (t - sqrt((d - 1)(d p - t^2))) / d``, exact
-    for d = 2.  A state above -tol/2 has ``rho + tol I >= tol/2 I``; a NaN
-    purity is never certified.
-    """
-    d, t = math.isqrt(g.shape[-1]), _trace(g)
-    # The bound is >= -tol/2 exactly when s = t + d tol/2 >= 0 and
-    # (d - 1)(d p - t^2) <= s^2, which needs no square root.
-    s = t + 0.5 * d * tol
-    return ~(((d - 1) * (d * p - t * t) <= s * s) & (s >= 0.0))
-
-
-def _purity_ceiling(d: int, tol: float) -> float:
-    """Purity under which every trace-one state of dimension d passes ``_uncertified``.
-
-    At t = 1 the bound's test is ``p <= (1 + (1 + d tol/2)^2 / (d - 1)) / d``; the
-    ceiling sits 1e-12 below it, far above the rounding of the test and of t.
-    """
-    return (1.0 + (1.0 + 0.5 * d * tol) ** 2 / max(d - 1, 1)) / d * (1.0 - 1e-12)
-
-
 def _check_trace(tr: np.ndarray, linear: bool, step: int) -> None:
     """Raise on the first non-finite, or in linear mode non-positive, trace of a step."""
     if not np.isfinite(tr).all():
@@ -274,27 +253,17 @@ def _check_trace(tr: np.ndarray, linear: bool, step: int) -> None:
 
 
 def _monitor(g: np.ndarray, p: np.ndarray, tol: float, step: int) -> None:
-    """Raise unless every state (coordinates g, purity p) has no eigenvalue below -tol.
-
-    Only the states the purity bound does not certify are factorized, and
-    trajectories are numbered in the whole stack.
-    """
-    uncertified = _uncertified(g, p, tol)
-    if not uncertified.any():
-        return
-    idx = np.flatnonzero(uncertified)
-    bad = _first_negative_state(_scatter(g[idx]), tol)
+    """Raise unless every state (coordinates g, purity p) has no eigenvalue below -tol."""
+    bad = _first_negative_state(g, p, tol)
     if bad is not None:
         raise StateInvalidError(
-            f"trajectory {idx[bad[0]]}, step {step}: min eigenvalue {bad[1]:.3e}"
-            f" below -{tol:.3e}"
+            f"trajectory {bad[0]}, step {step}: min eigenvalue {bad[1]:.3e} below -{tol:.3e}"
         )
 
 
 def _check_positivity(rho: np.ndarray, tol: float, step: int) -> None:
     """``_monitor`` on a stack of Hermitian matrices."""
-    g = _gather(rho)
-    _monitor(g, _purity(g), tol, step)
+    _monitor(g := _gather(rho), _purity(g), tol, step)
 
 
 def _auto_positivity_tol(engine: _Engine, dt: float) -> float:
@@ -352,7 +321,7 @@ def simulate_ensemble(
         pur = np.empty((n, steps + 1)) if config.store_purity else None
         # Nonlinear runs carry no weights: a read-only view of one zero.
         logw = np.zeros((n, steps + 1)) if linear else np.broadcast_to(0.0, (n, steps + 1))
-        snaps = np.empty((snap_steps.size, n, dim, dim), dtype=complex)
+        snap_g = np.empty((snap_steps.size, n, dim**2))
         times = np.arange(steps + 1) * dt
     except MemoryError as exc:
         raise ValidationError(
@@ -360,26 +329,31 @@ def simulate_ensemble(
         ) from exc
     snap_pos = {int(s): i for i, s in enumerate(snap_steps)}
 
+    # States are columns, trajectories along the contiguous axis, atop the step operand.
     rho0 = np.asarray(rho0, dtype=complex)
-    g = np.broadcast_to(_gather(rho0), (n, dim**2)).copy()
+    x = engine.operand(np.broadcast_to(_gather(rho0)[:, None], (dim**2, n)))
+    g, sq, step_out = x[: dim**2], np.empty((dim**2, n)), np.empty((dim**2 + noise_dim + 2, n))
+    pw = _coordinate_weights(dim)[1]
     if pur is not None:
-        pur[:, 0] = _purity(g)
-    snaps[0] = rho0
+        pur[:, 0] = pw @ np.square(g)
+    snap_g[0] = g.T
     # States have unit trace, so one purity ceiling screens them for the exact monitor.
     p_max, lw = _purity_ceiling(dim, pos_tol), np.zeros(n)
 
     sources = [NoiseSource(config.seed, k, noise_dim) for k in range(n)]
     for start in range(0, steps, block_steps):
         block = min(block_steps, steps - start)
-        # Time-major (step, trajectory, J).  The map is elementwise, so these
+        # Time-major (step, J, trajectory).  The map is elementwise, so these
         # are exactly each stream's draw_block.
-        dw_block = lattice_normals(np.stack([src.lattice_block(block) for src in sources], 1))
+        cur_block = np.empty((block, noise_dim, n))  # lattice integers, then mean currents
+        for k, src in enumerate(sources):
+            cur_block[..., k] = src.lattice_block(block)
+        dw_block = lattice_normals(cur_block)
         dw_block *= np.sqrt(dt)
-        cur_block = np.zeros_like(dw_block)  # mean currents, nonlinear mode
         p_block, lw_block = np.empty((2, block, n))
-        for i, dw in enumerate(dw_block):
+        for i in range(block):
             m = start + i + 1
-            out, tr, cur = engine.sme_step(g, dw, dt, linear)
+            out, tr, cur = engine.sme_step(x, dw_block[i], dt, linear, step_out)
             if not (math.isfinite(tr.sum()) and (not linear or tr.min() > 0.0)):
                 _check_trace(tr, linear, m)
             if linear:
@@ -390,23 +364,28 @@ def simulate_ensemble(
                         f"trajectory {bad}, step {m}: log-weight {lw[bad]:.1f} below floor"
                     )
                 lw_block[i] = lw
-            else:
-                cur_block[i] = cur
-            g = out / tr[:, None]
-            p_block[i] = p = _purity(g)
-            if not p.max() <= p_max and np.isfinite(pos_tol):
-                _monitor(g, p, pos_tol, m)
+            cur_block[i] = 0.0 if linear else cur
+            np.divide(out, tr, out=g)
+            np.matmul(pw, np.square(g, out=sq), out=p_block[i])
+            if not p_block[i].max() <= p_max and np.isfinite(pos_tol):
+                _monitor(g.T, p_block[i], pos_tol, m)
             if m in snap_pos:
-                snaps[snap_pos[m]] = _scatter(g)
+                snap_g[snap_pos[m]] = g.T
         # The current increment is the mean current times dt plus the noise.
+        cur_block *= dt
+        cur_block += dw_block
+        cur_block /= dt
         stop = start + block
-        currents[:, start:stop] = ((cur_block * dt + dw_block) / dt).transpose(1, 0, 2)
+        currents[:, start:stop] = cur_block.transpose(2, 0, 1)
         if noise is not None:
-            noise[:, start:stop] = dw_block.transpose(1, 0, 2)
+            noise[:, start:stop] = dw_block.transpose(2, 0, 1)
         if pur is not None:
             pur[:, start + 1 : stop + 1] = p_block.T
         if linear:
             logw[:, start + 1 : stop + 1] = lw_block.T
+    del cur_block, dw_block, p_block, lw_block  # freed before the snapshot matrices are made
+    snaps = _scatter(snap_g)
+    snaps[0] = rho0
 
     return Ensemble(
         config=config,

@@ -40,7 +40,7 @@ from diffmon.reps import (
     random_mrep,
     random_orthogonal,
 )
-from diffmon.sme import _step_engine, _step_nonlinear
+from diffmon.sme import _step_engine, _step_states
 
 from conftest import EXCITED, SIGMA_Z, decay_model, random_state, rng
 
@@ -169,7 +169,7 @@ def test_criterion_6_purity_lemma_and_rate():
     engine = _step_engine(model, ideal)
 
     def purity_after(dw):
-        out, _y, _tr = _step_nonlinear(engine, EXCITED[None], np.asarray(dw, float)[None], dt)
+        out, _tr, _cur = _step_states(engine, EXCITED[None], np.asarray(dw, float)[None], dt, False)
         return float(np.real(np.einsum("ab,ba->", out[0], out[0])))
 
     # The step is affine in the increments, so the purity is a quadratic
@@ -191,7 +191,7 @@ def test_criterion_6_purity_lemma_and_rate():
     n, dt_mc = 10000, 1e-4
     dw = NoiseSource(SEED, 6, 2).draw_block(n, dt_mc)
     rho = np.broadcast_to(EXCITED, (n, 2, 2)).copy()
-    out, _y, _tr = _step_nonlinear(engine_half, rho, dw, dt_mc)
+    out, _tr, _cur = _step_states(engine_half, rho, dw, dt_mc, linear=False)
     dp = (np.real(np.einsum("nab,nba->n", out, out)) - 1.0) / dt_mc
     se = float(dp.std(ddof=1) / np.sqrt(n))
     dev = abs(float(dp.mean()) - predicted)

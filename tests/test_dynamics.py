@@ -20,7 +20,16 @@ from diffmon import (
     urep_current_mean,
 )
 from diffmon.checks import liouvillian_superoperator
-from diffmon.dynamics import _Engine, _gather, _scatter, _trace, measurement_ops, rk4_step
+from diffmon.dynamics import (
+    _Engine,
+    _gather,
+    _purity,
+    _scatter,
+    _trace,
+    _uncertified,
+    measurement_ops,
+    rk4_step,
+)
 from diffmon.errors import (
     DimensionMismatchError,
     NonPositiveLagError,
@@ -102,20 +111,31 @@ def test_me_integrate_reports_positivity_loss():
 
 
 def test_me_integrate_names_first_negative_step():
-    # Same step and text as an eigenvalue test after every step.
-    model = decay_model(gamma=1.0)
-    rho = EXCITED
-    for m in range(1, 51):
-        rho = rk4_step(model, rho, 3.0)
-        rho = (rho + rho.conj().T) / 2.0
-        rho = rho / np.real(np.trace(rho))
-        wmin = float(np.linalg.eigvalsh(rho)[0])
-        if wmin < -1e-6:
-            break
-    message = f"positivity lost at step {m}: min eigenvalue {wmin:.3e}"
-    with pytest.raises(StateInvalidError) as info:
-        me_integrate(model, EXCITED, dt=3.0, steps=50)
-    assert str(info.value) == message
+    # Same step and text as an eigenvalue test after every step.  At d = 3
+    # the purity screen certifies some of the states before the failure and
+    # leaves others to the factorization.
+    a3 = np.diag([1.0, np.sqrt(2.0)], k=1).astype(complex)
+    cases = [
+        (decay_model(gamma=1.0), EXCITED, 3.0),
+        (LindbladModel(hamiltonian=1.5 * (a3 + a3.T), lindblads=a3), np.diag([0.2, 0.3, 0.5]), 0.5),
+    ]
+    for model, rho0, dt in cases:
+        rho, states = rho0, []
+        for m in range(1, 51):
+            rho = rk4_step(model, rho, dt)
+            rho = (rho + rho.conj().T) / 2.0
+            rho = rho / np.real(np.trace(rho))
+            states.append(rho)
+            wmin = float(np.linalg.eigvalsh(rho)[0])
+            if wmin < -1e-6:
+                break
+        g = _gather(np.stack(states))
+        certified = ~_uncertified(g, _purity(g), 1e-6)
+        assert model.dim == 2 or (certified.any() and not certified[:-1].all())
+        message = f"positivity lost at step {m}: min eigenvalue {wmin:.3e}"
+        with pytest.raises(StateInvalidError) as info:
+            me_integrate(model, rho0, dt=dt, steps=50)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("field", ["hamiltonian", "lindblads"])
@@ -515,6 +535,12 @@ def test_gather_scatter_round_trip_is_exact(dim):
     assert np.max(np.abs(_scatter(_gather(x)) - herm / 2.0)) <= 1e-15
 
 
+def _step_rows(engine, g, w, h, linear=True):
+    """``engine.sme_step`` on rows of coordinates g and increments w; results as rows."""
+    out, tr, cur = engine.sme_step(engine.operand(g.T), w.T, h, linear)
+    return out.T, tr, cur.T
+
+
 @pytest.mark.parametrize("dim", ENGINE_DIMS)
 def test_engine_coordinate_step_matches_oracle(dim):
     # Drift, back-action and mean current of one step on coordinates, against
@@ -528,7 +554,7 @@ def test_engine_coordinate_step_matches_oracle(dim):
     taylor = np.eye(dim * dim) + a + a @ a / 2.0 + a @ a @ a / 6.0 + a @ a @ a @ a / 24.0
     rhos = np.stack([random_state(gen, dim) for _ in range(3)])
     w = gen.normal(size=(3, ops.shape[0]))
-    drift, _tr, cur = engine.sme_step(_gather(rhos), w, h)
+    drift, _tr, cur = _step_rows(engine, _gather(rhos), w, h)
     want_drift = _gather((rhos.reshape(3, -1) @ taylor.T).reshape(rhos.shape))
     assert np.max(np.abs(engine.drift(_gather(rhos), h) - want_drift)) <= 1e-13
     for k in range(3):
@@ -551,16 +577,16 @@ def test_engine_step_weights_the_mean_current(dim):
     engine = _Engine(model, ops)
     g = _gather(np.stack([random_state(gen, dim) for _ in range(4)]))
     w = gen.normal(size=(4, ops.shape[0]))
-    out, tr, cur = engine.sme_step(g, w, 1e-2)
+    out, tr, cur = _step_rows(engine, g, w, 1e-2)
     assert tr.shape == (4,)
     assert np.max(np.abs(tr - _trace(out))) <= 1e-13
     cur_w = (cur * w).sum(-1)
-    out_nl, tr_nl, cur_nl = engine.sme_step(g, w, 1e-2, linear=False)
+    out_nl, tr_nl, cur_nl = _step_rows(engine, g, w, 1e-2, linear=False)
     assert np.array_equal(cur_nl, cur)
     assert np.max(np.abs(out_nl - (out - cur_w[:, None] * g))) <= 1e-13
     assert np.max(np.abs(tr_nl - (tr - cur_w))) <= 1e-13
     assert np.max(np.abs(tr_nl - _trace(out_nl))) <= 1e-13
-    out1, tr1, cur1 = engine.sme_step(g[1], w[1], 1e-2, linear=False)
+    out1, tr1, cur1 = _step_rows(engine, g[1:2], w[1:2], 1e-2, linear=False)
     assert abs(tr1 - _trace(out1)) <= 1e-13
     assert np.max(np.abs(cur1 - cur[1])) <= 1e-13
 

@@ -425,6 +425,13 @@ VALIDATOR_FAILURES = [
      ValidationError, "mixing matrix is not unitary (defect 1.732e+00)"),
     (lambda o: OrthoMatrix(o).validate(), [[1.0, 0.5], [0.0, 1.0]],
      ValidationError, "matrix is not orthogonal (defect 7.500e-01)"),
+    # Finite entries whose Frobenius norm overflows: named by their eigenvalue,
+    # not as non-finite entries, and without an overflow warning.
+    (validate_urep, np.array([[0.5, 1e200], [1e200, 0.5]]), NotPSDError,
+     "unravelling matrix has eigenvalue -1.000e+200 below zero"),
+    # Even the scaled norm overflows here; an infinite tolerance would pass it.
+    (validate_urep, np.array([[0.5, 1.7e308], [1.7e308, 0.5]]), NotPSDError,
+     "unravelling matrix has eigenvalue -1.700e+308 below zero"),
 ]
 
 

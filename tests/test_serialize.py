@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from diffmon import SimulationConfig, heterodyne_mrep, simulate_ensemble
+from diffmon import LindbladModel, SimulationConfig, heterodyne_mrep, simulate_ensemble
 from diffmon.errors import (
     EfficiencyOutOfRangeError,
     ParseError,
@@ -13,6 +13,7 @@ from diffmon.errors import (
 from diffmon.reps import random_brep, random_mrep
 from diffmon.serialize import (
     RepFile,
+    canonical_json,
     convert_rep,
     fingerprint_model,
     fingerprint_payload,
@@ -158,6 +159,56 @@ def test_fingerprints_are_stable_and_content_sensitive():
     assert f1 == f2
     assert f1 != f3
     assert fingerprint_payload({"a": 1, "b": 2}) == fingerprint_payload({"b": 2, "a": 1})
+
+
+def _pairs_per_entry(matrix):
+    """The payload's [re, im] pairs written out entry by entry."""
+    rows = np.asarray(matrix, dtype=complex)
+    return [[[float(v.real), float(v.imag)] for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("dim", (1, 2, 32))
+def test_payloads_match_the_per_entry_formula(dim):
+    # Signed zeros, the smallest subnormal and the largest magnitudes keep
+    # their JSON text, so fingerprints stay byte-identical.
+    gen = rng(170 + dim)
+    special = np.array([-0.0, 5e-324, 1e308, -1e308])
+
+    def seeded(shape):
+        x = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+        flat = x.reshape(-1)
+        idx = gen.choice(flat.size, size=min(flat.size, 4), replace=False)
+        flat[idx] = special[: idx.size] + 1j * special[::-1][: idx.size]
+        return x
+
+    ham = np.diag(gen.normal(size=dim)) + 0.0j
+    ham.flat[0] = -0.0
+    ham.flat[-1] = 5e-324
+    model = LindbladModel(hamiltonian=ham, lindblads=seeded((2, dim, dim)))
+    want = {
+        "hbar": 1.0,
+        "dim": dim,
+        "hamiltonian": _pairs_per_entry(model.hamiltonian),
+        "lindblads": [_pairs_per_entry(c) for c in model.lindblads],
+    }
+    assert canonical_json(model_payload(model)) == canonical_json(want)
+    assert fingerprint_model(model) == fingerprint_payload(want)
+    for m in (random_mrep(gen, dim), heterodyne_mrep(0.8)):
+        b = random_brep(gen, m.channels)
+        u = convert_rep(RepFile("mrep", m, 1.0), "urep")
+        cases = [
+            (RepFile("mrep", m, 1.0), {"matrix": _pairs_per_entry(m.matrix)}),
+            (u, {"matrix": [[float(v) for v in row] for row in u.rep.matrix]}),
+            (RepFile("brep", b, 1.0), {
+                "eta": [float(v) for v in b.eta],
+                "S": _pairs_per_entry(b.mixing),
+                "theta": [float(v) for v in b.theta],
+            }),
+        ]
+        for rf, fields in cases:
+            want = {"type": rf.kind, "hbar": float(rf.hbar), "L": int(rf.rep.channels), **fields}
+            assert canonical_json(rep_payload(rf)) == canonical_json(want)
+            assert fingerprint_rep(rf) == fingerprint_payload(want)
 
 
 def test_convert_rep_heterodyne_to_urep():

@@ -29,14 +29,16 @@ from diffmon.errors import (
 )
 from diffmon.reps import random_brep, random_mrep
 from diffmon.noise import lattice_normals
-from diffmon.sme import NoiseSource, _step_engine, _step_nonlinear
+from diffmon.sme import NoiseSource, _step_engine, _step_states
 
 from conftest import (
     EXCITED,
     SIGMA_M,
     SIGMA_X,
+    cavity_model,
     decay_model,
     random_pure_state,
+    random_state,
     rng,
 )
 
@@ -75,7 +77,7 @@ def test_nonlinear_step_trace_and_hermiticity():
     gen = rng(61)
     rho = np.stack([random_pure_state(gen, 2) for _ in range(100)])
     dw = gen.normal(scale=np.sqrt(1e-3), size=(100, 2))
-    out, _y, tr = _step_nonlinear(engine, rho, dw, 1e-3)
+    out, tr, _cur = _step_states(engine, rho, dw, 1e-3, linear=False)
     assert np.max(np.abs(tr - 1.0)) <= 1e-12
     assert np.max(np.abs(out - out.conj().transpose(0, 2, 1))) == 0.0
 
@@ -96,7 +98,7 @@ def test_one_step_mean_matches_deterministic_step():
     dt, n = 1e-3, 4000
     dw = NoiseSource(77, 0, 2).draw_block(n, dt)
     rho = np.broadcast_to(EXCITED, (n, 2, 2)).copy()
-    out, _y, _tr = _step_nonlinear(engine, rho, dw, dt)
+    out, _tr, _cur = _step_states(engine, rho, dw, dt, linear=False)
     mean = out.mean(axis=0)
     se = out.std(axis=0, ddof=1) / np.sqrt(n)
     det = rk4_step(model, EXCITED, dt)
@@ -119,9 +121,7 @@ def test_linear_weighted_current_reproduces_true_mean():
     dt, n = 1e-3, 20000
     y_dt = NoiseSource(78, 0, 2).draw_block(n, dt)
     rho = np.broadcast_to(PLUS, (n, 2, 2)).copy()
-    from diffmon.sme import _step_linear
-
-    _out, tr = _step_linear(engine, rho, y_dt, dt)
+    _out, tr, _cur = _step_states(engine, rho, y_dt, dt, linear=True)
     # Martingale: ostensible expectation of the trace stays 1.
     se = tr.std(ddof=1) / np.sqrt(n)
     assert abs(tr.mean() - 1.0) <= 3.0 * se + 1e-12
@@ -460,8 +460,8 @@ def _states_with_min_eigenvalue(gen, dim, lams):
 
 @pytest.mark.parametrize("dim", (2, 3, 8))
 def test_positivity_monitor_matches_eigenvalue_reference(dim):
-    from diffmon.dynamics import _gather, _purity
-    from diffmon.sme import _check_positivity, _uncertified
+    from diffmon.dynamics import _gather, _purity, _uncertified
+    from diffmon.sme import _check_positivity
 
     tol = 1e-3
     gen = rng(64 + dim)
@@ -491,8 +491,7 @@ def test_positivity_monitor_matches_eigenvalue_reference(dim):
 
 
 def test_purity_bound_never_certifies_nan():
-    from diffmon.dynamics import _gather, _purity
-    from diffmon.sme import _uncertified
+    from diffmon.dynamics import _gather, _purity, _uncertified
 
     rho = np.stack([np.eye(3, dtype=complex) / 3.0] * 2)
     g = _gather(rho)
@@ -504,8 +503,8 @@ def test_purity_bound_never_certifies_nan():
 def test_purity_bound_in_squared_form_keeps_the_sign_of_the_trace():
     # -I/d has the purity of a maximally mixed state, but the bound it gives
     # is -2/d; squaring t + d tol/2 alone would certify it.
-    from diffmon.dynamics import _gather, _purity
-    from diffmon.sme import _check_positivity, _uncertified
+    from diffmon.dynamics import _gather, _purity, _uncertified
+    from diffmon.sme import _check_positivity
 
     rho = np.stack([np.eye(2, dtype=complex) / 2.0, -np.eye(2, dtype=complex) / 2.0])
     g = _gather(rho)
@@ -581,6 +580,38 @@ def test_ensemble_names_non_finite_trace_mid_block(monkeypatch, mode):
     assert message == "trajectory 2, step 100: non-finite trace nan"
 
 
+@pytest.mark.parametrize("mode", ["nonlinear", "linear"])
+def test_ensemble_names_non_finite_trace_mid_block_above_the_tables(monkeypatch, mode):
+    # d = 16 steps by stages, not by the tabulated product: the same error,
+    # found at the same step, whatever the block size.
+    model = cavity_model(16)
+    assert not _step_engine(model, heterodyne_mrep(0.8)).tabulated
+    cls, message = _scripted_failure(
+        monkeypatch, {(2, 100): [np.inf, 0.0]}, model, heterodyne_mrep(0.8),
+        random_state(rng(580), 16), mode=mode,
+    )
+    assert cls is StateInvalidError
+    assert message == "trajectory 2, step 100: non-finite trace nan"
+
+
+@pytest.mark.parametrize("dim", (2, 8))
+def test_trajectory_records_agree_across_ensemble_sizes(dim):
+    # Trajectory k draws the same stream whatever n_traj; only the BLAS kernel
+    # chosen for the width of the step product may move its last bits.
+    a = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
+    model = LindbladModel(hamiltonian=0.3 * (a + a.conj().T), lindblads=a)
+    rho0 = random_state(rng(590 + dim), dim)
+    common = dict(dt=1e-3, steps=200, seed=59, snapshot_stride=25)
+    m = heterodyne_mrep(0.8)
+    runs = {
+        n: simulate_ensemble(model, m, rho0, SimulationConfig(n_traj=n, **common))
+        for n in (1, 2, 7, 64)
+    }
+    for n, ens in runs.items():
+        assert np.max(np.abs(ens.currents - runs[64].currents[:n])) <= 1e-13
+        assert np.max(np.abs(ens.snapshots - runs[64].snapshots[:, :n])) <= 1e-13
+
+
 def test_ensemble_names_non_positive_trace_mid_block(monkeypatch):
     model, m = decay_model(), homodyne_mrep(1.0)
     kick = _kick_for_trace(model, m, PLUS, 100, -0.5)
@@ -619,8 +650,7 @@ def test_purity_ceiling_passes_only_certified_states(dim, tol):
     # Trace-one states with purities straddling the ceiling, normalized as the
     # ensemble normalizes them: every one the ceiling passes, the exact bound
     # certifies, and the ceiling gives up almost nothing.
-    from diffmon.dynamics import _gather, _purity, _trace
-    from diffmon.sme import _purity_ceiling, _uncertified
+    from diffmon.dynamics import _gather, _purity, _purity_ceiling, _trace, _uncertified
 
     gen = rng(900 + 10 * dim + int(100 * tol))
     p_max = _purity_ceiling(dim, tol)
