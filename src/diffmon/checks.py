@@ -15,6 +15,7 @@ from numpy.random import Generator, Philox
 
 from . import dynamics, linalg, reps, sme, stats
 from .dynamics import LindbladModel
+from .noise import NoiseSource
 from .reps import MRep
 from .sme import SimulationConfig, simulate_ensemble
 
@@ -357,7 +358,7 @@ def check_one_step_mean(seed: int) -> CheckResult:
     dt = 1e-3
     n = 20000
     rho0 = _excited()
-    src = sme.NoiseSource(seed, 0, 2)
+    src = NoiseSource(seed, 0, 2)
     dw = src.draw_block(n, dt)
     rho = np.broadcast_to(rho0, (n, 2, 2)).copy()
     out, _tr, _cur = sme._step_states(engine, rho, dw, dt, linear=False)
@@ -385,7 +386,7 @@ def check_purity_rate(seed: int) -> CheckResult:
     ):
         predicted = sme.purity_increment_predicted(model, m, rho0)
         engine = sme._step_engine(model, m)
-        src = sme.NoiseSource(seed, idx + 1, 2)
+        src = NoiseSource(seed, idx + 1, 2)
         dw = src.draw_block(n, dt)
         rho = np.broadcast_to(rho0, (n, 2, 2)).copy()
         out, _tr, _cur = sme._step_states(engine, rho, dw, dt, linear=False)
@@ -404,7 +405,7 @@ def check_linear_martingale(seed: int) -> CheckResult:
     dt = 1e-3
     n = 20000
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    src = sme.NoiseSource(seed, 5, 2)
+    src = NoiseSource(seed, 5, 2)
     y_dt = src.draw_block(n, dt)
     rho = np.broadcast_to(plus, (n, 2, 2)).copy()
     _out, tr, _cur = sme._step_states(engine, rho, y_dt, dt, linear=True)

@@ -25,6 +25,7 @@ from .errors import ValidationError, check_dt
 _LATTICE = 1 << 53
 _HALF = float(1 << 52)
 _CHUNK = 1 << 15
+_STREAMS = 256  # streams per buffer of raw outputs
 _MASK = (1 << 64) - 1
 
 # AS241 (PPND16) coefficients, lowest order first: numerator and denominator
@@ -110,10 +111,55 @@ def lattice_normals(k: np.ndarray) -> np.ndarray:
 def _shared_bits() -> Philox:
     """The one Philox every stream draws from, built at the first draw.
 
-    Each draw sets the whole state (key, counter, buffer) under the
+    Each stream's draw sets the whole state (key, counter, buffer) under the
     generator's lock, so a draw depends only on its stream and position.
     """
     return Philox(0)
+
+
+def _check_streams(base_seed, first_stream, n_streams: int) -> tuple[int, int]:
+    """(base_seed, first_stream) as ints, once the seed and the stream ids fit in 64 bits."""
+    base_seed, first_stream = int(base_seed), int(first_stream)
+    if not (0 <= base_seed < (1 << 64)):
+        raise ValidationError("base_seed must fit in an unsigned 64-bit integer")
+    if not (0 <= first_stream and first_stream + n_streams <= (1 << 64)):
+        raise ValidationError("stream_id must fit in an unsigned 64-bit integer")
+    return base_seed, first_stream
+
+
+def lattice_streams(base_seed: int, first_stream: int, step: int, out: np.ndarray) -> np.ndarray:
+    """Lattice integers of consecutive streams from ``step`` on, into ``out`` (n_steps, dim, n).
+
+    ``out[i, j, k]`` is component j of step ``step + i`` of the stream keyed by
+    (base_seed, first_stream + k): the top 53 bits of its raw outputs, which are
+    ``Generator.integers(0, 2**53, dtype=np.uint64)`` on that stream (a power-of-two
+    range never rejects).  Each chunk of streams is drawn into one uint64 buffer,
+    shifted at once and stored with one transposing, converting copy.
+    """
+    n_steps, dim, n = out.shape
+    base_seed, first_stream = _check_streams(base_seed, first_stream, n)
+    # Philox makes four outputs per counter value and steps the counter
+    # before it makes them: output j comes from counter value j // 4 + 1,
+    # so a counter of j // 4 and an empty buffer resume at output j - j % 4.
+    block, skip = divmod(step * dim, 4)
+    key, width = [base_seed, 0], skip + n_steps * dim
+    state = {
+        "bit_generator": "Philox", "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+        "uinteger": 0, "state": {"counter": [block & _MASK, block >> 64, 0, 0], "key": key},
+    }
+    raw = np.empty((min(n, _STREAMS), width), dtype=np.uint64)
+    bits = _shared_bits()
+    for lo in range(0, n, _STREAMS):
+        rows = raw[: min(_STREAMS, n - lo)]
+        with bits.lock:
+            for k in range(len(rows)):
+                key[1] = first_stream + lo + k
+                bits.state = state
+                rows[k] = bits.random_raw(width)
+        np.right_shift(rows, np.uint64(11), out=rows)
+        ints = rows[:, skip:].reshape(len(rows), n_steps, dim)
+        out[..., lo : lo + len(rows)] = ints.transpose(1, 2, 0)
+    return out
 
 
 class NoiseSource:
@@ -122,70 +168,26 @@ class NoiseSource:
     The same (base_seed, stream_id) always reproduces the same increment
     sequence, independent of how draws are grouped into blocks: the raw
     outputs of ``Philox(key=base_seed + (stream_id << 64))``.  A source holds
-    only its key and position; its draws come from one shared generator whose
-    state is set per draw (about 2 us, against about 13 us to key a generator
-    of its own, on a 2-core x86-64 machine).
+    only its key and position, and draws as the one stream of ``lattice_streams``.
     """
 
     def __init__(self, base_seed: int, stream_id: int, dim: int):
-        base_seed = int(base_seed)
-        stream_id = int(stream_id)
-        if not (0 <= base_seed < (1 << 64)):
-            raise ValidationError("base_seed must fit in an unsigned 64-bit integer")
-        if not (0 <= stream_id < (1 << 64)):
-            raise ValidationError("stream_id must fit in an unsigned 64-bit integer")
+        self.base_seed, self.stream_id = _check_streams(base_seed, stream_id, 1)
         if not (isinstance(dim, (int, np.integer)) and dim >= 1):
             raise ValidationError(f"dim must be a positive integer, got {dim!r}")
-        self.base_seed = base_seed
-        self.stream_id = stream_id
         self.dim = int(dim)
         self.step = 0
 
     def lattice_block(self, n_steps: int) -> np.ndarray:
-        """Lattice integers of the next ``n_steps`` steps, shape (n_steps, dim).
-
-        The top 53 bits of each raw output: the same integers as
-        ``Generator.integers(0, 2**53, dtype=np.uint64)`` on this stream, which
-        never rejects for a power-of-two range.
-        """
+        """Lattice integers of the next ``n_steps`` steps, shape (n_steps, dim)."""
         if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 0):
             raise ValidationError(f"n_steps must be a non-negative integer, got {n_steps!r}")
-        # Philox makes four outputs per counter value and steps the counter
-        # before it makes them: output j comes from counter value j // 4 + 1,
-        # so a counter of j // 4 and an empty buffer resume at output j - j % 4.
-        block, skip = divmod(self.step * self.dim, 4)
-        state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": [block & _MASK, block >> 64, 0, 0],
-                "key": [self.base_seed, self.stream_id],
-            },
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        bits = _shared_bits()
-        with bits.lock:
-            bits.state = state
-            raw = bits.random_raw(skip + n_steps * self.dim)
+        out = np.empty((n_steps, self.dim, 1), dtype=np.uint64)
+        lattice_streams(self.base_seed, self.stream_id, self.step, out)
         self.step += n_steps
-        return np.right_shift(raw, np.uint64(11), out=raw)[skip:].reshape(n_steps, self.dim)
+        return out[..., 0]
 
     def draw_block(self, n_steps: int, dt: float) -> np.ndarray:
         """Increments for the next ``n_steps`` steps, shape (n_steps, dim)."""
         dt = check_dt(dt)
         return lattice_normals(self.lattice_block(n_steps)) * np.sqrt(dt)
-
-    def draw_wiener(self, dt: float) -> np.ndarray:
-        """Increments for a single step, shape (dim,)."""
-        return self.draw_block(1, dt)[0]
-
-    def skip(self, n_steps: int) -> None:
-        """Advance past ``n_steps`` steps without returning their increments."""
-        self.lattice_block(n_steps)
-
-
-def draw_wiener(source: NoiseSource, dt: float) -> np.ndarray:
-    """Module-level convenience alias for ``source.draw_wiener(dt)``."""
-    return source.draw_wiener(dt)

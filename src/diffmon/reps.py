@@ -244,9 +244,9 @@ def validate_urep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TO
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] % 2 or not u.size:
         raise DimensionMismatchError(f"unravelling matrix must be 2L x 2L, got {u.shape}")
     _check_hbar(hbar)
-    with np.errstate(over="ignore"):  # the squares of huge finite entries overflow
+    with np.errstate(over="ignore"):  # huge finite entries overflow the squares and the sum
         L, norm = u.shape[0] // 2, float(np.linalg.norm(u))
-    s = u[:L, :L] + u[L:, L:]
+        s = u[:L, :L] + u[L:, L:]
     diag = s.diagonal().copy()
     if not math.isfinite(norm):
         if not np.isfinite(u).all():  # a NaN in the diagonal-block sum is named first
@@ -263,7 +263,7 @@ def validate_urep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TO
         raise NotPSDError(f"unravelling matrix has eigenvalue {w[0]:.3e} below zero")
     if np.linalg.norm(u[:L, L:] - u[L:, :L]) > atol:
         raise OffBlockAsymmetricError("off-diagonal blocks of the unravelling matrix differ")
-    s.flat[:: L + 1] -= diag
+    s.flat[:: L + 1] = 0.0  # not s - diag, which is NaN where an entry is inf
     if np.abs(s).max() > atol:
         raise SumNotInHError("diagonal-block sum of the unravelling matrix is not diagonal")
     _check_unit_range(diag, atol, "diagonal-block sum entry ", SumNotInHError)

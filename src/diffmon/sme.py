@@ -42,7 +42,7 @@ from .errors import (
     check_dt,
 )
 from .linalg import DEFAULT_TOL, positive_sqrt
-from .noise import NoiseSource, lattice_normals
+from .noise import lattice_normals, lattice_streams
 from .reps import BRep, MRep, _check_hbar, validate_brep
 
 MODES = ("nonlinear", "linear")
@@ -338,16 +338,13 @@ def simulate_ensemble(
         pur[:, 0] = pw @ np.square(g)
     snap_g[0] = g.T
     # States have unit trace, so one purity ceiling screens them for the exact monitor.
-    p_max, lw = _purity_ceiling(dim, pos_tol), np.zeros(n)
+    p_max, lw, monitored = _purity_ceiling(dim, pos_tol), np.zeros(n), math.isfinite(pos_tol)
 
-    sources = [NoiseSource(config.seed, k, noise_dim) for k in range(n)]
     for start in range(0, steps, block_steps):
         block = min(block_steps, steps - start)
-        # Time-major (step, J, trajectory).  The map is elementwise, so these
-        # are exactly each stream's draw_block.
-        cur_block = np.empty((block, noise_dim, n))  # lattice integers, then mean currents
-        for k, src in enumerate(sources):
-            cur_block[..., k] = src.lattice_block(block)
+        # Time-major (step, J, trajectory): lattice integers, then mean currents.
+        # The map is elementwise, so these are exactly each stream's draw_block.
+        cur_block = lattice_streams(config.seed, 0, start, np.empty((block, noise_dim, n)))
         dw_block = lattice_normals(cur_block)
         dw_block *= np.sqrt(dt)
         p_block, lw_block = np.empty((2, block, n))
@@ -367,7 +364,7 @@ def simulate_ensemble(
             cur_block[i] = 0.0 if linear else cur
             np.divide(out, tr, out=g)
             np.matmul(pw, np.square(g, out=sq), out=p_block[i])
-            if not p_block[i].max() <= p_max and np.isfinite(pos_tol):
+            if not p_block[i].max() <= p_max and monitored:
                 _monitor(g.T, p_block[i], pos_tol, m)
             if m in snap_pos:
                 snap_g[snap_pos[m]] = g.T

@@ -10,9 +10,9 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 import diffmon
-from diffmon import NoiseSource, draw_wiener
+from diffmon import NoiseSource
 from diffmon.errors import ValidationError
-from diffmon.noise import lattice_normals
+from diffmon.noise import _STREAMS, lattice_normals, lattice_streams
 
 
 def test_mean_within_clt_bound():
@@ -54,17 +54,18 @@ def test_block_split_matches_single_block():
     assert src.step == 17
 
 
-def test_skip_advances_stream():
+def test_lattice_block_advances_stream():
     whole = NoiseSource(5, 3, 2).draw_block(6, 0.1)
     src = NoiseSource(5, 3, 2)
-    src.skip(5)
-    assert np.array_equal(src.draw_wiener(0.1), whole[5])
+    src.lattice_block(5)
+    assert np.array_equal(src.draw_block(1, 0.1)[0], whole[5])
 
 
-def test_draw_wiener_helper():
-    a = draw_wiener(NoiseSource(1, 1, 4), 0.2)
-    b = NoiseSource(1, 1, 4).draw_block(1, 0.2)[0]
-    assert np.array_equal(a, b)
+def test_single_step_block_is_the_first_row():
+    a = NoiseSource(1, 1, 4).draw_block(1, 0.2)
+    b = NoiseSource(1, 1, 4).draw_block(3, 0.2)
+    assert a.shape == (1, 4)
+    assert np.array_equal(a[0], b[0])
 
 
 def test_argument_validation():
@@ -192,6 +193,34 @@ def test_threads_drawing_different_streams():
     assert not any(t.is_alive() for t in threads)
     for k in range(n_threads):
         assert np.array_equal(got[k], _raw_lattice(33, k, 3 * sum(sizes)))
+
+
+@pytest.mark.parametrize("dim", (2, 6))
+@pytest.mark.parametrize("step", (0, 1, 37, 255))
+def test_lattice_streams_is_each_streams_lattice_block(step, dim):
+    # More streams than one buffer holds, from a start that is mostly not a
+    # multiple of Philox's four outputs per counter value.
+    n, first = _STREAMS + 45, 3
+    got = lattice_streams(77, first, step, np.empty((9, dim, n), dtype=np.uint64))
+    for k in range(n):
+        src = NoiseSource(77, first + k, dim)
+        src.lattice_block(step)
+        assert np.array_equal(got[..., k], src.lattice_block(9)), k
+    as_float = lattice_streams(77, first, step, np.empty((9, dim, n)))
+    assert np.array_equal(as_float, got.astype(np.float64))
+
+
+def test_lattice_streams_validates_seed_and_stream_range():
+    out = np.empty((3, 2, 4))
+    for seed, first, message in (
+        (-1, 0, "base_seed"),
+        (2**64, 0, "base_seed"),
+        (0, -1, "stream_id"),
+        (0, 2**64 - 3, "stream_id"),
+    ):
+        with pytest.raises(ValidationError, match=f"{message} must fit in an unsigned 64-bit"):
+            lattice_streams(seed, first, 0, out)
+    assert lattice_streams(2**64 - 1, 2**64 - 4, 5, out).shape == (3, 2, 4)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf, -np.inf, "abc"])

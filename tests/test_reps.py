@@ -432,6 +432,12 @@ VALIDATOR_FAILURES = [
     # Even the scaled norm overflows here; an infinite tolerance would pass it.
     (validate_urep, np.array([[0.5, 1.7e308], [1.7e308, 0.5]]), NotPSDError,
      "unravelling matrix has eigenvalue -1.700e+308 below zero"),
+    # Finite entries whose diagonal-block sum overflows: named by the range
+    # check, with no overflow or inf - inf warning on the way.
+    (validate_urep, np.diag([1.7e308, 1.7e308]), SumNotInHError,
+     "diagonal-block sum entry [0] = inf falls outside [0, 1]"),
+    (validate_urep, np.diag([0.25, 1.7e308, 0.25, 1.7e308]), SumNotInHError,
+     "diagonal-block sum entry [1] = inf falls outside [0, 1]"),
 ]
 
 

@@ -28,8 +28,8 @@ from diffmon.errors import (
     WeightUnderflowError,
 )
 from diffmon.reps import random_brep, random_mrep
-from diffmon.noise import lattice_normals
-from diffmon.sme import NoiseSource, _step_engine, _step_states
+from diffmon.noise import _STREAMS, NoiseSource, lattice_normals
+from diffmon.sme import _step_engine, _step_states
 
 from conftest import (
     EXCITED,
@@ -338,7 +338,7 @@ def test_ensemble_rejects_records_beyond_memory(monkeypatch):
     def no_streams(*args, **kwargs):
         raise AssertionError("noise streams built before the memory check")
 
-    monkeypatch.setattr("diffmon.sme.NoiseSource", no_streams)
+    monkeypatch.setattr("diffmon.sme.lattice_streams", no_streams)
     config = SimulationConfig(dt=1e-3, steps=10**6, n_traj=10**7, seed=1)
     with pytest.raises(ValidationError, match="GiB, more than the .* of physical memory"):
         simulate_ensemble(decay_model(), heterodyne_mrep(0.8), EXCITED, config)
@@ -375,15 +375,30 @@ def test_ensemble_noise_matches_independent_generators():
 
 @pytest.mark.parametrize("mode", ["nonlinear", "linear"])
 def test_ensemble_records_independent_of_block_steps(mode):
+    # Also with more trajectories than one buffer of raw outputs holds.
     model = decay_model(rabi=1.0)
-    config = SimulationConfig(dt=5e-3, steps=23, n_traj=5, seed=14, mode=mode, snapshot_stride=4)
-    runs = [
-        simulate_ensemble(model, heterodyne_mrep(0.8), EXCITED, config, block_steps=b)
-        for b in (1, 3, 7, 256)
-    ]
-    for ens in runs[1:]:
-        for field in ("currents", "noise", "purity", "log_weight", "snapshots"):
-            assert np.array_equal(getattr(ens, field), getattr(runs[0], field)), field
+    for n_traj in (5, _STREAMS + 44):
+        config = SimulationConfig(
+            dt=5e-3, steps=23, n_traj=n_traj, seed=14, mode=mode, snapshot_stride=4
+        )
+        runs = [
+            simulate_ensemble(model, heterodyne_mrep(0.8), EXCITED, config, block_steps=b)
+            for b in (1, 3, 7, 256)
+        ]
+        for ens in runs[1:]:
+            for field in ("currents", "noise", "purity", "log_weight", "snapshots"):
+                assert np.array_equal(getattr(ens, field), getattr(runs[0], field)), field
+
+
+@pytest.mark.parametrize("seed", (-1, 2**64))
+def test_ensemble_rejects_seed_before_any_draw(monkeypatch, seed):
+    def no_draws():
+        raise AssertionError("noise drawn before the seed was checked")
+
+    monkeypatch.setattr("diffmon.noise._shared_bits", no_draws)
+    config = SimulationConfig(dt=1e-3, steps=10, n_traj=3, seed=seed)
+    with pytest.raises(ValidationError, match="base_seed must fit in an unsigned 64-bit integer"):
+        simulate_ensemble(decay_model(), heterodyne_mrep(0.8), EXCITED, config)
 
 
 def test_nonlinear_log_weight_is_a_read_only_zero_view():
@@ -528,28 +543,23 @@ def test_snapshot_grid_matches_union(steps, stride):
     assert np.array_equal(got, want)
 
 
-class _ScriptedNoise:
-    """Streams of zero increments but for ``kicks[(trajectory, step)]``, in normal units."""
+def _scripted_noise(kicks):
+    """A block draw of zero increments but for ``kicks[(trajectory, step)]``, in normal units."""
 
-    kicks: dict = {}
+    def lattice_streams(seed, first_stream, start, out):
+        out[...] = 0.0
+        for (k, step), v in kicks.items():
+            if start < step <= start + len(out):
+                out[step - 1 - start, :, k - first_stream] = v
+        return out
 
-    def __init__(self, seed, stream_id, dim):
-        self.k, self.dim, self.pos = stream_id, dim, 0
-
-    def lattice_block(self, n_steps):
-        z = np.zeros((n_steps, self.dim))
-        for (k, step), v in self.kicks.items():
-            if k == self.k and self.pos < step <= self.pos + n_steps:
-                z[step - 1 - self.pos] = v
-        self.pos += n_steps
-        return z
+    return lattice_streams
 
 
 def _scripted_failure(monkeypatch, kicks, model, m, rho0, **config):
     """The error of a run whose only noise is ``kicks``, the same for block_steps 1, 37 and 256."""
-    monkeypatch.setattr("diffmon.sme.NoiseSource", _ScriptedNoise)
+    monkeypatch.setattr("diffmon.sme.lattice_streams", _scripted_noise(kicks))
     monkeypatch.setattr("diffmon.sme.lattice_normals", np.array)
-    monkeypatch.setattr(_ScriptedNoise, "kicks", kicks)
     found = set()
     for block_steps in (1, 37, 256):
         config = dict(dict(dt=1e-3, steps=150, n_traj=5, seed=0), **config)
