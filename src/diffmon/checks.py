@@ -351,20 +351,21 @@ def check_step_trace_hermiticity(seed: int) -> CheckResult:
     )
 
 
+def _one_step_sample(model, m, rho0, seed: int, stream: int, n: int, dt: float, linear=False):
+    """n copies of rho0 stepped once along the first n increments of a stream: (out, tr, dw)."""
+    dw = NoiseSource(seed, stream, 2 * m.channels).draw_block(n, dt)
+    rho = np.broadcast_to(rho0, (n, *rho0.shape))
+    out, tr, _cur = sme._step_states(sme._step_engine(model, m), rho, dw, dt, linear)
+    return out, tr, dw
+
+
 def check_one_step_mean(seed: int) -> CheckResult:
     model = _decay_model(rabi=1.0)
-    m = reps.heterodyne_mrep(0.8)
-    engine = sme._step_engine(model, m)
-    dt = 1e-3
-    n = 20000
-    rho0 = _excited()
-    src = NoiseSource(seed, 0, 2)
-    dw = src.draw_block(n, dt)
-    rho = np.broadcast_to(rho0, (n, 2, 2)).copy()
-    out, _tr, _cur = sme._step_states(engine, rho, dw, dt, linear=False)
+    dt, n, rho0 = 1e-3, 20000, _excited()
+    out, _tr, _dw = _one_step_sample(model, reps.heterodyne_mrep(0.8), rho0, seed, 0, n, dt)
     mean = out.mean(axis=0)
     se = out.std(axis=0, ddof=1) / np.sqrt(n)
-    det = engine.propagate(rho0, dt, dt)
+    det = dynamics.rk4_step(model, rho0, dt)
     excess = np.abs(mean - det) - 3.0 * np.abs(se) - 10.0 * dt**2
     worst = float(np.max(excess.real))
     return CheckResult(
@@ -385,11 +386,7 @@ def check_purity_rate(seed: int) -> CheckResult:
         (reps.heterodyne_mrep(1.0), reps.homodyne_mrep(0.5), MRep(np.zeros((1, 2))))
     ):
         predicted = sme.purity_increment_predicted(model, m, rho0)
-        engine = sme._step_engine(model, m)
-        src = NoiseSource(seed, idx + 1, 2)
-        dw = src.draw_block(n, dt)
-        rho = np.broadcast_to(rho0, (n, 2, 2)).copy()
-        out, _tr, _cur = sme._step_states(engine, rho, dw, dt, linear=False)
+        out, _tr, _dw = _one_step_sample(model, m, rho0, seed, idx + 1, n, dt)
         dp = (np.real(np.einsum("nab,nba->n", out, out)) - 1.0) / dt
         se = float(dp.std(ddof=1) / np.sqrt(n))
         dev = abs(float(dp.mean()) - predicted)
@@ -401,18 +398,13 @@ def check_purity_rate(seed: int) -> CheckResult:
 def check_linear_martingale(seed: int) -> CheckResult:
     model = _decay_model(rabi=1.0)
     m = reps.homodyne_mrep(0.8)
-    engine = sme._step_engine(model, m)
-    dt = 1e-3
-    n = 20000
+    dt, n = 1e-3, 20000
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    src = NoiseSource(seed, 5, 2)
-    y_dt = src.draw_block(n, dt)
-    rho = np.broadcast_to(plus, (n, 2, 2)).copy()
-    _out, tr, _cur = sme._step_states(engine, rho, y_dt, dt, linear=True)
+    _out, tr, y_dt = _one_step_sample(model, m, plus, seed, 5, n, dt, linear=True)
     se = float(tr.std(ddof=1) / np.sqrt(n))
     dev = abs(float(tr.mean()) - 1.0)
     mean_y = y_dt * tr[:, None] / dt
-    truth = engine.current(plus)
+    truth = sme._step_engine(model, m).current(plus)
     dev_y = np.abs(mean_y.mean(axis=0) - truth)
     se_y = mean_y.std(axis=0, ddof=1) / np.sqrt(n)
     ok = dev <= 3.0 * se + 1e-12 and bool(np.all(dev_y <= 3.0 * se_y + 10.0 * dt))

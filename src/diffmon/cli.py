@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .reps import mrep_to_brep_o, trep_to_mrep
+from .reps import mrep_to_brep_o
 from .serialize import (
     RepFile,
     autocorrelation_tables,
@@ -97,14 +97,11 @@ def _cmd_convert(args) -> int:
 
 def _cmd_factorize(args) -> int:
     rep_file = load_rep(args.rep, default_hbar=args.hbar, tol=args.tol)
-    if rep_file.kind == "trep":
-        mrep = trep_to_mrep(rep_file.rep)
-    elif rep_file.kind == "mrep":
-        mrep = rep_file.rep
-    else:
+    if rep_file.kind not in ("mrep", "trep"):
         raise ValidationError(
             f"factorize needs a measurement-matrix document, got {rep_file.kind!r}"
         )
+    mrep = rep_to_mrep(rep_file, tol=args.tol)
     brep, ortho = mrep_to_brep_o(mrep, tol=args.tol)
     outdir = _outdir(args.out)
     stem = Path(args.rep).stem

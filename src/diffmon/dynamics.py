@@ -56,9 +56,15 @@ class LindbladModel:
             1.0, float(np.linalg.norm(ham))
         ):
             raise NotHermitianError("hamiltonian is not Hermitian within tolerance")
+        ham, cs = _frozen(ham, cs)  # read-only: the cached engine must never go stale
         object.__setattr__(self, "hamiltonian", ham)
         object.__setattr__(self, "lindblads", cs)
         object.__setattr__(self, "hbar", _check_hbar(self.hbar))
+
+    @cached_property
+    def engine(self) -> _Engine:
+        """The model's one engine (generator tables, RK4 polynomial), built at first use."""
+        return _Engine(self)
 
     @property
     def dim(self) -> int:
@@ -361,12 +367,12 @@ def liouvillian_apply(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"state shape {rho.shape} does not match dimension {n}"
         )
-    return _Engine(model).generator(rho)
+    return model.engine.generator(rho)
 
 
 def rk4_step(model: LindbladModel, x: np.ndarray, dt: float) -> np.ndarray:
     """One fourth-order step of the master equation applied to an arbitrary matrix."""
-    return _Engine(model).propagate(np.asarray(x, dtype=complex), dt, dt)
+    return model.engine.propagate(np.asarray(x, dtype=complex), dt, dt)
 
 
 def me_integrate(
@@ -387,7 +393,7 @@ def me_integrate(
     dt = check_dt(dt)
     if steps < 0:
         raise ValidationError(f"steps must be non-negative, got {steps}")
-    engine = _Engine(model)
+    engine = model.engine
     g = np.empty((steps + 1, model.dim**2))
     g[0] = _gather(np.asarray(rho0, dtype=complex))
     for m in range(steps):
@@ -448,18 +454,6 @@ def _first_negative_state(g: np.ndarray, p: np.ndarray, tol: float) -> tuple | N
 # measurement back-action
 
 
-def _weights_to_complex(weights: np.ndarray, channels: int) -> np.ndarray:
-    w = np.asarray(weights)
-    if w.shape == (channels,):
-        return w.astype(complex)
-    if w.shape == (2 * channels,) and np.isrealobj(w):
-        return w[:channels] - 1j * w[channels:]
-    raise DimensionMismatchError(
-        f"weights must be a complex vector of length {channels} or a real vector of"
-        f" length {2 * channels}, got shape {w.shape}"
-    )
-
-
 def backaction_apply(
     weights: np.ndarray,
     lindblads: np.ndarray,
@@ -479,9 +473,15 @@ def backaction_apply(
         raise DimensionMismatchError(
             f"state shape {rho.shape} does not match operators {cs.shape[1:]}"
         )
-    v = _weights_to_complex(weights, cs.shape[0])
-    a = np.tensordot(v, cs, axes=1)
-    lin = _backaction(a, rho)
+    w, channels = np.asarray(weights), cs.shape[0]
+    if w.shape == (2 * channels,) and np.isrealobj(w):
+        w = w[:channels] - 1j * w[channels:]
+    elif w.shape != (channels,):
+        raise DimensionMismatchError(
+            f"weights must be a complex vector of length {channels} or a real vector of"
+            f" length {2 * channels}, got shape {w.shape}"
+        )
+    lin = _backaction(np.tensordot(w, cs, axes=1), rho)
     return lin if linear else _traceless(lin, rho)
 
 
@@ -521,7 +521,7 @@ def regression_correlation(
             raise DimensionMismatchError(f"{name} must be {n} x {n}, got {op.shape}")
     x = rho_t @ a
     if tau > 0.0:
-        x = _Engine(model).propagate(x, tau, dt)
+        x = model.engine.propagate(x, tau, dt)
     return complex(np.trace(b @ x))
 
 
@@ -552,11 +552,10 @@ def predicted_autocorrelation(
     yops = xops + xops.conj().transpose(0, 2, 1)
     rho_t = np.asarray(rho_t, dtype=complex)
     x = _backaction(xops, rho_t)
-    engine = _Engine(model)
     out = np.empty((taus.size, yops.shape[0], yops.shape[0]))
     prev = 0.0
     for i, tau in enumerate(taus):
-        x = engine.propagate(x, tau - prev, dt)
+        x = model.engine.propagate(x, tau - prev, dt)
         corr = np.einsum("bij,aji->ab", yops, x)
         imag = float(np.max(np.abs(corr.imag), initial=0.0))
         if imag > max(1e-10, 1e-10 * float(np.max(np.abs(corr.real), initial=0.0))):

@@ -159,42 +159,32 @@ class Ensemble:
 
 def _step_engine(model: LindbladModel, mrep: MRep) -> _Engine:
     """The engine of one (model, measurement) pair, along the 2L measurement ops."""
-    if model.channels != mrep.channels:
-        raise DimensionMismatchError(
-            f"model has {model.channels} channels, measurement matrix {mrep.channels}"
-        )
+    ops = measurement_ops(mrep, model.lindblads)
     if abs(model.hbar - mrep.hbar) > 1e-12 * max(model.hbar, mrep.hbar):
         raise ValidationError(
             f"model and measurement matrix carry different scales:"
             f" {model.hbar} vs {mrep.hbar}"
         )
-    return _Engine(model, measurement_ops(mrep, model.lindblads))
+    return _Engine(model, ops)
 
 
-def _step_states(engine: _Engine, rho: np.ndarray, w: np.ndarray, dt: float, linear: bool):
-    """One step of the states (..., d, d), passed as columns: (states, pre-norm trace, current).
+def _step_states(engine: _Engine, rho, w, dt: float, linear: bool):
+    """One step of states (..., d, d) along increments (..., 2L): (states, pre-norm trace, current).
 
     Nonlinear states are renormalized by their summed trace: rho need not have unit trace.
     """
-    lead = rho.shape[:-2]
+    rho, w, dt = np.asarray(rho, dtype=complex), np.asarray(w, dtype=float), check_dt(dt)
+    lead, j = rho.shape[:-2], len(engine.ops)
+    if rho.shape[-2:] != (engine.dim, engine.dim):
+        raise DimensionMismatchError(f"states must be {engine.dim} x {engine.dim}, got {rho.shape}")
+    if w.shape != (*lead, j):
+        raise DimensionMismatchError(f"increments must have shape {(*lead, j)}, got {w.shape}")
     g = _gather(rho).reshape(-1, engine.dim**2).T
-    out, tr, cur = engine.sme_step(engine.operand(g), w.reshape(-1, len(engine.ops)).T, dt, linear)
+    out, tr, cur = engine.sme_step(engine.operand(g), w.reshape(-1, j).T, dt, linear)
     if not linear:
         tr = _trace(out.T)
         out = out / tr
     return _scatter(out.T.reshape(*lead, -1)), tr.reshape(lead), cur.T.reshape(*lead, -1)
-
-
-def _step_args(model: LindbladModel, mrep: MRep, rho, vec, dt: float, name: str):
-    engine = _step_engine(model, mrep)
-    rho, vec = np.asarray(rho, dtype=complex), np.asarray(vec, dtype=float)
-    if rho.shape != (engine.dim, engine.dim):
-        raise DimensionMismatchError(f"state must be {engine.dim} x {engine.dim}, got {rho.shape}")
-    if vec.shape != (len(engine.ops),):
-        raise DimensionMismatchError(
-            f"{name} must have length {len(engine.ops)}, got shape {vec.shape}"
-        )
-    return engine, rho, vec, check_dt(dt)
 
 
 def sme_step_nonlinear(
@@ -204,10 +194,10 @@ def sme_step_nonlinear(
 
     The current increment carries the true-mean term plus the supplied Wiener
     increment; the returned state is exactly Hermitian and renormalized.
-    Positivity is not checked here (the ensemble runner monitors it).
+    Positivity is not checked here (the ensemble runner monitors it).  A stack
+    of states (..., d, d) steps along a stack of increments (..., 2L).
     """
-    engine, rho, dw, dt = _step_args(model, mrep, rho, dw, dt, "dw")
-    out, _tr, cur = _step_states(engine, rho, dw, dt, linear=False)
+    out, _tr, cur = _step_states(_step_engine(model, mrep), rho, dw, dt, linear=False)
     return out, cur * dt + dw
 
 
@@ -218,16 +208,15 @@ def sme_step_linear(
 
     ``y_dt`` is the ostensible current increment (zero mean, variance dt per
     component).  Returns the unnormalized updated matrix and the log-weight
-    increment log Tr[out] - log Tr[in].
+    increment log Tr[out] - log Tr[in], per state for a stack as in ``sme_step_nonlinear``.
     """
-    engine, rho_bar, y_dt, dt = _step_args(model, mrep, rho_bar, y_dt, dt, "y_dt")
-    tr_in = float(np.real(np.trace(rho_bar)))
-    if tr_in <= 0.0:
+    out, tr, _cur = _step_states(_step_engine(model, mrep), rho_bar, y_dt, dt, linear=True)
+    tr_in = np.real(np.trace(rho_bar, axis1=-2, axis2=-1))
+    if np.any(tr_in <= 0.0):
         raise StateInvalidError(f"input trace {tr_in} is not positive")
-    out, tr, _cur = _step_states(engine, rho_bar, y_dt, dt, linear=True)
-    if tr <= 0.0:
-        raise StateInvalidError(f"updated trace {float(tr)} is not positive")
-    return out, float(np.log(tr / tr_in))
+    if np.any(tr <= 0.0):
+        raise StateInvalidError(f"updated trace {tr} is not positive")
+    return out, np.log(tr / tr_in)
 
 
 def _snapshot_steps(steps: int, stride: int | None) -> np.ndarray:

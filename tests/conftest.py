@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -45,3 +47,10 @@ def random_pure_state(gen: Generator, dim: int) -> np.ndarray:
 @pytest.fixture
 def gen():
     return rng(20260809)
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Print the line count of src/diffmon next to the slowest tests: both are tracked."""
+    src = Path(__file__).resolve().parents[1] / "src" / "diffmon"
+    lines = sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
+    terminalreporter.write_sep("=", f"src/diffmon: {lines} lines")

@@ -11,8 +11,9 @@ import diffmon
 from diffmon.cli import main
 from diffmon.serialize import load_rep, model_payload, rep_payload, RepFile
 from diffmon import OrthoMatrix, brep_o_to_mrep, heterodyne_mrep
+from diffmon.reps import random_mrep
 
-from conftest import decay_model
+from conftest import decay_model, rng
 
 
 @pytest.fixture
@@ -193,6 +194,19 @@ def test_simulate_rejects_scale_mismatch(het_file, tmp_path):
         "--dt", "0.01", "--steps", "5", "--ntraj", "2", "--out", str(tmp_path / "x"),
     ]
     assert main(args) == 4
+
+
+def test_simulate_rejects_channel_mismatch(model_file, tmp_path, capsys):
+    path = tmp_path / "two_channels.json"
+    path.write_text(json.dumps(rep_payload(RepFile("mrep", random_mrep(rng(5), 2), 1.0))))
+    args = [
+        "simulate", "--model", str(model_file), "--rep", str(path),
+        "--dt", "0.01", "--steps", "5", "--ntraj", "2", "--out", str(tmp_path / "x"),
+    ]
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err == "validation error: measurement matrix has 2 channels, model has 1\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_with_initial_state_file(het_file, model_file, tmp_path):

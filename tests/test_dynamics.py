@@ -20,6 +20,7 @@ from diffmon import (
     urep_current_mean,
 )
 from diffmon.checks import liouvillian_superoperator
+from diffmon import dynamics
 from diffmon.dynamics import (
     _Engine,
     _gather,
@@ -607,3 +608,32 @@ def test_propagate_non_hermitian_matches_oracle(dim):
     engine, scale = _Engine(model), np.max(np.abs(want))
     assert np.max(np.abs(engine.propagate(x, 5e-2, 1e-2) - want)) <= 1e-13 * scale
     assert np.max(np.abs(engine.propagate(x[1], 5e-2, 1e-2) - want[1])) <= 1e-13 * scale
+
+
+def test_model_builds_one_engine(monkeypatch):
+    built = []
+
+    class Counted(_Engine):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dynamics, "_Engine", Counted)
+    cs = 0.7 * SIGMA_M[None]
+    model = LindbladModel(hamiltonian=0.5 * SIGMA_Z, lindblads=cs)
+    liouvillian_apply(model, EXCITED)
+    engine = model.engine
+    rk4_step(model, EXCITED, 1e-2)
+    tables = model.engine.tables
+    me_integrate(model, EXCITED, 1e-2, 10)
+    regression_correlation(model, SIGMA_P, SIGMA_M, EXCITED, 0.1, dt=1e-2)
+    predicted_autocorrelation(model, homodyne_mrep(0.5), EXCITED, [0.1, 0.2], dt=1e-2)
+    assert built == [engine]
+    assert model.engine is engine and model.engine.tables is tables
+    # The cached engine cannot go stale: the model's arrays are read-only copies.
+    with pytest.raises(ValueError):
+        model.lindblads[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        model.hamiltonian[0, 0] = 1.0
+    cs[0, 0, 0] = 1.0
+    assert model.lindblads[0, 0, 0] == 0.0

@@ -22,6 +22,7 @@ from diffmon import (
 from diffmon.dynamics import rk4_step
 from diffmon.errors import (
     DiffmonError,
+    DimensionMismatchError,
     NotPureError,
     StateInvalidError,
     ValidationError,
@@ -288,6 +289,39 @@ def test_ensemble_weight_floor():
     )
     with pytest.raises(WeightUnderflowError):
         simulate_ensemble(model, m, PLUS, config)
+
+
+def test_step_states_checks_state_and_increment_shapes():
+    # One (J,) increment used to be broadcast to a whole stack of states.
+    engine = _step_engine(decay_model(rabi=1.0), heterodyne_mrep(0.8))
+    stack = np.broadcast_to(EXCITED, (3, 2, 2))
+    with pytest.raises(DimensionMismatchError, match=r"increments must have shape \(3, 2\)"):
+        _step_states(engine, stack, np.zeros(2), 1e-3, linear=False)
+    with pytest.raises(DimensionMismatchError, match="increments"):
+        _step_states(engine, stack, np.zeros((3, 4)), 1e-3, linear=True)
+    with pytest.raises(DimensionMismatchError, match="states must be 2 x 2"):
+        _step_states(engine, np.eye(3, dtype=complex) / 3.0, np.zeros(2), 1e-3, linear=False)
+    with pytest.raises(DimensionMismatchError, match="states must be 2 x 2"):
+        sme_step_nonlinear(decay_model(), heterodyne_mrep(0.8), np.ones(2), np.zeros(2), 1e-3)
+    out, tr, cur = _step_states(engine, stack, np.zeros((3, 2)), 1e-3, linear=False)
+    assert out.shape == (3, 2, 2) and tr.shape == (3,) and cur.shape == (3, 2)
+    # The public steps take stacks with one increment per state.
+    model, m = decay_model(rabi=1.0), heterodyne_mrep(0.8)
+    y = np.array([[0.05, -0.02], [0.0, 0.01]])
+    outs, lws = sme_step_linear(model, m, np.stack([PLUS, PLUS]), y, 1e-3)
+    for k in range(2):
+        one, lw = sme_step_linear(model, m, PLUS, y[k], 1e-3)
+        assert np.max(np.abs(outs[k] - one)) <= 1e-13 and abs(lws[k] - lw) <= 1e-13
+
+
+def test_channel_mismatch_rejected_once():
+    # A 2-channel measurement matrix on a 1-channel model.
+    model, m = decay_model(rabi=1.0), random_mrep(rng(5), 2)
+    message = "measurement matrix has 2 channels, model has 1"
+    with pytest.raises(DimensionMismatchError, match=message):
+        sme_step_nonlinear(model, m, EXCITED, np.zeros(4), dt=1e-3)
+    with pytest.raises(DimensionMismatchError, match=message):
+        simulate_ensemble(model, m, EXCITED, SimulationConfig(dt=1e-3, steps=2, n_traj=2, seed=0))
 
 
 def test_scale_mismatch_rejected():
