@@ -337,7 +337,7 @@ def check_step_trace_hermiticity(seed: int) -> CheckResult:
     rng = _rng(seed, 16)
     model = _decay_model(rabi=1.0)
     m = reps.heterodyne_mrep(0.7)
-    engine = sme._step_engine(model, m)
+    engine = dynamics._measured_engine(model, m)
     rho = np.broadcast_to(_excited(), (200, 2, 2)).copy()
     dw = rng.normal(scale=np.sqrt(1e-3), size=(200, 2))
     out, tr, _cur = sme._step_states(engine, rho, dw, 1e-3, linear=False)
@@ -355,7 +355,7 @@ def _one_step_sample(model, m, rho0, seed: int, stream: int, n: int, dt: float, 
     """n copies of rho0 stepped once along the first n increments of a stream: (out, tr, dw)."""
     dw = NoiseSource(seed, stream, 2 * m.channels).draw_block(n, dt)
     rho = np.broadcast_to(rho0, (n, *rho0.shape))
-    out, tr, _cur = sme._step_states(sme._step_engine(model, m), rho, dw, dt, linear)
+    out, tr, _cur = sme._step_states(dynamics._measured_engine(model, m), rho, dw, dt, linear)
     return out, tr, dw
 
 
@@ -404,7 +404,7 @@ def check_linear_martingale(seed: int) -> CheckResult:
     se = float(tr.std(ddof=1) / np.sqrt(n))
     dev = abs(float(tr.mean()) - 1.0)
     mean_y = y_dt * tr[:, None] / dt
-    truth = sme._step_engine(model, m).current(plus)
+    truth = dynamics._measured_engine(model, m).current(plus)
     dev_y = np.abs(mean_y.mean(axis=0) - truth)
     se_y = mean_y.std(axis=0, ddof=1) / np.sqrt(n)
     ok = dev <= 3.0 * se + 1e-12 and bool(np.all(dev_y <= 3.0 * se_y + 10.0 * dt))

@@ -126,11 +126,6 @@ def _load_run(args):
     """Model, measurement matrix, initial state and manifest inputs of a run."""
     model = load_model(args.model, default_hbar=args.hbar)
     rep_file = load_rep(args.rep, default_hbar=args.hbar, tol=args.tol)
-    if abs(model.hbar - rep_file.hbar) > 1e-12 * max(model.hbar, rep_file.hbar):
-        raise ValidationError(
-            f"model and measurement documents carry different hbar:"
-            f" {model.hbar} vs {rep_file.hbar}"
-        )
     mrep = rep_to_mrep(rep_file, tol=args.tol)
     rho0 = _load_initial_state(args.init, model.dim)
     inputs = {

@@ -207,8 +207,9 @@ def _purity(g: np.ndarray) -> np.ndarray:
     return np.square(g) @ _coordinate_weights(math.isqrt(g.shape[-1]))[1]
 
 
-def _backaction(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a x + x a^dag``, broadcast over stacks of operators ``a`` and matrices ``x``."""
+def _backaction(w: np.ndarray, ops: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A x + x A^dag``, ``A = sum_j w_j a_j``, over weights (..., J) and matrices x."""
+    a = np.tensordot(w, ops, axes=([-1], [0]))
     return a @ x + x @ a.conj().swapaxes(-1, -2)
 
 
@@ -242,6 +243,7 @@ class _Engine:
         self.cs_dag = self.cs.conj().swapaxes(-1, -2)
         self.k = -1j * model.hamiltonian - 0.5 * np.sum(self.cs_dag @ self.cs, axis=0)
         self.ops = np.zeros((0, n, n), dtype=complex) if ops is None else ops
+        self.base = self if ops is None else model.engine  # holds the generator table and poly
         self.tabulated = n <= _SUPEROPERATOR_MAX_DIM
         self._poly = self._sme = (None, None)  # (step size, table) of the last h
 
@@ -249,12 +251,13 @@ class _Engine:
     def tables(self) -> tuple:
         """(generator, back-action along each op) on coordinates: d^2 x d^2 and J x d^2 x d^2."""
         units = _scatter(np.eye(self.dim**2))
-        return _gather(self.generator(units)), _gather(_backaction(self.ops[:, None], units))
+        gen = _gather(self.generator(units)) if self.base is self else self.base.tables[0]
+        return gen, _gather(self.backaction(units, np.eye(len(self.ops))[:, None]))
 
     def generator(self, x: np.ndarray) -> np.ndarray:
         """drho/dt applied to a (stack of) matrices x."""
         jumps = np.sum(self.cs @ x[..., None, :, :] @ self.cs_dag, axis=-3)
-        return (_backaction(self.k, x) + jumps) / self.hbar
+        return (self.k @ x + x @ self.k.conj().swapaxes(-1, -2) + jumps) / self.hbar
 
     def _stages(self, x: np.ndarray, h: float) -> np.ndarray:
         """One RK4 step of size h as four generator stages on a (stack of) matrices x."""
@@ -265,14 +268,16 @@ class _Engine:
         return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def poly(self, h: float) -> np.ndarray:
-        """The RK4 step of size h as a d^2 x d^2 map of coordinates."""
-        if self._poly[0] != h:  # callers step many times with one h
-            a = h * self.tables[0]
+        """The RK4 step of size h as a d^2 x d^2 map of coordinates, kept by the model's engine."""
+        base = self.base
+        hit = base._poly  # read once: threads may step one model at other h
+        if hit[0] != h:  # callers step many times with one h
+            a = h * base.tables[0]
             p = np.eye(self.dim**2) + a / 4.0
             for j in (3.0, 2.0, 1.0):  # Horner form
                 p = np.eye(self.dim**2) + (a @ p) / j
-            self._poly = (h, p)
-        return self._poly[1]
+            hit = base._poly = (h, p)
+        return hit[1]
 
     def sme_table(self, h: float) -> np.ndarray:
         """``[[P_h, c, 0, P_h t], [B / hbar, 0, vec(c), B t / hbar]]^T``, for ``@ [g ; w (x) g]``.
@@ -282,7 +287,8 @@ class _Engine:
         current along op j, column J gives ``cur . w`` and the last column the
         trace t of the linear output (see ``sme_step``).
         """
-        if self._sme[0] != h:
+        hit = self._sme
+        if hit[0] != h:
             n2, back = self.dim**2, self.tables[1]
             j = len(back)
             cur = back[..., : self.dim].sum(axis=-1).T / self.hbar
@@ -292,8 +298,8 @@ class _Engine:
             table[n2:, :n2] = back.reshape(-1, n2) / self.hbar
             table[n2:, -2] = cur.T.reshape(-1)
             table[:, -1] = table[:, :n2] @ _coordinate_weights(self.dim)[0]
-            self._sme = (h, np.ascontiguousarray(table.T))
-        return self._sme[1]
+            hit = self._sme = (h, np.ascontiguousarray(table.T))
+        return hit[1]
 
     def drift(self, g: np.ndarray, h: float) -> np.ndarray:
         """One RK4 step of size h on the coordinates g (..., d^2) of Hermitian matrices."""
@@ -352,7 +358,7 @@ class _Engine:
 
     def backaction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """``sum_j w_j (a_j x + x a_j^dag)`` over ``ops`` for real weights w of shape (..., J)."""
-        return _backaction(np.tensordot(w, self.ops, axes=([-1], [0])), x)
+        return _backaction(w, self.ops, x)
 
 
 def liouvillian_apply(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
@@ -481,7 +487,7 @@ def backaction_apply(
             f"weights must be a complex vector of length {channels} or a real vector of"
             f" length {2 * channels}, got shape {w.shape}"
         )
-    lin = _backaction(np.tensordot(w, cs, axes=1), rho)
+    lin = _backaction(w, cs, rho)
     return lin if linear else _traceless(lin, rho)
 
 
@@ -493,6 +499,21 @@ def measurement_ops(mrep: MRep, lindblads: np.ndarray) -> np.ndarray:
             f"measurement matrix has {mrep.channels} channels, model has {cs.shape[0]}"
         )
     return np.einsum("mj,mab->jab", mrep.matrix.conj(), cs)
+
+
+def _measured_ops(model: LindbladModel, mrep: MRep) -> np.ndarray:
+    """The 2L back-action ops of a (model, measurement), checked to match in channels and hbar."""
+    ops = measurement_ops(mrep, model.lindblads)
+    if abs(model.hbar - mrep.hbar) > 1e-12 * max(model.hbar, mrep.hbar):
+        raise ValidationError(
+            f"model and measurement matrix carry different scales: {model.hbar} vs {mrep.hbar}"
+        )
+    return ops
+
+
+def _measured_engine(model: LindbladModel, mrep: MRep) -> _Engine:
+    """The engine along ``_measured_ops``, on the generator table and polynomial of ``model.engine``."""
+    return _Engine(model, _measured_ops(model, mrep))
 
 
 # ---------------------------------------------------------------------------
@@ -541,17 +562,14 @@ def predicted_autocorrelation(
     current itself; the singular equal-time term is never evaluated, which is
     why zero lag is rejected.
     """
+    xops = _measured_ops(model, mrep)
     taus = np.asarray(taus, dtype=float).reshape(-1)
-    if taus.size == 0:
-        return np.zeros((0, 2 * mrep.channels, 2 * mrep.channels))
     if np.any(taus <= 0.0):
         raise NonPositiveLagError("all lags must be strictly positive")
     if np.any(np.diff(taus) <= 0.0):
         raise ValidationError("lags must be strictly increasing")
-    xops = measurement_ops(mrep, model.lindblads)
     yops = xops + xops.conj().transpose(0, 2, 1)
-    rho_t = np.asarray(rho_t, dtype=complex)
-    x = _backaction(xops, rho_t)
+    x = _backaction(np.eye(len(xops)), xops, np.asarray(rho_t, dtype=complex))
     out = np.empty((taus.size, yops.shape[0], yops.shape[0]))
     prev = 0.0
     for i, tau in enumerate(taus):
@@ -581,8 +599,9 @@ def diffusion_matrix(
 
     The state components are taken in an orthonormal Hermitian operator
     basis; the columns of the noise-coefficient matrix are the back-action
-    updates along each of the 2L noise directions.  Equal diffusion matrices
-    mean the two measurement matrices generate the same unravelling.
+    updates along each of the 2L noise directions over hbar, as in the SME step:
+    a step of length dt has covariance ``D dt`` at any scale.  Equal diffusion
+    matrices mean the two measurement matrices generate the same unravelling.
     """
     rho = np.asarray(rho, dtype=complex)
     n = model.dim
@@ -595,8 +614,8 @@ def diffusion_matrix(
         raise DimensionMismatchError(
             f"operator basis must have shape {(n * n, n, n)}, got {basis.shape}"
         )
-    xops = measurement_ops(mrep, model.lindblads)
-    updates = _traceless(_backaction(xops, rho), rho)
+    xops = _measured_ops(model, mrep)
+    updates = _traceless(_backaction(np.eye(len(xops)), xops, rho), rho) / model.hbar
     bmat = np.real(np.einsum("kij,aji->ka", basis, updates))
     return bmat @ bmat.T
 

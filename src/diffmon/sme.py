@@ -25,12 +25,13 @@ from .dynamics import (
     _Engine,
     _first_negative_state,
     _gather,
+    _measured_engine,
+    _measured_ops,
     _purity,
     _purity_ceiling,
     _scatter,
     _trace,
     check_density_matrix,
-    measurement_ops,
 )
 from .errors import (
     DimensionMismatchError,
@@ -157,17 +158,6 @@ class Ensemble:
         return int(hits[0])
 
 
-def _step_engine(model: LindbladModel, mrep: MRep) -> _Engine:
-    """The engine of one (model, measurement) pair, along the 2L measurement ops."""
-    ops = measurement_ops(mrep, model.lindblads)
-    if abs(model.hbar - mrep.hbar) > 1e-12 * max(model.hbar, mrep.hbar):
-        raise ValidationError(
-            f"model and measurement matrix carry different scales:"
-            f" {model.hbar} vs {mrep.hbar}"
-        )
-    return _Engine(model, ops)
-
-
 def _step_states(engine: _Engine, rho, w, dt: float, linear: bool):
     """One step of states (..., d, d) along increments (..., 2L): (states, pre-norm trace, current).
 
@@ -197,7 +187,7 @@ def sme_step_nonlinear(
     Positivity is not checked here (the ensemble runner monitors it).  A stack
     of states (..., d, d) steps along a stack of increments (..., 2L).
     """
-    out, _tr, cur = _step_states(_step_engine(model, mrep), rho, dw, dt, linear=False)
+    out, _tr, cur = _step_states(_measured_engine(model, mrep), rho, dw, dt, linear=False)
     return out, cur * dt + dw
 
 
@@ -210,7 +200,7 @@ def sme_step_linear(
     component).  Returns the unnormalized updated matrix and the log-weight
     increment log Tr[out] - log Tr[in], per state for a stack as in ``sme_step_nonlinear``.
     """
-    out, tr, _cur = _step_states(_step_engine(model, mrep), rho_bar, y_dt, dt, linear=True)
+    out, tr, _cur = _step_states(_measured_engine(model, mrep), rho_bar, y_dt, dt, linear=True)
     tr_in = np.real(np.trace(rho_bar, axis1=-2, axis2=-1))
     if np.any(tr_in <= 0.0):
         raise StateInvalidError(f"input trace {tr_in} is not positive")
@@ -283,7 +273,7 @@ def simulate_ensemble(
 
     model_fp = fingerprint_model(model)
     rep_fp = fingerprint_rep(RepFile("mrep", mrep, mrep.hbar))
-    engine = _step_engine(model, mrep)
+    engine = _measured_engine(model, mrep)
     n, steps, dt = config.n_traj, config.steps, config.dt
     linear = config.mode == "linear"
     noise_dim = len(engine.ops)
@@ -414,10 +404,7 @@ def purity_increment_predicted(
     p = float(np.real(np.einsum("ab,ba->", rho, rho)))
     if p < 1.0 - max(tol, 1e-12):
         raise NotPureError(f"state purity {p} is below 1")
-    if model.channels != mrep.channels:
-        raise DimensionMismatchError(
-            f"model has {model.channels} channels, measurement matrix {mrep.channels}"
-        )
+    _measured_ops(model, mrep)  # checks channels and scale
     cov = lindblad_covariance(model, rho)
     gram = mrep.matrix @ mrep.matrix.conj().T / mrep.hbar
     deficit = gram - np.eye(mrep.channels)

@@ -161,7 +161,7 @@ def autocorrelation_estimate(
             )
         a = y[:, burn_in:last, :]
         b = y[:, burn_in + lag : last + lag, :]
-        per_traj = np.einsum("nta,ntb->nab", a, b) / a.shape[1]
+        per_traj = np.matmul(a.transpose(0, 2, 1), b) / a.shape[1]
         mats[i] = per_traj.mean(axis=0)
         if n > 1:
             errs[i] = per_traj.std(axis=0, ddof=1) / np.sqrt(n)

@@ -40,7 +40,8 @@ from diffmon.reps import (
     random_mrep,
     random_orthogonal,
 )
-from diffmon.sme import _step_engine, _step_states
+from diffmon.dynamics import _measured_engine
+from diffmon.sme import _step_states
 
 from conftest import EXCITED, SIGMA_Z, decay_model, random_state, rng
 
@@ -166,7 +167,7 @@ def test_criterion_6_purity_lemma_and_rate():
     dt = 1e-3
     ideal = heterodyne_mrep(1.0)
     assert abs(purity_increment_predicted(model, ideal, EXCITED)) <= 1e-12
-    engine = _step_engine(model, ideal)
+    engine = _measured_engine(model, ideal)
 
     def purity_after(dw):
         out, _tr, _cur = _step_states(engine, EXCITED[None], np.asarray(dw, float)[None], dt, False)
@@ -187,7 +188,7 @@ def test_criterion_6_purity_lemma_and_rate():
 
     m_half = homodyne_mrep(0.5)
     predicted = purity_increment_predicted(model, m_half, EXCITED)
-    engine_half = _step_engine(model, m_half)
+    engine_half = _measured_engine(model, m_half)
     n, dt_mc = 10000, 1e-4
     dw = NoiseSource(SEED, 6, 2).draw_block(n, dt_mc)
     rho = np.broadcast_to(EXCITED, (n, 2, 2)).copy()

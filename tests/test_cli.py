@@ -185,15 +185,21 @@ def test_simulate_accepts_brep_input(model_file, tmp_path):
     assert (out / "trajectories.csv").exists()
 
 
-def test_simulate_rejects_scale_mismatch(het_file, tmp_path):
+def test_simulate_rejects_scale_mismatch(het_file, tmp_path, capsys):
     model = decay_model(rabi=1.0, hbar=2.0)
     path = tmp_path / "model2.json"
     path.write_text(json.dumps(model_payload(model)))
-    args = [
-        "simulate", "--model", str(path), "--rep", str(het_file),
-        "--dt", "0.01", "--steps", "5", "--ntraj", "2", "--out", str(tmp_path / "x"),
-    ]
-    assert main(args) == 4
+    for command, extra in (("simulate", []), ("autocorr", ["--lags", "0.02"])):
+        args = [
+            command, "--model", str(path), "--rep", str(het_file), *extra,
+            "--dt", "0.01", "--steps", "5", "--ntraj", "2", "--out", str(tmp_path / command),
+        ]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err == (
+            "validation error: model and measurement matrix carry different scales: 2.0 vs 1.0\n"
+        )
+        assert not (tmp_path / command).exists()
 
 
 def test_simulate_rejects_channel_mismatch(model_file, tmp_path, capsys):

@@ -24,6 +24,7 @@ from diffmon import dynamics
 from diffmon.dynamics import (
     _Engine,
     _gather,
+    _measured_engine,
     _purity,
     _scatter,
     _trace,
@@ -38,6 +39,7 @@ from diffmon.errors import (
     ValidationError,
 )
 from diffmon.reps import random_mrep, random_orthogonal
+from diffmon.sme import _step_states
 
 from conftest import (
     EXCITED,
@@ -335,6 +337,25 @@ def test_diffusion_matrix_orthogonal_invariance():
         d1 = diffusion_matrix(model, m, rho)
         d2 = diffusion_matrix(model, MRep(m.matrix @ o.matrix), rho)
         assert np.max(np.abs(d1 - d2)) <= 1e-10
+
+
+def test_diffusion_matrix_is_the_step_covariance_at_any_scale():
+    # The driven decay qubit at hbar = 2.5 (H -> hbar H, c -> sqrt(hbar) c,
+    # M -> sqrt(hbar) M) is the same unravelling, so D is the same; and D dt is
+    # the covariance of one step, whose update is linear in the increments.
+    hbar, m = 2.5, random_mrep(rng(60), 1).matrix
+    model, rho = decay_model(rabi=1.0), random_state(rng(61), 2)
+    scaled = LindbladModel(hbar * model.hamiltonian, np.sqrt(hbar) * model.lindblads, hbar)
+    want = diffusion_matrix(model, MRep(m), rho)
+    got = diffusion_matrix(scaled, MRep(np.sqrt(hbar) * m, hbar), rho)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for mod, mrep in ((model, MRep(m)), (scaled, MRep(np.sqrt(hbar) * m, hbar))):
+        w = np.vstack([np.zeros(2), np.eye(2)])
+        out, _tr, _cur = _step_states(
+            _measured_engine(mod, mrep), np.stack([rho] * 3), w, 1e-9, linear=False
+        )
+        b = np.real(np.einsum("kij,aji->ka", hermitian_basis(2), out[1:] - out[0]))
+        assert np.max(np.abs(b @ b.T - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_diffusion_matrix_rank_bound():

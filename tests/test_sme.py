@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.random import Philox
@@ -9,16 +12,19 @@ from diffmon import (
     SimulationConfig,
     brep_noise_matrices,
     brep_to_mrep,
+    diffusion_matrix,
     heterodyne_mrep,
     homodyne_mrep,
     lindblad_covariance,
     me_integrate,
     noise_completion,
+    predicted_autocorrelation,
     purity_increment_predicted,
     simulate_ensemble,
     sme_step_linear,
     sme_step_nonlinear,
 )
+from diffmon import dynamics
 from diffmon.dynamics import rk4_step
 from diffmon.errors import (
     DiffmonError,
@@ -30,7 +36,8 @@ from diffmon.errors import (
 )
 from diffmon.reps import random_brep, random_mrep
 from diffmon.noise import _STREAMS, NoiseSource, lattice_normals
-from diffmon.sme import _step_engine, _step_states
+from diffmon.dynamics import _measured_engine
+from diffmon.sme import _step_states
 
 from conftest import (
     EXCITED,
@@ -74,7 +81,7 @@ def test_nonlinear_step_homodyne_current_form():
 def test_nonlinear_step_trace_and_hermiticity():
     model = decay_model(rabi=1.0)
     m = heterodyne_mrep(0.7)
-    engine = _step_engine(model, m)
+    engine = _measured_engine(model, m)
     gen = rng(61)
     rho = np.stack([random_pure_state(gen, 2) for _ in range(100)])
     dw = gen.normal(scale=np.sqrt(1e-3), size=(100, 2))
@@ -95,7 +102,7 @@ def test_nonlinear_step_renormalizes_any_trace():
 def test_one_step_mean_matches_deterministic_step():
     model = decay_model(rabi=1.0)
     m = heterodyne_mrep(0.8)
-    engine = _step_engine(model, m)
+    engine = _measured_engine(model, m)
     dt, n = 1e-3, 4000
     dw = NoiseSource(77, 0, 2).draw_block(n, dt)
     rho = np.broadcast_to(EXCITED, (n, 2, 2)).copy()
@@ -118,7 +125,7 @@ def test_linear_step_without_measurement():
 def test_linear_weighted_current_reproduces_true_mean():
     model = decay_model(rabi=1.0)
     m = homodyne_mrep(0.8)
-    engine = _step_engine(model, m)
+    engine = _measured_engine(model, m)
     dt, n = 1e-3, 20000
     y_dt = NoiseSource(78, 0, 2).draw_block(n, dt)
     rho = np.broadcast_to(PLUS, (n, 2, 2)).copy()
@@ -293,7 +300,7 @@ def test_ensemble_weight_floor():
 
 def test_step_states_checks_state_and_increment_shapes():
     # One (J,) increment used to be broadcast to a whole stack of states.
-    engine = _step_engine(decay_model(rabi=1.0), heterodyne_mrep(0.8))
+    engine = _measured_engine(decay_model(rabi=1.0), heterodyne_mrep(0.8))
     stack = np.broadcast_to(EXCITED, (3, 2, 2))
     with pytest.raises(DimensionMismatchError, match=r"increments must have shape \(3, 2\)"):
         _step_states(engine, stack, np.zeros(2), 1e-3, linear=False)
@@ -329,6 +336,68 @@ def test_scale_mismatch_rejected():
     m = heterodyne_mrep(0.5, hbar=2.0)
     with pytest.raises(ValidationError):
         sme_step_nonlinear(model, m, EXCITED, np.zeros(2), dt=1e-3)
+
+
+def test_scale_mismatch_rejected_by_every_pairing():
+    model, m = decay_model(rabi=1.0, hbar=2.0), heterodyne_mrep(0.8, hbar=1.0)
+    message = "^model and measurement matrix carry different scales: 2.0 vs 1.0$"
+    with pytest.raises(ValidationError, match=message):
+        predicted_autocorrelation(model, m, EXCITED, [0.1])
+    with pytest.raises(ValidationError, match=message):
+        diffusion_matrix(model, m, EXCITED)
+    with pytest.raises(ValidationError, match=message):
+        purity_increment_predicted(model, m, EXCITED)
+
+
+def test_pairing_shares_the_model_tables(monkeypatch):
+    built = []
+
+    class Counted(dynamics._Engine):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dynamics, "_Engine", Counted)
+    model, m = decay_model(rabi=1.0), heterodyne_mrep(0.8)
+    sme_step_nonlinear(model, m, EXCITED, np.array([0.01, -0.02]), dt=1e-3)
+    sme_step_linear(model, m, PLUS, np.array([0.03, 0.01]), dt=1e-3)
+    simulate_ensemble(model, m, EXCITED, SimulationConfig(dt=1e-3, steps=5, n_traj=3, seed=0))
+    # The model's engine and one measured engine per call, each on the model's
+    # generator table and polynomial.
+    measured = [e for e in built if e is not model.engine]
+    assert len(built) == 4 and len(measured) == 3
+    for engine in measured:
+        assert engine.tables[0] is model.engine.tables[0]
+        assert engine.poly(1e-3) is model.engine.poly(1e-3)
+
+
+def test_pairings_step_alike_across_threads():
+    # Threads pairing one model with two measurements at two step sizes share
+    # the model's tables; each must get its own measurement's and step's result.
+    model = decay_model(rabi=1.0)
+    cases = [(m, dt) for m in (heterodyne_mrep(0.8), homodyne_mrep(0.5)) for dt in (1e-3, 2e-3)]
+    dw = np.array([0.01, -0.02])
+    want = [sme_step_nonlinear(model, m, PLUS, dw, dt)[0] for m, dt in cases]
+    start, wrong = threading.Barrier(len(cases)), []
+
+    def run(i):
+        m, dt = cases[i]
+        start.wait()
+        for _ in range(300):
+            if not np.array_equal(sme_step_nonlinear(model, m, PLUS, dw, dt)[0], want[i]):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def test_ensemble_carries_fingerprints():
@@ -629,7 +698,7 @@ def test_ensemble_names_non_finite_trace_mid_block_above_the_tables(monkeypatch,
     # d = 16 steps by stages, not by the tabulated product: the same error,
     # found at the same step, whatever the block size.
     model = cavity_model(16)
-    assert not _step_engine(model, heterodyne_mrep(0.8)).tabulated
+    assert not _measured_engine(model, heterodyne_mrep(0.8)).tabulated
     cls, message = _scripted_failure(
         monkeypatch, {(2, 100): [np.inf, 0.0]}, model, heterodyne_mrep(0.8),
         random_state(rng(580), 16), mode=mode,
