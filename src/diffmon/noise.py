@@ -76,34 +76,39 @@ def _ratio(num: tuple, den: tuple, r: np.ndarray) -> np.ndarray:
     return p
 
 
-def _normals(kf: np.ndarray) -> np.ndarray:
-    """AS241 at the lattice midpoints of a flat float64 array of integers."""
-    q = (kf - _HALF + 0.5) / _LATTICE
+def _normals(kf: np.ndarray, z: np.ndarray) -> None:
+    """AS241 at the lattice midpoints of a flat float64 array of integers, into ``z``."""
+    q = kf - _HALF
+    q += 0.5
+    q /= _LATTICE
     # The central ratio stays finite for every |q| < 1/2 (its denominator is
     # above 0.002), so it is evaluated everywhere and the tails overwritten.
-    z = q * _ratio(_A, _B, 0.180625 - q * q)
-    tail = np.abs(q) > 0.425
-    kt = kf[tail]
-    r = np.sqrt(-np.log((np.minimum(kt, (_LATTICE - 1) - kt) + 0.5) / _LATTICE))
+    np.multiply(q, _ratio(_A, _B, 0.180625 - q * q), out=z)
+    # Index lists, not masks: a masked gather and scatter cost more than the tail's maths.
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    r = kf.take(tail)
+    np.minimum(r, (_LATTICE - 1) - r, out=r)
+    r += 0.5
+    r /= _LATTICE
+    np.sqrt(np.negative(np.log(r, out=r), out=r), out=r)
     zt = _ratio(_C, _D, r - 1.6)
-    far = r > 5.0
-    if far.any():
-        zt[far] = _ratio(_E, _F, r[far] - 5.0)
-    z[tail] = np.copysign(zt, q[tail])
-    return z
+    far = np.flatnonzero(r > 5.0)
+    if far.size:
+        zt.put(far, _ratio(_E, _F, r.take(far) - 5.0))
+    z.put(tail, np.copysign(zt, q.take(tail), out=zt))
 
 
 def lattice_normals(k: np.ndarray) -> np.ndarray:
     """Standard normals at the midpoints (k + 1/2) / 2^53 of 53-bit integers k (or their floats).
 
-    Elementwise and shape-preserving; the result is finite for every k in
-    [0, 2^53) and exactly odd under k <-> 2^53 - 1 - k.
+    Elementwise and shape-preserving; defined for k in [0, 2^53) only, where
+    the result is finite and exactly odd under k <-> 2^53 - 1 - k.
     """
     flat = np.asarray(k, dtype=np.float64).reshape(-1)
     z = np.empty(flat.shape)
     # Chunks of 256 KB keep the Horner temporaries in cache.
     for i in range(0, flat.size, _CHUNK):
-        z[i : i + _CHUNK] = _normals(flat[i : i + _CHUNK])
+        _normals(flat[i : i + _CHUNK], z[i : i + _CHUNK])
     return z.reshape(np.shape(k))
 
 

@@ -73,6 +73,11 @@ class SimulationConfig:
 
     def __post_init__(self):
         check_dt(self.dt)
+        for name in ("steps", "n_traj", "seed", "snapshot_stride"):
+            value = getattr(self, name)
+            count = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (count or value is None and name == "snapshot_stride"):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.steps < 1:
             raise ValidationError(f"steps must be at least 1, got {self.steps}")
         if self.n_traj < 1:

@@ -12,7 +12,9 @@ from scipy.special import ndtri
 import diffmon
 from diffmon import NoiseSource
 from diffmon.errors import ValidationError
-from diffmon.noise import _STREAMS, lattice_normals, lattice_streams
+from diffmon.noise import (
+    _A, _B, _C, _D, _E, _F, _HALF, _LATTICE, _STREAMS, lattice_normals, lattice_streams,
+)
 
 
 def test_mean_within_clt_bound():
@@ -136,6 +138,78 @@ def test_lattice_map_is_elementwise():
     one_by_one = np.array([lattice_normals(k[i : i + 1])[0] for i in range(k.size)])
     assert np.array_equal(lattice_normals(k), one_by_one)
     assert np.array_equal(lattice_normals(k.reshape(2, -1, 1)).reshape(-1), one_by_one)
+
+
+def _reference_ratio(num, den, r):
+    p = np.full_like(r, num[-1])
+    s = np.full_like(r, den[-1])
+    for a, b in zip(num[-2::-1], den[-2::-1]):
+        p *= r
+        p += a
+        s *= r
+        s += b
+    p /= s
+    return p
+
+
+def _reference_normals(kf):
+    """The boolean-mask AS241 map that ``lattice_normals`` must reproduce bit for bit."""
+    q = (kf - _HALF + 0.5) / _LATTICE
+    z = q * _reference_ratio(_A, _B, 0.180625 - q * q)
+    tail = np.abs(q) > 0.425
+    kt = kf[tail]
+    r = np.sqrt(-np.log((np.minimum(kt, (_LATTICE - 1) - kt) + 0.5) / _LATTICE))
+    zt = _reference_ratio(_C, _D, r - 1.6)
+    far = r > 5.0
+    if far.any():
+        zt[far] = _reference_ratio(_E, _F, r[far] - 5.0)
+    z[tail] = np.copysign(zt, q[tail])
+    return z
+
+
+def _around(centre, width=5000):
+    return np.arange(centre - width, centre + width, dtype=np.uint64)
+
+
+# Lattice integers nearest each branch boundary: |q| = 0.425 and r = 5.
+_CENTRAL_EDGE = round(0.425 * LATTICE)
+_FAR_EDGE = round(np.exp(-25.0) * LATTICE)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        np.random.default_rng(21).integers(0, LATTICE, 3 * 10**5, dtype=np.uint64),
+        _around(LATTICE // 2 - _CENTRAL_EDGE),
+        _around(LATTICE // 2 + _CENTRAL_EDGE),
+        np.arange(5000, dtype=np.uint64),
+        np.arange(LATTICE - 5000, LATTICE, dtype=np.uint64),
+        np.random.default_rng(22).integers(0, _FAR_EDGE, 10**4, dtype=np.uint64),
+        LATTICE - 1 - np.random.default_rng(23).integers(0, _FAR_EDGE, 10**4, dtype=np.uint64),
+        _around(_FAR_EDGE),
+        np.array([], dtype=np.uint64),
+        np.random.default_rng(24).integers(0, LATTICE, (3, 4000, 1), dtype=np.uint64),
+    ],
+    ids=[
+        "random", "central-edge-low", "central-edge-high", "lower-end", "upper-end",
+        "far-tail-low", "far-tail-high", "far-edge", "empty", "shaped",
+    ],
+)
+def test_lattice_map_is_bitwise_the_mask_reference(k):
+    want = _reference_normals(k.astype(np.float64).reshape(-1)).reshape(k.shape)
+    got = lattice_normals(k)
+    assert got.shape == k.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(lattice_normals(k.astype(np.float64)).view(np.uint64), got.view(np.uint64))
+
+
+def test_reference_points_straddle_the_branch_boundaries():
+    for centre in (LATTICE // 2 - _CENTRAL_EDGE, LATTICE // 2 + _CENTRAL_EDGE):
+        q = (_around(centre).astype(np.float64) - _HALF + 0.5) / _LATTICE
+        assert (np.abs(q) > 0.425).any() and (np.abs(q) <= 0.425).any()
+    kf = _around(_FAR_EDGE).astype(np.float64)
+    r = np.sqrt(-np.log((kf + 0.5) / _LATTICE))
+    assert (r > 5.0).any() and (r <= 5.0).any()
 
 
 def test_lattice_block_is_the_generator_integer_stream():

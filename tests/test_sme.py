@@ -564,6 +564,25 @@ def test_config_rejects_bad_monitor_settings(field, value):
         SimulationConfig(dt=1e-3, steps=1, n_traj=1, seed=0, positivity_tol=tol)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("steps", 2.5), ("steps", True),
+        ("n_traj", 2.5), ("n_traj", False),
+        ("seed", 1.5), ("seed", True),
+        ("snapshot_stride", 1.5), ("snapshot_stride", True),
+    ],
+)
+def test_config_rejects_non_integer_counts(field, value):
+    # A fractional seed used to run as its integer part, a fractional stride
+    # labelled snapshots with fractional steps, and a fractional or bool
+    # step or trajectory count ended in a TypeError inside the run.
+    good = dict(dt=1e-3, steps=4, n_traj=2, seed=1, snapshot_stride=2)
+    with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+        SimulationConfig(**{**good, field: value})
+    SimulationConfig(**{**good, field: np.int64(good[field])})
+
+
 def _states_with_min_eigenvalue(gen, dim, lams):
     """Unit-trace Hermitian states whose smallest eigenvalue is each of lams."""
     out = []
