@@ -252,7 +252,7 @@ class _Engine:
         """(generator, back-action along each op) on coordinates: d^2 x d^2 and J x d^2 x d^2."""
         units = _scatter(np.eye(self.dim**2))
         gen = _gather(self.generator(units)) if self.base is self else self.base.tables[0]
-        return gen, _gather(self.backaction(units, np.eye(len(self.ops))[:, None]))
+        return gen, _gather(_backaction(np.eye(len(self.ops))[:, None], self.ops, units))
 
     def generator(self, x: np.ndarray) -> np.ndarray:
         """drho/dt applied to a (stack of) matrices x."""
@@ -328,7 +328,7 @@ class _Engine:
         else:
             rho, ws = _scatter(g.T), w.T
             cur = self.current(rho)
-            rows = _gather(self._stages(rho, h) + self.backaction(rho, ws) / self.hbar)
+            rows = _gather(self._stages(rho, h) + _backaction(ws, self.ops, rho) / self.hbar)
             out[:n2], out[n2:-2] = rows.T, cur.T
             out[-2], out[-1] = np.einsum("...j,...j->...", cur, ws), _trace(rows)
         step, cur, cur_w, tr = out[:n2], out[n2:-2], out[-2], out[-1]
@@ -355,10 +355,6 @@ class _Engine:
     def current(self, x: np.ndarray) -> np.ndarray:
         """Mean current ``2 Re Tr(a_j x) / hbar`` along each op, shape (..., J)."""
         return 2.0 * np.real(np.einsum("jab,...ba->...j", self.ops, x)) / self.hbar
-
-    def backaction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """``sum_j w_j (a_j x + x a_j^dag)`` over ``ops`` for real weights w of shape (..., J)."""
-        return _backaction(w, self.ops, x)
 
 
 def liouvillian_apply(model: LindbladModel, rho: np.ndarray) -> np.ndarray:

@@ -124,6 +124,9 @@ def _shared_bits() -> Philox:
 
 def _check_streams(base_seed, first_stream, n_streams: int) -> tuple[int, int]:
     """(base_seed, first_stream) as ints, once the seed and the stream ids fit in 64 bits."""
+    for name, value in (("base_seed", base_seed), ("stream_id", first_stream)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     base_seed, first_stream = int(base_seed), int(first_stream)
     if not (0 <= base_seed < (1 << 64)):
         raise ValidationError("base_seed must fit in an unsigned 64-bit integer")

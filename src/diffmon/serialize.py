@@ -85,12 +85,14 @@ def _real_vector(rows, field: str) -> np.ndarray:
 
 
 def _number(value, cast, field: str):
+    """A JSON integer (cast int) or number (cast float) as that type; never a bool or a string."""
     kind = "an integer" if cast is int else "a finite number"
+    types = (int, np.integer) if cast is int else (int, float, np.integer, np.floating)
     try:
-        out = cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"field {field!r} must be {kind}, got {value!r}") from exc
-    if cast is float and not np.isfinite(out):
+        out = cast(value) if isinstance(value, types) and not isinstance(value, bool) else None
+    except OverflowError:  # float() of an integer beyond the float range
+        out = None
+    if out is None or cast is float and not np.isfinite(out):
         raise SchemaError(f"field {field!r} must be {kind}, got {value!r}")
     return out
 
@@ -109,9 +111,14 @@ class RepFile:
     rep: object
     hbar: float
 
-    @property
-    def channels(self) -> int:
-        return self.rep.channels
+
+# The document kinds that carry one "matrix": kind -> (class, validator,
+# reader of the matrix entries, (rows, columns) of the matrix per channel).
+_MATRIX_KINDS = {
+    "mrep": (MRep, validate_mrep, pairs_to_complex, (1, 2)),
+    "urep": (URep, validate_urep, _real_matrix, (2, 2)),
+    "trep": (TRep, validate_trep, _real_matrix, (2, 2)),
+}
 
 
 def load_json(path) -> dict:
@@ -132,10 +139,9 @@ def load_json(path) -> dict:
 def rep_payload(rep_file: RepFile) -> dict:
     kind, rep, hbar = rep_file.kind, rep_file.rep, rep_file.hbar
     out = {"type": kind, "hbar": float(hbar), "L": int(rep.channels)}
-    if kind == "mrep":
-        out["matrix"] = _complex_to_pairs(rep.matrix)
-    elif kind in ("urep", "trep"):
-        out["matrix"] = rep.matrix.tolist()
+    if kind in _MATRIX_KINDS:
+        m = rep.matrix
+        out["matrix"] = _complex_to_pairs(m) if np.iscomplexobj(m) else m.tolist()
     elif kind == "brep":
         out["eta"] = rep.eta.tolist()
         out["S"] = _complex_to_pairs(rep.mixing)
@@ -154,28 +160,15 @@ def parse_rep(data: dict, default_hbar: float = 1.0, tol: float = DEFAULT_TOL) -
     ell = _number(_require(data, "L"), int, "L")
     if ell < 1:
         raise SchemaError(f"field 'L' must be a positive integer, got {ell}")
-    if kind == "mrep":
-        m = pairs_to_complex(_require(data, "matrix"), "matrix")
-        if m.shape != (ell, 2 * ell):
-            raise SchemaError(f"field 'matrix' must be {ell} x {2 * ell}, got {m.shape}")
-        validate_mrep(m, hbar=hbar, tol=tol)
-        return RepFile("mrep", MRep(m, hbar=hbar), hbar)
-    if kind == "urep":
-        u = _real_matrix(_require(data, "matrix"), "matrix")
-        if u.shape != (2 * ell, 2 * ell):
+    if kind in _MATRIX_KINDS:
+        cls, validate, read, (rows, cols) = _MATRIX_KINDS[kind]
+        m = read(_require(data, "matrix"), "matrix")
+        if m.shape != (rows * ell, cols * ell):
             raise SchemaError(
-                f"field 'matrix' must be {2 * ell} x {2 * ell}, got {u.shape}"
+                f"field 'matrix' must be {rows * ell} x {cols * ell}, got {m.shape}"
             )
-        validate_urep(u, hbar=hbar, tol=tol)
-        return RepFile("urep", URep(u, hbar=hbar), hbar)
-    if kind == "trep":
-        t = _real_matrix(_require(data, "matrix"), "matrix")
-        if t.shape != (2 * ell, 2 * ell):
-            raise SchemaError(
-                f"field 'matrix' must be {2 * ell} x {2 * ell}, got {t.shape}"
-            )
-        validate_trep(t, hbar=hbar, tol=tol)
-        return RepFile("trep", TRep(t, hbar=hbar), hbar)
+        validate(m, hbar=hbar, tol=tol)
+        return RepFile(kind, cls(m, hbar=hbar), hbar)
     eta = _real_vector(_require(data, "eta"), "eta")
     theta = _real_vector(_require(data, "theta"), "theta")
     s = pairs_to_complex(_require(data, "S"), "S")
@@ -198,53 +191,51 @@ def load_rep(path, default_hbar: float = 1.0, tol: float = DEFAULT_TOL) -> RepFi
 
 def rep_efficiencies(rep_file: RepFile, tol: float = DEFAULT_TOL) -> np.ndarray:
     kind, rep = rep_file.kind, rep_file.rep
-    if kind == "mrep":
-        return validate_mrep(rep.matrix, hbar=rep.hbar, tol=tol)
-    if kind == "urep":
-        return validate_urep(rep.matrix, hbar=rep.hbar, tol=tol)
-    if kind == "trep":
-        return validate_trep(rep.matrix, hbar=rep.hbar, tol=tol)
+    if kind in _MATRIX_KINDS:
+        return _MATRIX_KINDS[kind][1](rep.matrix, hbar=rep.hbar, tol=tol)
     validate_brep(rep, tol=tol)
     return np.clip(rep.eta, 0.0, 1.0)
 
 
+def rep_to_mrep(rep_file: RepFile, tol: float = DEFAULT_TOL) -> MRep:
+    """Measurement matrix equivalent of any document kind (canonical where needed).
+
+    This is the one place that knows how each kind reaches the M-rep.  From
+    the current-correlation form it is the canonical positive-root factor of
+    ``hbar U`` (no orthogonal post-processing).
+    """
+    kind, rep, hbar = rep_file.kind, rep_file.rep, rep_file.hbar
+    if kind == "mrep":
+        return rep
+    if kind == "brep":
+        return brep_to_mrep(rep, hbar=hbar, tol=tol)
+    if kind == "urep":
+        rep = TRep(positive_sqrt(hbar * rep.matrix, tol=tol), hbar=hbar)
+    return trep_to_mrep(rep)
+
+
 def convert_rep(rep_file: RepFile, to_kind: str, tol: float = DEFAULT_TOL) -> RepFile:
-    """Convert a measurement document to another kind.
+    """Convert a measurement document to another kind, through its M-rep.
 
     Conversions into the current-correlation form are canonical; conversions
     out of it use the positive-root factor (the measurement matrix with no
-    orthogonal post-processing).
+    orthogonal post-processing).  B -> U alone keeps the stage product of
+    ``brep_to_urep``, which does not pass through ``brep_to_mrep``, so the two
+    routes check each other.
     """
-    if to_kind not in ("mrep", "urep", "trep"):
+    if to_kind not in _MATRIX_KINDS:
         raise ValidationError(f"cannot convert to {to_kind!r}")
-    kind, rep, hbar = rep_file.kind, rep_file.rep, rep_file.hbar
+    kind, hbar = rep_file.kind, rep_file.hbar
     if kind == to_kind:
         return rep_file
-    if kind == "brep":
-        if to_kind == "mrep":
-            return RepFile("mrep", brep_to_mrep(rep, hbar=hbar, tol=tol), hbar)
-        if to_kind == "urep":
-            return RepFile("urep", brep_to_urep(rep, hbar=hbar, tol=tol), hbar)
-        return RepFile("trep", mrep_to_trep(brep_to_mrep(rep, hbar=hbar, tol=tol)), hbar)
-    if kind == "mrep":
-        if to_kind == "trep":
-            return RepFile("trep", mrep_to_trep(rep), hbar)
-        return RepFile("urep", trep_to_urep(mrep_to_trep(rep), tol=tol), hbar)
-    if kind == "trep":
-        if to_kind == "mrep":
-            return RepFile("mrep", trep_to_mrep(rep), hbar)
-        return RepFile("urep", trep_to_urep(rep, tol=tol), hbar)
-    # from the current-correlation form: canonical positive-root factor
-    tmat = positive_sqrt(hbar * rep.matrix, tol=tol)
-    trep = TRep(tmat, hbar=hbar)
-    if to_kind == "trep":
-        return RepFile("trep", trep, hbar)
-    return RepFile("mrep", trep_to_mrep(trep), hbar)
-
-
-def rep_to_mrep(rep_file: RepFile, tol: float = DEFAULT_TOL) -> MRep:
-    """Measurement matrix equivalent of any document kind (canonical where needed)."""
-    return convert_rep(rep_file, "mrep", tol=tol).rep
+    if (kind, to_kind) == ("brep", "urep"):
+        return RepFile("urep", brep_to_urep(rep_file.rep, hbar=hbar, tol=tol), hbar)
+    rep = rep_to_mrep(rep_file, tol=tol)
+    if to_kind != "mrep":
+        rep = mrep_to_trep(rep)
+    if to_kind == "urep":
+        rep = trep_to_urep(rep, tol=tol)
+    return RepFile(to_kind, rep, hbar)
 
 
 def model_payload(model: LindbladModel) -> dict:
@@ -310,10 +301,6 @@ def write_json(path, payload: dict) -> Path:
 
 def write_rep(path, rep_file: RepFile) -> Path:
     return write_json(path, rep_payload(rep_file))
-
-
-def write_model(path, model: LindbladModel) -> Path:
-    return write_json(path, model_payload(model))
 
 
 def write_trajectory_csv(path, ensemble) -> Path:

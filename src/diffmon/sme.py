@@ -156,12 +156,6 @@ class Ensemble:
     def trajectories(self):
         return [self.trajectory(k) for k in range(self.n_traj)]
 
-    def snapshot_index(self, step: int) -> int:
-        hits = np.nonzero(self.snapshot_steps == step)[0]
-        if hits.size == 0:
-            raise ValidationError(f"no snapshot stored at step {step}")
-        return int(hits[0])
-
 
 def _step_states(engine: _Engine, rho, w, dt: float, linear: bool):
     """One step of states (..., d, d) along increments (..., 2L): (states, pre-norm trace, current).

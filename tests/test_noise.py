@@ -294,7 +294,25 @@ def test_lattice_streams_validates_seed_and_stream_range():
     ):
         with pytest.raises(ValidationError, match=f"{message} must fit in an unsigned 64-bit"):
             lattice_streams(seed, first, 0, out)
+    for seed, first, message in (
+        (1.5, 0, "base_seed"),
+        (True, 0, "base_seed"),
+        (0, 0.7, "stream_id"),
+        (0, True, "stream_id"),
+    ):
+        with pytest.raises(ValidationError, match=f"{message} must be an integer"):
+            lattice_streams(seed, first, 0, out)
+        with pytest.raises(ValidationError, match=f"{message} must be an integer"):
+            NoiseSource(seed, first, 2)
     assert lattice_streams(2**64 - 1, 2**64 - 4, 5, out).shape == (3, 2, 4)
+    # numpy integer seeds and stream ids draw the same bits as plain ints.
+    want = lattice_streams(7, 3, 2, np.empty((3, 2, 4), dtype=np.uint64)).copy()
+    for kind in (np.uint64, np.int64):
+        got = lattice_streams(kind(7), kind(3), 2, np.empty((3, 2, 4), dtype=np.uint64))
+        assert np.array_equal(got, want)
+        draw = NoiseSource(kind(7), kind(3), 2).draw_block(3, 1e-3)
+        plain = NoiseSource(7, 3, 2).draw_block(3, 1e-3)
+        assert np.array_equal(draw.view(np.uint64), plain.view(np.uint64))
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf, -np.inf, "abc"])

@@ -10,7 +10,18 @@ from diffmon.errors import (
     SchemaError,
     ValidationError,
 )
-from diffmon.reps import random_brep, random_mrep
+from diffmon.linalg import positive_sqrt
+from diffmon.reps import (
+    TRep,
+    brep_to_mrep,
+    brep_to_urep,
+    mrep_to_trep,
+    mrep_to_urep,
+    random_brep,
+    random_mrep,
+    trep_to_mrep,
+    trep_to_urep,
+)
 from diffmon.serialize import (
     RepFile,
     canonical_json,
@@ -25,6 +36,7 @@ from diffmon.serialize import (
     parse_rep,
     rep_efficiencies,
     rep_payload,
+    rep_to_mrep,
     write_rep,
     write_trajectory_csv,
 )
@@ -108,7 +120,10 @@ def test_parse_rep_schema_errors():
             {"type": "urep", "hbar": 1.0, "L": 1, "matrix": [[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]]}
         )
     payload = heterodyne_payload()
-    for field, bad in (("L", "abc"), ("L", [1]), ("hbar", [1]), ("hbar", "x")):
+    for field, bad in (
+        ("L", "abc"), ("L", [1]), ("hbar", [1]), ("hbar", "x"),
+        ("L", 1.5), ("L", True), ("L", "1"), ("L", 1.0), ("hbar", "2.5"), ("hbar", True),
+    ):
         with pytest.raises(SchemaError, match=field):
             parse_rep({**payload, field: bad})
 
@@ -145,7 +160,10 @@ def test_model_schema_errors():
     with pytest.raises(SchemaError):
         parse_model({"dim": 2, "lindblads": [[[[0.0, 0.0]] * 2] * 2]})
     payload = model_payload(decay_model())
-    for field, bad in (("dim", "x"), ("dim", None), ("hbar", [1]), ("hbar", "x")):
+    for field, bad in (
+        ("dim", "x"), ("dim", None), ("hbar", [1]), ("hbar", "x"),
+        ("dim", 2.9), ("dim", "2"), ("dim", 2.0), ("dim", True), ("hbar", "2.5"), ("hbar", True),
+    ):
         with pytest.raises(SchemaError, match=field):
             parse_model({**payload, field: bad})
 
@@ -230,6 +248,54 @@ def test_convert_rep_from_urep_canonical_factor():
     parse_rep(rep_payload(back_m))
     with pytest.raises(ValidationError):
         convert_rep(rf, "brep")
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _canonical_trep(urep, hbar):
+    return TRep(positive_sqrt(hbar * urep.matrix), hbar=hbar)
+
+
+# (from kind, to kind) -> the explicit relation that convert_rep must reproduce.
+EXPLICIT_RELATIONS = {
+    ("mrep", "mrep"): lambda r, hbar: r,
+    ("mrep", "trep"): lambda r, hbar: mrep_to_trep(r),
+    ("mrep", "urep"): lambda r, hbar: mrep_to_urep(r),
+    ("trep", "mrep"): lambda r, hbar: trep_to_mrep(r),
+    ("trep", "trep"): lambda r, hbar: r,
+    ("trep", "urep"): lambda r, hbar: trep_to_urep(r),
+    ("urep", "mrep"): lambda r, hbar: trep_to_mrep(_canonical_trep(r, hbar)),
+    ("urep", "trep"): _canonical_trep,
+    ("urep", "urep"): lambda r, hbar: r,
+    ("brep", "mrep"): lambda r, hbar: brep_to_mrep(r, hbar=hbar),
+    ("brep", "trep"): lambda r, hbar: mrep_to_trep(brep_to_mrep(r, hbar=hbar)),
+    ("brep", "urep"): lambda r, hbar: brep_to_urep(r, hbar=hbar),
+}
+
+
+@pytest.mark.parametrize("ell", (1, 2, 3))
+def test_conversions_match_the_explicit_relations_bitwise(ell):
+    gen = rng(300 + ell)
+    for _ in range(5):
+        hbar = float(gen.uniform(0.5, 2.0))
+        m = random_mrep(gen, ell, hbar=hbar)
+        docs = [
+            RepFile("mrep", m, hbar),
+            RepFile("trep", mrep_to_trep(m), hbar),
+            RepFile("urep", mrep_to_urep(m), hbar),
+            RepFile("brep", random_brep(gen, ell), hbar),
+        ]
+        for rf in docs:
+            for to_kind in ("mrep", "trep", "urep"):
+                want = EXPLICIT_RELATIONS[rf.kind, to_kind](rf.rep, hbar).matrix
+                out = convert_rep(rf, to_kind)
+                assert (out.kind, out.hbar, out.rep.hbar) == (to_kind, hbar, hbar)
+                assert out.rep.matrix.dtype == want.dtype
+                assert np.array_equal(_bits(out.rep.matrix), _bits(want))
+            want = EXPLICIT_RELATIONS[rf.kind, "mrep"](rf.rep, hbar).matrix
+            assert np.array_equal(_bits(rep_to_mrep(rf).matrix), _bits(want))
 
 
 def test_write_rep_and_reload(tmp_path):
