@@ -66,6 +66,13 @@ class LindbladModel:
         """The model's one engine (generator tables, RK4 polynomial), built at first use."""
         return _Engine(self)
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """SHA-256 of the model's document payload, computed once: the arrays are read-only."""
+        from .serialize import fingerprint_model  # serialize imports this module
+
+        return fingerprint_model(self)
+
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
@@ -125,10 +132,10 @@ def hermitian_basis(n: int) -> np.ndarray:
     return np.array(mats)
 
 
-# Largest dimension at which the engine tabulates superoperators.  On one core
-# and one BLAS thread, stepping 16 to 50 trajectories, the tables are 1.5x
-# faster than the products at d = 12, even at d = 16 (plus a 20 ms build of the
-# RK4 polynomial), and 3x slower at d = 32.
+# Largest dimension at which the engine tabulates superoperators.  Per SME step
+# of a damped Kerr cavity (homodyne, 16 or 50 trajectories, one core and BLAS
+# thread), tables outrun products 5-8x at d = 12, 3.4-4.5x at d = 16 (20 ms
+# build), and 0.7-1.2x at d = 32 (0.5 s build, about 60 MB).
 _SUPEROPERATOR_MAX_DIM = 12
 
 
@@ -191,10 +198,12 @@ def _scatter(g: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _coordinate_weights(n: int) -> tuple:
-    """(trace, purity) weights: ``Tr x = g @ t`` and ``Tr x^2 = g^2 @ p`` for coordinates g."""
+    """Weights on coordinates g: ``Tr x = g @ t``, ``Tr x^2 = g^2 @ p``, and the row sums
+    ``sum_{j != i} |x_ij|`` are ``|x_jk| @ r`` over the pairs j < k."""
     t, p = np.zeros(n * n), np.full(n * n, 2.0)
     t[:n] = p[:n] = 1.0
-    return _frozen(t, p)
+    r = sum(1.0 * (ij[:, None] == np.arange(n)) for ij in np.triu_indices(n, 1))
+    return _frozen(t, p, r)
 
 
 def _trace(g: np.ndarray) -> np.ndarray:
@@ -240,8 +249,9 @@ class _Engine:
         n = self.dim = model.dim
         self.hbar = model.hbar
         self.cs = model.lindblads
-        self.cs_dag = self.cs.conj().swapaxes(-1, -2)
+        self.cs_dag = np.ascontiguousarray(self.cs.conj().swapaxes(-1, -2))
         self.k = -1j * model.hamiltonian - 0.5 * np.sum(self.cs_dag @ self.cs, axis=0)
+        self.k_dag = np.ascontiguousarray(self.k.conj().T)
         self.ops = np.zeros((0, n, n), dtype=complex) if ops is None else ops
         self.base = self if ops is None else model.engine  # holds the generator table and poly
         self.tabulated = n <= _SUPEROPERATOR_MAX_DIM
@@ -256,8 +266,11 @@ class _Engine:
 
     def generator(self, x: np.ndarray) -> np.ndarray:
         """drho/dt applied to a (stack of) matrices x."""
-        jumps = np.sum(self.cs @ x[..., None, :, :] @ self.cs_dag, axis=-3)
-        return (self.k @ x + x @ self.k.conj().swapaxes(-1, -2) + jumps) / self.hbar
+        # One 2-D product per jump operator, added in np.sum's order over them.
+        jumps = self.cs[0] @ x @ self.cs_dag[0]
+        for c, c_dag in zip(self.cs[1:], self.cs_dag[1:]):
+            jumps += c @ x @ c_dag
+        return (self.k @ x + x @ self.k_dag + jumps) / self.hbar
 
     def _stages(self, x: np.ndarray, h: float) -> np.ndarray:
         """One RK4 step of size h as four generator stages on a (stack of) matrices x."""
@@ -435,13 +448,30 @@ def _purity_ceiling(d: int, tol: float) -> float:
     return (1.0 + (1.0 + 0.5 * d * tol) ** 2 / max(d - 1, 1)) / d * (1.0 - 1e-12)
 
 
+def _gershgorin_certified(g: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the states (coordinates g) that Gershgorin's circles show to be >= -tol/2.
+
+    Every eigenvalue lies within ``sum_{j != i} |x_ij|`` of some x_ii.  The test compares and
+    never subtracts, so it certifies no state with a NaN or inf and raises no warning.
+    """
+    n = math.isqrt(g.shape[-1])
+    k = n * (n + 1) // 2
+    with np.errstate(invalid="ignore", over="ignore"):  # an inf times a zero weight is NaN
+        r = np.hypot(g[:, n:k], g[:, k:]) @ _coordinate_weights(n)[2]
+    return ((g[:, :n] + 0.5 * tol >= r) & (g[:, :n] < np.inf)).all(axis=-1)
+
+
 def _first_negative_state(g: np.ndarray, p: np.ndarray, tol: float) -> tuple | None:
     """(index, least eigenvalue) of the first state (coordinates g, purity p) below -tol, or None.
 
-    Only states the purity bound does not certify are factorized: rho + tol I has a Cholesky
-    factor exactly when no eigenvalue is below -tol; eigenvalues only name a failing state.
+    Only states no bound certifies are factorized: rho + tol I has a Cholesky factor exactly
+    when no eigenvalue is below -tol; eigenvalues only name a failing state.
     """
     idx = np.flatnonzero(_uncertified(g, p, tol))
+    if g.shape[-1] > 4:  # at d = 2 the purity bound is exact
+        idx = idx[~_gershgorin_certified(g[idx], tol)]
+    if not idx.size:
+        return None
     states = _scatter(g[idx])
     try:
         np.linalg.cholesky(states + tol * np.eye(states.shape[-1]))

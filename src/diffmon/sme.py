@@ -268,9 +268,9 @@ def simulate_ensemble(
     check_density_matrix(rho0)
     # Local import: the file-format layer depends on the domain layers, not
     # the other way around; only the fingerprint helpers are needed here.
-    from .serialize import RepFile, fingerprint_model, fingerprint_rep
+    from .serialize import RepFile, fingerprint_rep
 
-    model_fp = fingerprint_model(model)
+    model_fp = model.fingerprint
     rep_fp = fingerprint_rep(RepFile("mrep", mrep, mrep.hbar))
     engine = _measured_engine(model, mrep)
     n, steps, dt = config.n_traj, config.steps, config.dt

@@ -244,6 +244,40 @@ def test_autocorr_writes_tables(het_file, model_file, tmp_path):
     assert len(est_lines) == 1 + 2 * 4
 
 
+@pytest.mark.parametrize("command", ["simulate", "autocorr"])
+def test_run_commands_fingerprint_the_model_once(
+    command, het_file, model_file, tmp_path, monkeypatch
+):
+    # The manifest and the ensemble read the one fingerprint the model caches.
+    import diffmon.cli as cli
+    import diffmon.serialize as serialize
+
+    calls, ensembles = [], []
+    real_fingerprint, real_simulate = serialize.fingerprint_model, cli.simulate_ensemble
+
+    def counted(model):
+        calls.append(model)
+        return real_fingerprint(model)
+
+    def kept(*args, **kwargs):
+        ensembles.append(real_simulate(*args, **kwargs))
+        return ensembles[-1]
+
+    monkeypatch.setattr(serialize, "fingerprint_model", counted)
+    monkeypatch.setattr(cli, "fingerprint_model", counted)
+    monkeypatch.setattr(cli, "simulate_ensemble", kept)
+    out = tmp_path / command
+    args = [
+        command, "--model", str(model_file), "--rep", str(het_file),
+        "--dt", "0.01", "--steps", "20", "--ntraj", "4", "--seed", "3", "--out", str(out),
+    ]
+    assert main(args + (["--lags", "0.05"] if command == "autocorr" else [])) == 0
+    assert len(calls) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"]["model"]["fingerprint"] == ensembles[0].model_fingerprint
+    assert ensembles[0].model_fingerprint == real_fingerprint(calls[0])
+
+
 def test_autocorr_rejects_bad_lags(het_file, model_file, tmp_path):
     args = [
         "autocorr", "--model", str(model_file), "--rep", str(het_file),

@@ -476,6 +476,53 @@ def test_liouvillian_apply_matches_kron_oracle(dim):
     assert np.max(np.abs(liouvillian_apply(model, xs[1]) - want[1])) <= 1e-13
 
 
+def test_liouvillian_apply_matches_kron_oracle_off_hermitian():
+    # The regression path propagates non-Hermitian matrices, above the tabulated dimensions.
+    gen = rng(75)
+    model = _scaled_model(gen, 16)
+    sup = liouvillian_superoperator(model)
+    xs = gen.normal(size=(3, 16, 16)) + 1j * gen.normal(size=(3, 16, 16))
+    want = (xs.reshape(3, -1) @ sup.T).reshape(xs.shape)
+    assert np.max(np.abs(liouvillian_apply(model, xs) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _broadcast_generator(model, x):
+    """The generator as one broadcast product over the jump operators: the reference bits."""
+    cs = model.lindblads
+    cs_dag = cs.conj().swapaxes(-1, -2)
+    k = -1j * model.hamiltonian - 0.5 * np.sum(cs_dag @ cs, axis=0)
+    jumps = np.sum(cs @ x[..., None, :, :] @ cs_dag, axis=-3)
+    return (k @ x + x @ k.conj().swapaxes(-1, -2) + jumps) / model.hbar
+
+
+@pytest.mark.parametrize("channels", (1, 2))
+@pytest.mark.parametrize("dim", (4, 16))
+def test_generator_equals_broadcast_form_bitwise(dim, channels):
+    # Per-operator products summed in np.sum's order give the broadcast form's bits.
+    gen = rng(76 + dim + channels)
+    scaled = _scaled_model(gen, dim, channels)
+    a = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
+    cavity = LindbladModel(
+        hamiltonian=0.3 * np.diag(np.arange(dim) ** 2.0),
+        lindblads=np.stack([a, a.T][:channels]),
+        hbar=2.5,
+    )
+    signed_zeros = np.zeros((2, dim, dim), dtype=complex)
+    signed_zeros[0] = -0.0 - 0.0j
+    signed_zeros[1, ::2] = -0.0
+    for model in (scaled, cavity):
+        engine = model.engine
+        stacks = [
+            np.stack([random_state(gen, dim) for _ in range(3)]),
+            gen.normal(size=(2, 3, dim, dim)) + 1j * gen.normal(size=(2, 3, dim, dim)),
+            _scatter(np.eye(dim * dim)[: 2 * dim]),
+            signed_zeros,
+        ]
+        for x in [*stacks, stacks[1][0, 0]]:
+            got, want = engine.generator(x), _broadcast_generator(model, x)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("dim", ENGINE_DIMS)
 def test_rk4_step_matches_oracle_taylor_polynomial(dim):
     gen = rng(72 + dim)

@@ -595,7 +595,7 @@ def _states_with_min_eigenvalue(gen, dim, lams):
     return np.stack(out)
 
 
-@pytest.mark.parametrize("dim", (2, 3, 8))
+@pytest.mark.parametrize("dim", (2, 3, 8, 16))
 def test_positivity_monitor_matches_eigenvalue_reference(dim):
     from diffmon.dynamics import _gather, _purity, _uncertified
     from diffmon.sme import _check_positivity
@@ -648,6 +648,108 @@ def test_purity_bound_in_squared_form_keeps_the_sign_of_the_trace():
     assert _uncertified(g, _purity(g), 1e-3).tolist() == [False, True]
     with pytest.raises(StateInvalidError, match="trajectory 1, step 3"):
         _check_positivity(rho, 1e-3, 3)
+
+
+@pytest.mark.parametrize("tol", (1e-3, 0.5))
+@pytest.mark.parametrize("dim", (3, 8, 16))
+def test_gershgorin_tier_certifies_only_states_above_half_tol(dim, tol):
+    # Every state the tier drops from the Cholesky batch has lambda_min >= -tol/2,
+    # no state with a NaN or infinite coordinate is dropped, and no input warns
+    # (the suite turns RuntimeWarnings into errors).
+    from diffmon.dynamics import _gather, _gershgorin_certified
+
+    gen = rng(300 + dim)
+    half = 0.5 * tol
+    # Diagonal states in a permuted basis, where Gershgorin's bound is lambda_min itself.
+    edge = []
+    for lam in (-half * (1.0 - 1e-9), -half * (1.0 + 1e-9), 0.0, -2.0 * half):
+        vals = np.concatenate([[lam], (1.0 - lam) * gen.dirichlet(np.ones(dim - 1))])
+        edge.append(np.diag(gen.permutation(vals)).astype(complex))
+    lams = np.array([-2.0, -1.0 - 1e-9, -1.0 + 1e-9, -0.5, 0.0]) * half
+    rho = np.concatenate([
+        np.stack([random_state(gen, dim) for _ in range(10)]),
+        np.stack([random_pure_state(gen, dim) for _ in range(10)]),
+        np.stack([dim * (random_state(gen, dim) + np.eye(dim)) / (2 * dim) for _ in range(10)]),
+        _states_with_min_eigenvalue(gen, dim, gen.choice(lams, size=10)),
+        np.stack(edge),
+        -np.eye(dim, dtype=complex)[None] / dim,
+    ])
+    g = _gather(rho)
+    certified = _gershgorin_certified(g, tol)
+    wmin = np.linalg.eigvalsh(rho)[:, 0]
+    assert np.all(wmin[certified] >= -half)
+    assert certified[-5:].tolist() == [True, False, True, False, 1.0 / dim <= half]
+    assert certified.any()
+
+    # One bad coordinate, on the diagonal or off it, in an otherwise certified state.
+    good = g[np.flatnonzero(certified)[0]]
+    diag_k, re_k, im_k = 1, dim + 1, g.shape[-1] - 1
+    bad = []
+    for k in (diag_k, re_k, im_k):
+        for value in (np.nan, np.inf, -np.inf):
+            bad.append(good.copy())
+            bad[-1][k] = value
+    assert not _gershgorin_certified(np.array(bad), tol).any()
+    # A huge diagonal entry leaves the other rows' bounds; a huge off-diagonal one sinks two.
+    huge = np.array([good] * 3)
+    huge[0, diag_k], huge[1, re_k], huge[2, im_k] = 1e200, 1e200, -1e200
+    assert _gershgorin_certified(huge, tol).tolist() == [True, False, False]
+
+
+def _bench_cavity(dim=8):
+    """The benchmark's d = 8 case: damped Kerr cavity, homodyne eta 0.7, coherent start, nbar 1."""
+    a = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
+    num = a.conj().T @ a
+    model = LindbladModel(hamiltonian=0.3 * num @ num, lindblads=a[None])
+    psi = np.exp(0.7j * np.arange(dim)) / np.sqrt(np.cumprod([1.0, *range(1, dim)]))
+    psi /= np.linalg.norm(psi)
+    return model, homodyne_mrep(0.7, phase=0.4), np.outer(psi, psi.conj())
+
+
+def test_cavity_monitor_factorizes_no_state(monkeypatch):
+    # At d = 8 the automatic tolerance is about 1.18 and the purity bound certifies
+    # no near-pure state, so each of the 80 steps reaches the exact monitor, where
+    # the Gershgorin bound must keep all 50 states out of the Cholesky batch.
+    from diffmon import sme
+
+    model, mrep, rho0 = _bench_cavity()
+    monitored, factorized = [], []
+    first_negative, cholesky = sme._first_negative_state, np.linalg.cholesky
+
+    def counted_monitor(g, p, tol):
+        monitored.append(len(g))
+        return first_negative(g, p, tol)
+
+    def counted_cholesky(a, *args, **kwargs):
+        factorized.append(len(a))
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(sme, "_first_negative_state", counted_monitor)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    simulate_ensemble(model, mrep, rho0, SimulationConfig(dt=1e-3, steps=80, n_traj=50, seed=1))
+    assert monitored == [50] * 80
+    assert factorized == []
+
+
+def test_cavity_positivity_abort_names_the_eigenvalue_reference():
+    # A tolerance far below the Ito step's dip forces an abort at d = 8; the message
+    # names the first trajectory and step whose smallest eigenvalue is below -tol.
+    model, mrep, rho0 = _bench_cavity()
+    tol = 1e-6
+    config = SimulationConfig(dt=1e-3, steps=80, n_traj=50, seed=1, positivity_tol=tol)
+    with pytest.raises(StateInvalidError) as info:
+        simulate_ensemble(model, mrep, rho0, config)
+    step = int(str(info.value).split("step ")[1].split(":")[0])
+    free = SimulationConfig(
+        dt=1e-3, steps=step, n_traj=50, seed=1, positivity_tol=np.inf, snapshot_stride=1
+    )
+    states = simulate_ensemble(model, mrep, rho0, free).snapshots
+    wmin = np.linalg.eigvalsh(states[1:]).min(axis=-1)
+    m, k = np.argwhere(wmin < -tol)[0]
+    assert m + 1 == step
+    assert str(info.value) == (
+        f"trajectory {k}, step {step}: min eigenvalue {wmin[m, k]:.3e} below -{tol:.3e}"
+    )
 
 
 @pytest.mark.parametrize(
