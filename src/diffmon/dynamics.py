@@ -13,8 +13,9 @@ propagation routines integrate ``drho/dt``.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -132,11 +133,29 @@ def hermitian_basis(n: int) -> np.ndarray:
     return np.array(mats)
 
 
-# Largest dimension at which the engine tabulates superoperators.  Per SME step
-# of a damped Kerr cavity (homodyne, 16 or 50 trajectories, one core and BLAS
-# thread), tables outrun products 5-8x at d = 12, 3.4-4.5x at d = 16 (20 ms
-# build), and 0.7-1.2x at d = 32 (0.5 s build, about 60 MB).
+# Largest dimension whose tables are dense arrays, CSR above.  Per SME step of 16
+# trajectories (one x86-64 core and BLAS thread), CSR takes 1.1x, 0.4x and 0.2x the dense
+# time at d = 8, 12 and 16 for a damped Kerr cavity, 3.7x, 2.7x and 2.1x for a dense model.
 _SUPEROPERATOR_MAX_DIM = 12
+
+
+def _table_kit(n: int) -> tuple:
+    """(eye, kron, block) making the tables of dimension n: dense, or CSR above the limit."""
+    if n <= _SUPEROPERATOR_MAX_DIM:  # np.kron's products and np.block's copies, faster
+        kron = lambda a, b: np.multiply.outer(a, b).swapaxes(1, 2).reshape(n * n, -1)  # noqa: E731
+        return np.eye, kron, lambda rows: np.concatenate([np.concatenate(r, axis=1) for r in rows])
+    import scipy.sparse as sp  # about 0.25 s, paid by no model at or below the limit
+
+    # A sparse array: sp.kron of two dense operands gives a sparse matrix, whose * multiplies.
+    kron = lambda a, b: sp.kron(sp.csr_array(a), b, format="csr")  # noqa: E731
+    return partial(sp.eye_array, format="csr"), kron, partial(sp.block_array, format="csr")
+
+
+def _physical_memory() -> float:
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return np.inf
 
 
 def _frozen(*arrays: np.ndarray) -> tuple:
@@ -196,6 +215,30 @@ def _scatter(g: np.ndarray) -> np.ndarray:
     return flat.view(complex).reshape(*g.shape[:-1], n, n)
 
 
+def _coordinate_table(n: int, maps: list, scale: float = 1.0):
+    """Tables of ``vec x -> sum kron(a, b) vec x / scale`` (``kron(a, b^T)`` is ``x -> a x b``),
+    one per list of pairs (a, b) in maps, stacked.  Row k is the image of unit k: u_k at flat
+    entry p_k, v_k at q_k, read as ``_gather`` does: ``Re(conj(u_k) (y_p + sign_k y_q)) / 2``."""
+    # Checked before any is built: a table has at most d^4 entries and four per Kronecker
+    # entry, each held twice (again in P_h or the step table), 16 bytes with CSR's index.
+    nnz = [sum(np.count_nonzero(a) * np.count_nonzero(b) for a, b in t) for t in maps]
+    if (need := 16 * sum(min(n**4, 4 * e) for e in nnz)) > (limit := _physical_memory()):
+        raise ValidationError(
+            f"the model's tables need {need / 2**30:.3g} GiB, more than the"
+            f" {limit / 2**30:.3g} GiB of physical memory"
+        )
+    kron, block = _table_kit(n)[1:]
+    slot, mirror, sign, _, _ = _coordinate_slots(n)
+    p, q = slot // 2, mirror // 2
+    u = np.where(slot % 2, 1j, 1.0)  # odd float slots are imaginary parts
+    v = sign * u * (np.arange(n * n) >= n)  # a diagonal unit is one entry
+    m = block([[sum(kron(a, b) for a, b in terms) for terms in maps]])  # side by side
+    at, k = n * n * np.arange(len(maps))[:, None], len(maps)
+    y = (m[:, (at + p).ravel()] * np.tile(u, k) + m[:, (at + q).ravel()] * np.tile(v, k)) / scale
+    z = y[p] * (0.5 * u.conj())[:, None] + y[q] * (0.5 * sign * u.conj())[:, None]
+    return z.real.T.copy()
+
+
 @lru_cache(maxsize=None)
 def _coordinate_weights(n: int) -> tuple:
     """Weights on coordinates g: ``Tr x = g @ t``, ``Tr x^2 = g^2 @ p``, and the row sums
@@ -235,135 +278,99 @@ def _operator_stack(ops) -> np.ndarray:
 class _Engine:
     """The generator and the back-action along ``ops`` of one model, built once.
 
-    ``generator`` writes ``L x = (K x + x K^dag + sum_k c_k x c_k^dag) / hbar``,
-    ``K = -i H - 1/2 sum_k c_k^dag c_k``.  Both maps take Hermitian matrices to
-    Hermitian matrices, so on states they are real-linear maps of the d^2
-    real coordinates of ``_gather``.  Up to ``_SUPEROPERATOR_MAX_DIM`` the
-    engine tabulates them there (row k holds the image of unit coordinate k,
-    so stacks of coordinates map as ``g @ table``) and an RK4 step is its exact
-    polynomial ``I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24``; above it the four
-    stages run as matrix products.  SME steps take states as columns (d^2, n).
+    The generator ``L x = (K x + x K^dag + sum_k c_k x c_k^dag) / hbar``,
+    ``K = -i H - 1/2 sum_k c_k^dag c_k``, and the back-action ``a x + x a^dag`` are
+    real-linear maps of the d^2 coordinates of ``_gather``, tabulated from their Kronecker
+    forms, and an RK4 step is the polynomial ``I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24``.
+    Every d steps alike; tables are dense up to ``_SUPEROPERATOR_MAX_DIM``, CSR above.
+    SME steps take states as columns (d^2, n).
     """
 
     def __init__(self, model: LindbladModel, ops: np.ndarray | None = None):
         n = self.dim = model.dim
         self.hbar = model.hbar
-        self.cs = model.lindblads
-        self.cs_dag = np.ascontiguousarray(self.cs.conj().swapaxes(-1, -2))
-        self.k = -1j * model.hamiltonian - 0.5 * np.sum(self.cs_dag @ self.cs, axis=0)
-        self.k_dag = np.ascontiguousarray(self.k.conj().T)
+        self.model = model
         self.ops = np.zeros((0, n, n), dtype=complex) if ops is None else ops
         self.base = self if ops is None else model.engine  # holds the generator table and poly
-        self.tabulated = n <= _SUPEROPERATOR_MAX_DIM
         self._poly = self._sme = (None, None)  # (step size, table) of the last h
 
     @cached_property
     def tables(self) -> tuple:
-        """(generator, back-action along each op) on coordinates: d^2 x d^2 and J x d^2 x d^2."""
-        units = _scatter(np.eye(self.dim**2))
-        gen = _gather(self.generator(units)) if self.base is self else self.base.tables[0]
-        return gen, _gather(_backaction(np.eye(len(self.ops))[:, None], self.ops, units))
+        """(generator, back-action along each op stacked) on coordinates: d^2 x d^2, J d^2 x d^2."""
+        n, one = self.dim, np.eye(self.dim)
+        if self.base is not self:
+            back = [[(a, one), (one, a.conj())] for a in self.ops]
+            return self.base.tables[0], _coordinate_table(n, back)
+        cs = self.model.lindblads
+        k = -1j * self.model.hamiltonian - 0.5 * np.sum(cs.conj().swapaxes(-1, -2) @ cs, axis=0)
+        generator = [(k, one), (one, k.conj()), *zip(cs, cs.conj())]
+        return _coordinate_table(n, [generator], self.hbar), None
 
-    def generator(self, x: np.ndarray) -> np.ndarray:
-        """drho/dt applied to a (stack of) matrices x."""
-        # One 2-D product per jump operator, added in np.sum's order over them.
-        jumps = self.cs[0] @ x @ self.cs_dag[0]
-        for c, c_dag in zip(self.cs[1:], self.cs_dag[1:]):
-            jumps += c @ x @ c_dag
-        return (self.k @ x + x @ self.k_dag + jumps) / self.hbar
-
-    def _stages(self, x: np.ndarray, h: float) -> np.ndarray:
-        """One RK4 step of size h as four generator stages on a (stack of) matrices x."""
-        k1 = self.generator(x)
-        k2 = self.generator(x + 0.5 * h * k1)
-        k3 = self.generator(x + 0.5 * h * k2)
-        k4 = self.generator(x + h * k3)
-        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def poly(self, h: float) -> np.ndarray:
+    def poly(self, h: float):
         """The RK4 step of size h as a d^2 x d^2 map of coordinates, kept by the model's engine."""
         base = self.base
         hit = base._poly  # read once: threads may step one model at other h
         if hit[0] != h:  # callers step many times with one h
-            a = h * base.tables[0]
-            p = np.eye(self.dim**2) + a / 4.0
+            eye, a = _table_kit(self.dim)[0](self.dim**2), h * base.tables[0]
+            p = eye + a / 4.0
             for j in (3.0, 2.0, 1.0):  # Horner form
-                p = np.eye(self.dim**2) + (a @ p) / j
+                p = eye + (a @ p) / j
             hit = base._poly = (h, p)
         return hit[1]
 
-    def sme_table(self, h: float) -> np.ndarray:
+    def sme_table(self, h: float):
         """``[[P_h, c, 0, P_h t], [B / hbar, 0, vec(c), B t / hbar]]^T``, for ``@ [g ; w (x) g]``.
 
-        P_h is ``poly(h)``, B stacks the J back-action tables, column j of c
-        maps coordinates to ``Tr(a_j rho + rho a_j^dag) / hbar``, the mean
-        current along op j, column J gives ``cur . w`` and the last column the
-        trace t of the linear output (see ``sme_step``).
+        P_h is ``poly(h)``, B stacks the J back-action tables, column j of c maps coordinates to
+        ``Tr(a_j rho + rho a_j^dag) / hbar``, the mean current along op j, column J gives
+        ``cur . w`` and the last column the trace t of the linear output (see ``sme_step``).
         """
         hit = self._sme
         if hit[0] != h:
-            n2, back = self.dim**2, self.tables[1]
-            j = len(back)
-            cur = back[..., : self.dim].sum(axis=-1).T / self.hbar
-            table = np.zeros(((1 + j) * n2, n2 + j + 2))
-            table[:n2, :n2] = self.poly(h)
-            table[:n2, n2 : n2 + j] = cur
-            table[n2:, :n2] = back.reshape(-1, n2) / self.hbar
-            table[n2:, -2] = cur.T.reshape(-1)
-            table[:, -1] = table[:, :n2] @ _coordinate_weights(self.dim)[0]
-            hit = self._sme = (h, np.ascontiguousarray(table.T))
+            n2, back, block = self.dim**2, self.tables[1], _table_kit(self.dim)[2]
+            stacked = block([[self.poly(h)], [back / self.hbar]])
+            t = stacked @ _coordinate_weights(self.dim)[0]
+            cur = back[:, : self.dim].sum(axis=1) / self.hbar
+            heads = np.zeros((len(self.ops) + 2, len(t)))  # mean currents, cur . w and the trace
+            heads[:-2, :n2], heads[-2, n2:], heads[-1] = cur.reshape(-1, n2), cur, t
+            hit = self._sme = (h, block([[stacked.T], [heads]]))
         return hit[1]
 
-    def drift(self, g: np.ndarray, h: float) -> np.ndarray:
-        """One RK4 step of size h on the coordinates g (..., d^2) of Hermitian matrices."""
-        if self.tabulated:
-            return g @ self.poly(h)
-        return _gather(self._stages(_scatter(g), h))
-
     def operand(self, g: np.ndarray) -> np.ndarray:
-        """The columns g (d^2, n) with room below them for ``w (x) g`` when tabulated."""
-        return np.concatenate([g, np.empty((len(self.ops) * self.tabulated * len(g), *g[0].shape))])
+        """The columns g (d^2, n) with room below them for ``w (x) g``."""
+        return np.concatenate([g, np.empty((len(self.ops) * len(g), *g[0].shape))])
 
-    def sme_step(self, x: np.ndarray, w: np.ndarray, h: float, linear: bool = True, out=None):
+    def sme_step(self, x: np.ndarray, w: np.ndarray, h: float, linear: bool = True):
         """One Ito step of the columns ``g = x[:d^2]`` of an ``operand`` along increments w (J, n).
 
-        Returns (output, its trace, mean current), views of ``out`` (d^2 + J + 2, n).
+        Returns (output, its trace, mean current), views of ``sme_table(h) @ [g ; w (x) g]``.
         The linear output is the RK4 step plus ``sum_j w_j (a_j rho + rho a_j^dag) / hbar``;
         the nonlinear one subtracts ``(cur . w) g`` and its trace ``cur . w``, the trace
-        this adds to a unit-trace g.  Tabulated, ``w (x) g`` is one broadcast product
-        and ``sme_table(h) @ x`` gives all three.
+        this adds to a unit-trace g.
         """
         n2, j, g = self.dim**2, len(self.ops), x[: self.dim**2]
-        out = np.empty((n2 + j + 2, *g.shape[1:])) if out is None else out
-        if self.tabulated:
-            np.multiply(w[:, None], g, out=x[n2:].reshape(j, *g.shape))
-            np.matmul(self.sme_table(h), x, out=out)
-        else:
-            rho, ws = _scatter(g.T), w.T
-            cur = self.current(rho)
-            rows = _gather(self._stages(rho, h) + _backaction(ws, self.ops, rho) / self.hbar)
-            out[:n2], out[n2:-2] = rows.T, cur.T
-            out[-2], out[-1] = np.einsum("...j,...j->...", cur, ws), _trace(rows)
+        np.multiply(w[:, None], g, out=x[n2:].reshape(j, *g.shape))
+        out = self.sme_table(h) @ x
         step, cur, cur_w, tr = out[:n2], out[n2:-2], out[-2], out[-1]
         if not linear:
             step -= cur_w * g
             tr -= cur_w
         return step, tr, cur
 
+    def apply(self, x: np.ndarray, table, times: int = 1) -> np.ndarray:
+        """``table`` applied ``times`` times to (a stack of) complex matrices x = H1 + i H2,
+        to the Hermitian H1 and H2 apart: the map is real-linear on each."""
+        g = _gather(np.stack([x, -1j * x]))
+        rows = list(g.reshape(-1, *g.shape[-2:]))  # 2-D products, as numpy's matmul takes a stack
+        for _ in range(times):
+            rows = [r @ table for r in rows]
+        h1, h2 = _scatter(np.stack(rows).reshape(g.shape))
+        return h1 + 1j * h2
+
     def propagate(self, x: np.ndarray, span: float, dt: float) -> np.ndarray:
         """(A stack of) complex matrices x carried over ``span`` in equal RK4 steps of about dt."""
         steps = max(1, int(round(span / check_dt(dt))))
-        h = span / steps
-        if not self.tabulated:
-            for _ in range(steps):
-                x = self._stages(x, h)
-            return x
-        # x = H1 + i H2 with Hermitian H1 and H2, and the step is real-linear on each.
-        g = _gather(np.stack([x, -1j * x]))
-        for _ in range(steps):
-            g = g @ self.poly(h)
-        h1, h2 = _scatter(g)
-        return h1 + 1j * h2
+        return self.apply(x, self.poly(span / steps), steps)
 
     def current(self, x: np.ndarray) -> np.ndarray:
         """Mean current ``2 Re Tr(a_j x) / hbar`` along each op, shape (..., J)."""
@@ -382,7 +389,7 @@ def liouvillian_apply(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"state shape {rho.shape} does not match dimension {n}"
         )
-    return model.engine.generator(rho)
+    return model.engine.apply(rho, model.engine.tables[0])
 
 
 def rk4_step(model: LindbladModel, x: np.ndarray, dt: float) -> np.ndarray:
@@ -408,11 +415,11 @@ def me_integrate(
     dt = check_dt(dt)
     if steps < 0:
         raise ValidationError(f"steps must be non-negative, got {steps}")
-    engine = model.engine
+    p = model.engine.poly(dt)
     g = np.empty((steps + 1, model.dim**2))
     g[0] = _gather(np.asarray(rho0, dtype=complex))
     for m in range(steps):
-        x = engine.drift(g[m], dt)
+        x = g[m] @ p
         g[m + 1] = x / _trace(x)
     bad = _first_negative_state(g[1:], _purity(g[1:]), positivity_tol)
     if bad is not None:

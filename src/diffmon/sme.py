@@ -14,7 +14,6 @@ blocks of the optical realization.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .dynamics import (
     _gather,
     _measured_engine,
     _measured_ops,
+    _physical_memory,
     _purity,
     _purity_ceiling,
     _scatter,
@@ -213,13 +213,6 @@ def _snapshot_steps(steps: int, stride: int | None) -> np.ndarray:
     return grid if grid[-1] == steps else np.append(grid, steps)
 
 
-def _physical_memory() -> float:
-    try:
-        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, ValueError, OSError):
-        return np.inf
-
-
 def _check_trace(tr: np.ndarray, linear: bool, step: int) -> None:
     """Raise on the first non-finite, or in linear mode non-positive, trace of a step."""
     if not np.isfinite(tr).all():
@@ -310,7 +303,7 @@ def simulate_ensemble(
     # States are columns, trajectories along the contiguous axis, atop the step operand.
     rho0 = np.asarray(rho0, dtype=complex)
     x = engine.operand(np.broadcast_to(_gather(rho0)[:, None], (dim**2, n)))
-    g, sq, step_out = x[: dim**2], np.empty((dim**2, n)), np.empty((dim**2 + noise_dim + 2, n))
+    g, sq = x[: dim**2], np.empty((dim**2, n))
     pw = _coordinate_weights(dim)[1]
     if pur is not None:
         pur[:, 0] = pw @ np.square(g)
@@ -328,7 +321,7 @@ def simulate_ensemble(
         p_block, lw_block = np.empty((2, block, n))
         for i in range(block):
             m = start + i + 1
-            out, tr, cur = engine.sme_step(x, dw_block[i], dt, linear, step_out)
+            out, tr, cur = engine.sme_step(x, dw_block[i], dt, linear)
             if not (math.isfinite(tr.sum()) and (not linear or tr.min() > 0.0)):
                 _check_trace(tr, linear, m)
             if linear:

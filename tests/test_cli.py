@@ -361,25 +361,29 @@ def test_import_loads_no_scipy():
 
 def test_simulate_loads_no_scipy(het_file, model_file, tmp_path):
     # The manifest records scipy's version without importing scipy, which
-    # cost about 13 ms of every `simulate` and `autocorr` run.
+    # cost about 13 ms of every `simulate` and `autocorr` run.  At d = 2 the
+    # ensemble, autocorr's burn-in and its regression prediction all build
+    # dense tables: only CSR tables, above d = 12, import scipy.sparse.
+    from importlib.metadata import version
+
     env = dict(os.environ, PYTHONPATH=str(Path(diffmon.__file__).resolve().parents[1]))
-    out = tmp_path / "run"
-    argv = [
-        "simulate", "--model", str(model_file), "--rep", str(het_file),
-        "--dt", "0.005", "--steps", "4", "--ntraj", "2", "--out", str(out),
-    ]
     code = (
         "import sys; from diffmon.cli import main; code = main(sys.argv[1:]); "
         "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    run = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
-    )
-    assert run.stdout.splitlines()[-1] == "0 []"
-    from importlib.metadata import version
-
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["versions"]["scipy"] == version("scipy")
+    for command, extra in (("simulate", []), ("autocorr", ["--lags", "0.01,0.02"])):
+        out = tmp_path / command
+        argv = [
+            command, "--model", str(model_file), "--rep", str(het_file),
+            "--dt", "0.005", "--steps", "20", "--ntraj", "2", "--out", str(out), *extra,
+        ]
+        run = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert run.stdout.splitlines()[-1] == "0 []"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["versions"]["scipy"] == version("scipy")
 
 
 def test_simulate_loads_no_numpy_ma(het_file, model_file, tmp_path):

@@ -460,9 +460,10 @@ def _scaled_model(gen, dim, channels=2):
 
 
 def test_engine_dims_cover_both_paths():
+    # One step path at every dimension; the tables are dense arrays up to d = 12, CSR above.
     gen = rng(70)
-    paths = {_Engine(_scaled_model(gen, dim)).tabulated for dim in ENGINE_DIMS}
-    assert paths == {True, False}
+    dense = {isinstance(_Engine(_scaled_model(gen, dim)).tables[0], np.ndarray) for dim in ENGINE_DIMS}
+    assert dense == {True, False}
 
 
 @pytest.mark.parametrize("dim", ENGINE_DIMS)
@@ -495,32 +496,37 @@ def _broadcast_generator(model, x):
     return (k @ x + x @ k.conj().swapaxes(-1, -2) + jumps) / model.hbar
 
 
+def _dense(table):
+    return table.toarray() if hasattr(table, "toarray") else table
+
+
+def _kerr_cavity(dim, hbar=1.0, chi=0.3, channels=1):
+    a = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
+    return LindbladModel(
+        hamiltonian=chi * np.diag(np.arange(dim) ** 2.0),
+        lindblads=np.stack([a, a.T][:channels]),
+        hbar=hbar,
+    )
+
+
 @pytest.mark.parametrize("channels", (1, 2))
 @pytest.mark.parametrize("dim", (4, 16))
 def test_generator_equals_broadcast_form_bitwise(dim, channels):
-    # Per-operator products summed in np.sum's order give the broadcast form's bits.
+    # The Kronecker-built table against the broadcast generator on the unit
+    # matrices: bitwise where each entry sums at most two terms (the qubits and
+    # the cavities, at any hbar), to rounding on dense random models.
     gen = rng(76 + dim + channels)
+    qubits = [decay_model(), decay_model(rabi=1.0), decay_model(0.7, 1.3, hbar=2.5)]
+    cavities = [_kerr_cavity(dim, channels=channels), _kerr_cavity(dim, 2.5, 0.0, channels)]
+    for model in qubits + cavities:
+        want = _gather(_broadcast_generator(model, _scatter(np.eye(model.dim**2))))
+        got = _dense(model.engine.tables[0])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    units = _scatter(np.eye(dim * dim))
     scaled = _scaled_model(gen, dim, channels)
-    a = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
-    cavity = LindbladModel(
-        hamiltonian=0.3 * np.diag(np.arange(dim) ** 2.0),
-        lindblads=np.stack([a, a.T][:channels]),
-        hbar=2.5,
-    )
-    signed_zeros = np.zeros((2, dim, dim), dtype=complex)
-    signed_zeros[0] = -0.0 - 0.0j
-    signed_zeros[1, ::2] = -0.0
-    for model in (scaled, cavity):
-        engine = model.engine
-        stacks = [
-            np.stack([random_state(gen, dim) for _ in range(3)]),
-            gen.normal(size=(2, 3, dim, dim)) + 1j * gen.normal(size=(2, 3, dim, dim)),
-            _scatter(np.eye(dim * dim)[: 2 * dim]),
-            signed_zeros,
-        ]
-        for x in [*stacks, stacks[1][0, 0]]:
-            got, want = engine.generator(x), _broadcast_generator(model, x)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    want = _gather(_broadcast_generator(scaled, units))
+    got = _dense(scaled.engine.tables[0])
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dim", ENGINE_DIMS)
@@ -626,7 +632,7 @@ def test_engine_coordinate_step_matches_oracle(dim):
     w = gen.normal(size=(3, ops.shape[0]))
     drift, _tr, cur = _step_rows(engine, _gather(rhos), w, h)
     want_drift = _gather((rhos.reshape(3, -1) @ taylor.T).reshape(rhos.shape))
-    assert np.max(np.abs(engine.drift(_gather(rhos), h) - want_drift)) <= 1e-13
+    assert np.max(np.abs(_gather(rhos) @ engine.poly(h) - want_drift)) <= 1e-13
     for k in range(3):
         e = np.tensordot(w[k], ops, axes=1)
         step = (taylor @ rhos[k].reshape(-1)).reshape(dim, dim)

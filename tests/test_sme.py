@@ -456,6 +456,28 @@ def test_ensemble_allocation_failure_is_validation_error(monkeypatch):
         simulate_ensemble(decay_model(), heterodyne_mrep(0.8), EXCITED, config)
 
 
+def test_ensemble_rejects_tables_beyond_memory(monkeypatch):
+    # A dense model above d = 12 needs (1 + J) d^4 table entries; they are
+    # counted before any table is built.  The cavity's CSR tables fit.
+    def no_tables(*args, **kwargs):
+        raise AssertionError("tables built before the memory check")
+
+    monkeypatch.setattr("diffmon.dynamics._physical_memory", lambda: 2.0**19)
+    gen, dim = rng(600), 16
+    h = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    dense = LindbladModel(
+        hamiltonian=h + h.conj().T, lindblads=gen.normal(size=(1, dim, dim)) + 0j
+    )
+    config = SimulationConfig(dt=1e-3, steps=4, n_traj=2, seed=1)
+    rho0 = random_state(gen, dim)
+    with monkeypatch.context() as patch:
+        patch.setattr("diffmon.dynamics._table_kit", no_tables)
+        message = r"^the model's tables need 0\.000977 GiB, more than the 0\.000488 GiB of physical"
+        with pytest.raises(ValidationError, match=message):
+            simulate_ensemble(dense, heterodyne_mrep(0.8), rho0, config)
+    simulate_ensemble(cavity_model(dim), heterodyne_mrep(0.8), rho0, config)
+
+
 def test_ensemble_noise_is_each_streams_draw_block():
     model = decay_model(rabi=1.0)
     config = SimulationConfig(dt=5e-3, steps=21, n_traj=5, seed=13)
@@ -816,10 +838,10 @@ def test_ensemble_names_non_finite_trace_mid_block(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", ["nonlinear", "linear"])
 def test_ensemble_names_non_finite_trace_mid_block_above_the_tables(monkeypatch, mode):
-    # d = 16 steps by stages, not by the tabulated product: the same error,
-    # found at the same step, whatever the block size.
+    # d = 16 steps by a CSR table, not a dense one: the same error, found at
+    # the same step, whatever the block size.
     model = cavity_model(16)
-    assert not _measured_engine(model, heterodyne_mrep(0.8)).tabulated
+    assert _measured_engine(model, heterodyne_mrep(0.8)).sme_table(1e-3).format == "csr"
     cls, message = _scripted_failure(
         monkeypatch, {(2, 100): [np.inf, 0.0]}, model, heterodyne_mrep(0.8),
         random_state(rng(580), 16), mode=mode,
@@ -844,6 +866,26 @@ def test_trajectory_records_agree_across_ensemble_sizes(dim):
     for n, ens in runs.items():
         assert np.max(np.abs(ens.currents - runs[64].currents[:n])) <= 1e-13
         assert np.max(np.abs(ens.snapshots - runs[64].snapshots[:, :n])) <= 1e-13
+
+
+def test_trajectory_replays_bitwise_above_the_dense_tables():
+    # A CSR product gives each column the same bits at any width, so above
+    # d = 12 a trajectory's record does not depend on the ensemble size.
+    dim = 16
+    a = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
+    model = LindbladModel(hamiltonian=0.3 * (a + a.conj().T), lindblads=a)
+    rho0 = random_state(rng(595), dim)
+    common = dict(dt=1e-3, steps=60, seed=59, snapshot_stride=15)
+    runs = {
+        n: simulate_ensemble(model, heterodyne_mrep(0.8), rho0, SimulationConfig(n_traj=n, **common))
+        for n in (1, 2, 16)
+    }
+    for n, ens in runs.items():
+        assert np.array_equal(ens.currents, runs[16].currents[:n])
+        assert np.array_equal(ens.snapshots, runs[16].snapshots[:, :n])
+        # The purity record is a BLAS reduction over the trajectories, whose
+        # summation order follows the width at every d.
+        assert np.max(np.abs(ens.purity - runs[16].purity[:n])) <= 1e-15
 
 
 def test_ensemble_names_non_positive_trace_mid_block(monkeypatch):
