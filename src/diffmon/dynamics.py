@@ -293,6 +293,7 @@ class _Engine:
         self.ops = np.zeros((0, n, n), dtype=complex) if ops is None else ops
         self.base = self if ops is None else model.engine  # holds the generator table and poly
         self._poly = self._sme = (None, None)  # (step size, table) of the last h
+        self._measured = (None, None)  # (ops bytes, engine) of the last measurement paired
 
     @cached_property
     def tables(self) -> tuple:
@@ -545,8 +546,14 @@ def _measured_ops(model: LindbladModel, mrep: MRep) -> np.ndarray:
 
 
 def _measured_engine(model: LindbladModel, mrep: MRep) -> _Engine:
-    """The engine along ``_measured_ops``, on the generator table and polynomial of ``model.engine``."""
-    return _Engine(model, _measured_ops(model, mrep))
+    """The engine along ``_measured_ops``, on the generator table and polynomial of ``model.engine``,
+    kept by it for the last ops paired: keyed by their bytes, as ``MRep.matrix`` is writable."""
+    ops = _measured_ops(model, mrep)
+    base, key = model.engine, ops.tobytes()
+    hit = base._measured  # read once: threads may pair one model with other measurements
+    if hit[0] != key:
+        hit = base._measured = (key, _Engine(model, *_frozen(ops)))
+    return hit[1]
 
 
 # ---------------------------------------------------------------------------

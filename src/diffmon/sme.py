@@ -258,6 +258,10 @@ def simulate_ensemble(
     deterministic function of the configuration alone, independent of
     ``block_steps`` (an internal batching knob).
     """
+    if isinstance(block_steps, bool) or not (
+        isinstance(block_steps, (int, np.integer)) and block_steps >= 1
+    ):
+        raise ValidationError(f"block_steps must be a positive integer, got {block_steps!r}")
     check_density_matrix(rho0)
     # Local import: the file-format layer depends on the domain layers, not
     # the other way around; only the fingerprint helpers are needed here.

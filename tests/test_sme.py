@@ -1,3 +1,5 @@
+import hashlib
+import re
 import sys
 import threading
 
@@ -362,13 +364,13 @@ def test_pairing_shares_the_model_tables(monkeypatch):
     sme_step_nonlinear(model, m, EXCITED, np.array([0.01, -0.02]), dt=1e-3)
     sme_step_linear(model, m, PLUS, np.array([0.03, 0.01]), dt=1e-3)
     simulate_ensemble(model, m, EXCITED, SimulationConfig(dt=1e-3, steps=5, n_traj=3, seed=0))
-    # The model's engine and one measured engine per call, each on the model's
-    # generator table and polynomial.
+    # The model's engine and one measured engine, kept by the model's engine for
+    # all three calls, on the model's generator table and polynomial.
     measured = [e for e in built if e is not model.engine]
-    assert len(built) == 4 and len(measured) == 3
-    for engine in measured:
-        assert engine.tables[0] is model.engine.tables[0]
-        assert engine.poly(1e-3) is model.engine.poly(1e-3)
+    assert len(built) == 2 and len(measured) == 1
+    assert measured[0] is _measured_engine(model, m)
+    assert measured[0].tables[0] is model.engine.tables[0]
+    assert measured[0].poly(1e-3) is model.engine.poly(1e-3)
 
 
 def test_pairings_step_alike_across_threads():
@@ -398,6 +400,95 @@ def test_pairings_step_alike_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
+
+
+def _records(ens) -> dict:
+    """sha256 of each seeded record of an ensemble."""
+    names = ("currents", "noise", "purity", "log_weight", "snapshots")
+    return {k: hashlib.sha256(np.ascontiguousarray(getattr(ens, k))).hexdigest() for k in names}
+
+
+def test_measured_engine_follows_in_place_writes_to_the_mrep():
+    # MRep.matrix is writable: the slot is keyed by the ops' bytes, not by the object.
+    model, m = decay_model(rabi=1.0), heterodyne_mrep(0.8)
+    config = SimulationConfig(dt=1e-3, steps=30, n_traj=4, seed=7, snapshot_stride=10)
+    simulate_ensemble(model, m, EXCITED, config)
+    stale = _measured_engine(model, m)
+    m.matrix[...] = homodyne_mrep(0.5, phase=0.3).matrix
+    after = simulate_ensemble(model, m, EXCITED, config)
+    fresh = simulate_ensemble(decay_model(rabi=1.0), homodyne_mrep(0.5, phase=0.3), EXCITED, config)
+    assert _measured_engine(model, m) is not stale
+    assert _records(after) == _records(fresh)
+
+
+def test_measured_engine_slot_holds_the_last_measurement():
+    model, het, hom = decay_model(rabi=1.0), heterodyne_mrep(0.8), homodyne_mrep(0.6)
+    config = SimulationConfig(dt=1e-3, steps=30, n_traj=4, seed=8, mode="linear")
+    first = _measured_engine(model, het)
+    want = _records(simulate_ensemble(model, het, EXCITED, config))
+    # An equal matrix in another object hits; another measurement evicts.
+    assert _measured_engine(model, heterodyne_mrep(0.8)) is first
+    other = _measured_engine(model, hom)
+    assert other is not first and _measured_engine(model, hom) is other
+    assert _records(simulate_ensemble(model, het, EXCITED, config)) == want
+    assert _measured_engine(model, het) is not first
+
+
+def test_scale_mismatch_rejected_on_a_cached_pairing():
+    # The same ops bytes at another hbar must still be refused, not served from the slot.
+    model, m = decay_model(rabi=1.0), heterodyne_mrep(0.8)
+    engine = _measured_engine(model, m)
+    scaled = MRep(m.matrix, hbar=2.0)
+    message = "^model and measurement matrix carry different scales: 1.0 vs 2.0$"
+    with pytest.raises(ValidationError, match=message):
+        sme_step_nonlinear(model, scaled, EXCITED, np.zeros(2), dt=1e-3)
+    config = SimulationConfig(dt=1e-3, steps=2, n_traj=2, seed=0)
+    with pytest.raises(ValidationError, match=message):
+        simulate_ensemble(model, scaled, EXCITED, config)
+    assert _measured_engine(model, m) is engine
+
+
+def test_single_steps_build_the_backaction_tables_once(monkeypatch):
+    # Twenty steps on one pairing: the generator table and one back-action table set.
+    built = []
+    table = dynamics._coordinate_table
+
+    def counted(n, maps, scale=1.0):
+        built.append(len(maps))
+        return table(n, maps, scale)
+
+    monkeypatch.setattr(dynamics, "_coordinate_table", counted)
+    model, m = decay_model(rabi=1.0), heterodyne_mrep(0.8)
+    for k in range(10):
+        sme_step_nonlinear(model, m, EXCITED, np.array([0.01, -0.02 * k]), dt=1e-3)
+        sme_step_linear(model, m, PLUS, np.array([0.03 * k, 0.01]), dt=1e-3)
+    assert sorted(built) == [1, 2]  # one generator, one along the two measured ops
+
+
+@pytest.mark.parametrize("dim, mode", [(2, "nonlinear"), (2, "linear"), (8, "nonlinear"), (32, "nonlinear")])
+def test_repeated_ensemble_reproduces_its_records(dim, mode):
+    # The qubit in both modes, and the benchmark's Kerr cavities.
+    if dim == 2:
+        model, m, rho0 = decay_model(rabi=1.0), heterodyne_mrep(0.8), EXCITED
+    else:
+        model, m, rho0 = _bench_cavity(dim)
+    steps = {2: 60, 8: 40, 32: 4}[dim]
+    config = SimulationConfig(dt=1e-3, steps=steps, n_traj=16, seed=9, mode=mode)
+    first = _records(simulate_ensemble(model, m, rho0, config))
+    engine = _measured_engine(model, m)
+    assert _records(simulate_ensemble(model, m, rho0, config)) == first
+    assert _measured_engine(model, m) is engine
+
+
+@pytest.mark.parametrize("block_steps", [-1, 0, 2.5, True, False, "8", None])
+def test_ensemble_rejects_bad_block_steps(block_steps):
+    # -1 used to end in an UnboundLocalError, 0 in range's ValueError, 2.5 and True in a TypeError.
+    model, m = decay_model(), heterodyne_mrep(0.8)
+    config = SimulationConfig(dt=1e-3, steps=4, n_traj=2, seed=1)
+    message = re.escape(f"block_steps must be a positive integer, got {block_steps!r}")
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        simulate_ensemble(model, m, EXCITED, config, block_steps=block_steps)
+    simulate_ensemble(model, m, EXCITED, config, block_steps=np.int64(3))
 
 
 def test_ensemble_carries_fingerprints():
