@@ -170,11 +170,15 @@ def _cmd_autocorr(args) -> int:
     model, mrep, rho0, inputs = _load_run(args)
     config = _simulation_config(args, mode="nonlinear")
     try:
-        lag_times = sorted({float(v) for v in args.lags.split(",") if v.strip()})
+        lag_times = [float(v) for v in args.lags.split(",") if v.strip()]
     except ValueError as exc:
         raise ValidationError(f"cannot parse --lags {args.lags!r}: {exc}") from exc
     if not lag_times:
         raise ValidationError("--lags must name at least one positive lag time")
+    span = args.steps * config.dt
+    for t in lag_times:
+        if not 0.0 < t <= span:  # NaN and inf fail too
+            raise ValidationError(f"--lags must lie in (0, {span:g}], the run's length; got {t}")
     lag_steps = sorted({max(1, int(round(t / args.dt))) for t in lag_times})
     burn_in = args.burn_in if args.burn_in is not None else args.steps // 2
     ensemble = simulate_ensemble(model, mrep, rho0, config)

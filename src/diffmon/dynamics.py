@@ -284,23 +284,31 @@ class _Engine:
     forms, and an RK4 step is the polynomial ``I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24``.
     Every d steps alike; tables are dense up to ``_SUPEROPERATOR_MAX_DIM``, CSR above.
     SME steps take states as columns (d^2, n).
+
+    The back-action is tabulated along the ops ``kept`` only, r of the J ops, when the
+    others are ``a_j = sum_k R_jk a_kept[k]`` with ``rt = R^T`` (r, J): the step then
+    runs along the increments ``R^T w`` (``directions``), while ``ops``, the mean currents
+    and the records keep all J.  ``rt = None`` keeps every op.
     """
 
-    def __init__(self, model: LindbladModel, ops: np.ndarray | None = None):
+    def __init__(self, model: LindbladModel, ops: np.ndarray | None = None, kept=None, rt=None):
         n = self.dim = model.dim
         self.hbar = model.hbar
         self.model = model
         self.ops = np.zeros((0, n, n), dtype=complex) if ops is None else ops
+        self.kept = range(len(self.ops)) if kept is None else kept
+        self.rt = rt
         self.base = self if ops is None else model.engine  # holds the generator table and poly
         self._poly = self._sme = (None, None)  # (step size, table) of the last h
-        self._measured = (None, None)  # (ops bytes, engine) of the last measurement paired
+        self._measured = (None, None)  # (key, engine) of the last measurement paired
 
     @cached_property
     def tables(self) -> tuple:
-        """(generator, back-action along each op stacked) on coordinates: d^2 x d^2, J d^2 x d^2."""
+        """(generator, back-action along each kept op stacked) on coordinates: d^2 x d^2,
+        r d^2 x d^2."""
         n, one = self.dim, np.eye(self.dim)
         if self.base is not self:
-            back = [[(a, one), (one, a.conj())] for a in self.ops]
+            back = [[(a, one), (one, a.conj())] for a in self.ops[self.kept]]
             return self.base.tables[0], _coordinate_table(n, back)
         cs = self.model.lindblads
         k = -1j * self.model.hamiltonian - 0.5 * np.sum(cs.conj().swapaxes(-1, -2) @ cs, axis=0)
@@ -320,11 +328,12 @@ class _Engine:
         return hit[1]
 
     def sme_table(self, h: float):
-        """``[[P_h, c, 0, P_h t], [B / hbar, 0, vec(c), B t / hbar]]^T``, for ``@ [g ; w (x) g]``.
+        """``[[P_h, c R^T, 0, P_h t], [B / hbar, 0, vec(c), B t / hbar]]^T``, for ``@ [g; w(x)g]``.
 
-        P_h is ``poly(h)``, B stacks the J back-action tables, column j of c maps coordinates to
-        ``Tr(a_j rho + rho a_j^dag) / hbar``, the mean current along op j, column J gives
-        ``cur . w`` and the last column the trace t of the linear output (see ``sme_step``).
+        P_h is ``poly(h)``, B stacks the r back-action tables, column k of c maps coordinates to
+        ``Tr(a_k rho + rho a_k^dag) / hbar``, the mean current along kept op k, and c R^T gives
+        it along all J ops; column J gives ``cur . w`` and the last column the trace t of the
+        linear output (see ``sme_step``).
         """
         hit = self._sme
         if hit[0] != h:
@@ -332,25 +341,31 @@ class _Engine:
             stacked = block([[self.poly(h)], [back / self.hbar]])
             t = stacked @ _coordinate_weights(self.dim)[0]
             cur = back[:, : self.dim].sum(axis=1) / self.hbar
+            means = cur.reshape(-1, n2) if self.rt is None else self.rt.T @ cur.reshape(-1, n2)
             heads = np.zeros((len(self.ops) + 2, len(t)))  # mean currents, cur . w and the trace
-            heads[:-2, :n2], heads[-2, n2:], heads[-1] = cur.reshape(-1, n2), cur, t
+            heads[:-2, :n2], heads[-2, n2:], heads[-1] = means, cur, t
             hit = self._sme = (h, block([[stacked.T], [heads]]))
         return hit[1]
 
+    def directions(self, w: np.ndarray) -> np.ndarray:
+        """Increments w (..., J, n) along the ops as ``R^T w`` (..., r, n) along the kept ones."""
+        return w if self.rt is None else np.matmul(self.rt, w)
+
     def operand(self, g: np.ndarray) -> np.ndarray:
         """The columns g (d^2, n) with room below them for ``w (x) g``."""
-        return np.concatenate([g, np.empty((len(self.ops) * len(g), *g[0].shape))])
+        return np.concatenate([g, np.empty((len(self.kept) * len(g), *g[0].shape))])
 
     def sme_step(self, x: np.ndarray, w: np.ndarray, h: float, linear: bool = True):
-        """One Ito step of the columns ``g = x[:d^2]`` of an ``operand`` along increments w (J, n).
+        """One Ito step of the columns ``g = x[:d^2]`` of an ``operand`` along increments w (r, n),
+        ``directions`` of the increments along the J ops.
 
         Returns (output, its trace, mean current), views of ``sme_table(h) @ [g ; w (x) g]``.
         The linear output is the RK4 step plus ``sum_j w_j (a_j rho + rho a_j^dag) / hbar``;
         the nonlinear one subtracts ``(cur . w) g`` and its trace ``cur . w``, the trace
         this adds to a unit-trace g.
         """
-        n2, j, g = self.dim**2, len(self.ops), x[: self.dim**2]
-        np.multiply(w[:, None], g, out=x[n2:].reshape(j, *g.shape))
+        n2, r, g = self.dim**2, len(self.kept), x[: self.dim**2]
+        np.multiply(w[:, None], g, out=x[n2:].reshape(r, *g.shape))
         out = self.sme_table(h) @ x
         step, cur, cur_w, tr = out[:n2], out[n2:-2], out[-2], out[-1]
         if not linear:
@@ -414,8 +429,8 @@ def me_integrate(
     """
     check_density_matrix(rho0)
     dt = check_dt(dt)
-    if steps < 0:
-        raise ValidationError(f"steps must be non-negative, got {steps}")
+    if isinstance(steps, bool) or not (isinstance(steps, (int, np.integer)) and steps >= 0):
+        raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
     p = model.engine.poly(dt)
     g = np.empty((steps + 1, model.dim**2))
     g[0] = _gather(np.asarray(rho0, dtype=complex))
@@ -463,21 +478,23 @@ def _gershgorin_certified(g: np.ndarray, tol: float) -> np.ndarray:
     never subtracts, so it certifies no state with a NaN or inf and raises no warning.
     """
     n = math.isqrt(g.shape[-1])
-    k = n * (n + 1) // 2
+    k, c = n * (n + 1) // 2, g.T  # c: coordinates down, contiguous rows for an engine's columns
     with np.errstate(invalid="ignore", over="ignore"):  # an inf times a zero weight is NaN
-        r = np.hypot(g[:, n:k], g[:, k:]) @ _coordinate_weights(n)[2]
-    return ((g[:, :n] + 0.5 * tol >= r) & (g[:, :n] < np.inf)).all(axis=-1)
+        r = _coordinate_weights(n)[2].T @ np.hypot(c[n:k], c[k:])
+    return ((c[:n] + 0.5 * tol >= r) & (c[:n] < np.inf)).all(axis=0)
 
 
 def _first_negative_state(g: np.ndarray, p: np.ndarray, tol: float) -> tuple | None:
     """(index, least eigenvalue) of the first state (coordinates g, purity p) below -tol, or None.
 
     Only states no bound certifies are factorized: rho + tol I has a Cholesky factor exactly
-    when no eigenvalue is below -tol; eigenvalues only name a failing state.
+    when no eigenvalue is below -tol; eigenvalues only name a failing state.  The bounds read
+    g in place, so the transpose of an engine's columns (d^2, n) is never gathered.
     """
-    idx = np.flatnonzero(_uncertified(g, p, tol))
+    bad = _uncertified(g, p, tol)
     if g.shape[-1] > 4:  # at d = 2 the purity bound is exact
-        idx = idx[~_gershgorin_certified(g[idx], tol)]
+        bad &= ~_gershgorin_certified(g, tol)
+    idx = np.flatnonzero(bad)
     if not idx.size:
         return None
     states = _scatter(g[idx])
@@ -545,14 +562,48 @@ def _measured_ops(model: LindbladModel, mrep: MRep) -> np.ndarray:
     return ops
 
 
+def _measured_directions(mrep: MRep, tol: float = DEFAULT_TOL) -> tuple:
+    """(kept, R^T): columns ``kept`` of ``T = [Re M; Im M]`` span the rest, ``T = T[:, kept] R^T``.
+
+    Op j is real-linear in column j, so ``a_j = sum_k R_jk a_kept[k]``.  A column is kept
+    when its distance to the span of the kept ones before it exceeds ``tol max(1, |T|)`` in
+    units of sqrt(hbar), the scale ``validate_mrep`` allows off the diagonal of ``M M^dag``.
+    R^T is None when every column is kept; it selects the kept columns exactly and has
+    exact zeros for a column that is exactly zero.
+    """
+    t = np.concatenate([mrep.matrix.real, mrep.matrix.imag]) / math.sqrt(mrep.hbar)
+    atol, kept, q = tol * max(1.0, float(np.linalg.norm(t))), [], np.zeros((len(t), 0))
+    for j, col in enumerate(t.T):
+        v = col - q @ (q.T @ col)
+        v -= q @ (q.T @ v)  # Gram-Schmidt twice is orthogonal to round-off
+        if (size := float(np.linalg.norm(v))) > atol:
+            kept.append(j)
+            q = np.column_stack([q, v / size])
+    if len(kept) == len(t):
+        return kept, None
+    if not kept:  # every op is zero within tol: one zero op keeps the tables non-empty
+        return [0], *_frozen(np.eye(1, len(t)))
+    c = q.T @ t  # the columns in the kept ones' orthonormal basis; c[:, kept] is triangular
+    rt = np.zeros_like(c)
+    for i in reversed(range(len(kept))):  # back-substitution, no LAPACK call to page in
+        rt[i] = (c[i] - c[i, kept[i + 1 :]] @ rt[i + 1 :]) / c[i, kept[i]]
+    rt[:, ~t.any(axis=0)], rt[:, kept] = 0.0, np.eye(len(kept))
+    return kept, *_frozen(rt)
+
+
 def _measured_engine(model: LindbladModel, mrep: MRep) -> _Engine:
-    """The engine along ``_measured_ops``, on the generator table and polynomial of ``model.engine``,
-    kept by it for the last ops paired: keyed by their bytes, as ``MRep.matrix`` is writable."""
-    ops = _measured_ops(model, mrep)
-    base, key = model.engine, ops.tobytes()
+    """The engine along ``_measured_ops`` and ``_measured_directions``, on the generator table and
+    polynomial of ``model.engine``, kept by it for the last measurement paired.
+
+    The key is the bytes of ``MRep.matrix``, which is writable, and its hbar: with the model's
+    read-only arrays they fix the ops and the directions, and a key is only stored once
+    ``_measured_ops`` has checked its channels and scale against the model.
+    """
+    base, key = model.engine, (mrep.matrix.tobytes(), mrep.hbar)
     hit = base._measured  # read once: threads may pair one model with other measurements
     if hit[0] != key:
-        hit = base._measured = (key, _Engine(model, *_frozen(ops)))
+        ops = _frozen(_measured_ops(model, mrep))
+        hit = base._measured = (key, _Engine(model, *ops, *_measured_directions(mrep)))
     return hit[1]
 
 
@@ -573,6 +624,8 @@ def regression_correlation(
     Propagates the (generally non-Hermitian) matrix ``rho_t @ a`` with the
     master-equation stepper for a lag ``tau >= 0`` and traces against ``b``.
     """
+    if not math.isfinite(tau):
+        raise ValidationError(f"lag must be finite, got {tau}")
     if tau < 0.0:
         raise NonPositiveLagError("regression requires tau >= 0")
     a, b, rho_t = (np.asarray(op, dtype=complex) for op in (a, b, rho_t))
@@ -604,6 +657,8 @@ def predicted_autocorrelation(
     """
     xops = _measured_ops(model, mrep)
     taus = np.asarray(taus, dtype=float).reshape(-1)
+    if not np.isfinite(taus).all():
+        raise ValidationError(f"lags must be finite, got {taus}")
     if np.any(taus <= 0.0):
         raise NonPositiveLagError("all lags must be strictly positive")
     if np.any(np.diff(taus) <= 0.0):

@@ -169,7 +169,8 @@ def _step_states(engine: _Engine, rho, w, dt: float, linear: bool):
     if w.shape != (*lead, j):
         raise DimensionMismatchError(f"increments must have shape {(*lead, j)}, got {w.shape}")
     g = _gather(rho).reshape(-1, engine.dim**2).T
-    out, tr, cur = engine.sme_step(engine.operand(g), w.reshape(-1, j).T, dt, linear)
+    w = engine.directions(w.reshape(-1, j).T)
+    out, tr, cur = engine.sme_step(engine.operand(g), w, dt, linear)
     if not linear:
         tr = _trace(out.T)
         out = out / tr
@@ -322,10 +323,11 @@ def simulate_ensemble(
         cur_block = lattice_streams(config.seed, 0, start, np.empty((block, noise_dim, n)))
         dw_block = lattice_normals(cur_block)
         dw_block *= np.sqrt(dt)
+        w_block = engine.directions(dw_block)  # the increments along the back-action's directions
         p_block, lw_block = np.empty((2, block, n))
         for i in range(block):
             m = start + i + 1
-            out, tr, cur = engine.sme_step(x, dw_block[i], dt, linear)
+            out, tr, cur = engine.sme_step(x, w_block[i], dt, linear)
             if not (math.isfinite(tr.sum()) and (not linear or tr.min() > 0.0)):
                 _check_trace(tr, linear, m)
             if linear:
@@ -355,7 +357,7 @@ def simulate_ensemble(
             pur[:, start + 1 : stop + 1] = p_block.T
         if linear:
             logw[:, start + 1 : stop + 1] = lw_block.T
-    del cur_block, dw_block, p_block, lw_block  # freed before the snapshot matrices are made
+    del cur_block, dw_block, w_block, p_block, lw_block  # freed before the snapshots are made
     snaps = _scatter(snap_g)
     snaps[0] = rho0
 

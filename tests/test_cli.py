@@ -10,7 +10,7 @@ import pytest
 import diffmon
 from diffmon.cli import main
 from diffmon.serialize import load_rep, model_payload, rep_payload, RepFile
-from diffmon import OrthoMatrix, brep_o_to_mrep, heterodyne_mrep
+from diffmon import OrthoMatrix, brep_o_to_mrep, heterodyne_mrep, homodyne_mrep
 from diffmon.reps import random_mrep
 
 from conftest import decay_model, rng
@@ -278,13 +278,23 @@ def test_run_commands_fingerprint_the_model_once(
     assert ensembles[0].model_fingerprint == real_fingerprint(calls[0])
 
 
-def test_autocorr_rejects_bad_lags(het_file, model_file, tmp_path):
-    args = [
-        "autocorr", "--model", str(model_file), "--rep", str(het_file),
-        "--dt", "0.01", "--steps", "50", "--ntraj", "4",
-        "--lags", "abc", "--out", str(tmp_path / "x"),
-    ]
-    assert main(args) == 4
+def test_autocorr_rejects_bad_lags(het_file, model_file, tmp_path, capsys):
+    # -1 and 0 used to run with a one-step lag; nan, inf and 1e300 ended in a traceback
+    # (exit 1).  A lag past the run's 0.5 time units has no pairs to estimate.
+    cases = [("abc", None), ("-1", "-1.0"), ("0", "0.0"), ("nan", "nan"), ("0.1,inf", "inf"),
+             ("0.1,1e400", "inf"), ("1e300", "1e+300"), ("0.2,0.6", "0.6")]
+    for lags, bad in cases:
+        args = [
+            "autocorr", "--model", str(model_file), "--rep", str(het_file),
+            "--dt", "0.01", "--steps", "50", "--ntraj", "4",
+            "--lags", lags, "--out", str(tmp_path / "x"),
+        ]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        if bad is not None:
+            want = f"--lags must lie in (0, 0.5], the run's length; got {bad}"
+            assert err == f"validation error: {want}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_validate_other_kinds(tmp_path, capsys):
@@ -371,10 +381,19 @@ def test_simulate_loads_no_scipy(het_file, model_file, tmp_path):
         "import sys; from diffmon.cli import main; code = main(sys.argv[1:]); "
         "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    for command, extra in (("simulate", []), ("autocorr", ["--lags", "0.01,0.02"])):
-        out = tmp_path / command
+    # A homodyne document exercises the rank test of the measured directions: numpy only.
+    hom_file = tmp_path / "homodyne.json"
+    hom_file.write_text(json.dumps(rep_payload(RepFile("mrep", homodyne_mrep(0.7, 0.4), 1.0))))
+    runs = [
+        ("simulate", het_file, []),
+        ("autocorr", het_file, ["--lags", "0.01,0.02"]),
+        ("simulate", hom_file, []),
+        ("autocorr", hom_file, ["--lags", "0.01,0.02"]),
+    ]
+    for i, (command, rep_file, extra) in enumerate(runs):
+        out = tmp_path / f"{command}{i}"
         argv = [
-            command, "--model", str(model_file), "--rep", str(het_file),
+            command, "--model", str(model_file), "--rep", str(rep_file),
             "--dt", "0.005", "--steps", "20", "--ntraj", "2", "--out", str(out), *extra,
         ]
         run = subprocess.run(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -307,6 +309,27 @@ def test_predicted_autocorrelation_rejects_zero_lag():
     model = decay_model()
     with pytest.raises(NonPositiveLagError):
         predicted_autocorrelation(model, homodyne_mrep(1.0), EXCITED, np.array([0.0, 0.1]))
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+def test_lags_must_be_finite(tau):
+    # A NaN lag used to end in a bare ValueError and inf in an OverflowError, and
+    # regression_correlation(tau=nan) returned the zero-lag value.
+    model = decay_model(rabi=1.0)
+    with pytest.raises(ValidationError, match="^lags must be finite"):
+        predicted_autocorrelation(model, homodyne_mrep(1.0), EXCITED, [0.1, tau])
+    with pytest.raises(ValidationError, match=f"^lag must be finite, got {tau}$"):
+        regression_correlation(model, SIGMA_P, SIGMA_M, EXCITED, tau)
+
+
+@pytest.mark.parametrize("steps", [2.5, np.inf, np.nan, True, False, -1, "3", None])
+def test_me_integrate_rejects_bad_steps(steps):
+    # 2.5 and inf used to raise a TypeError, and True ran one step.
+    message = re.escape(f"steps must be a non-negative integer, got {steps!r}")
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        me_integrate(decay_model(), EXCITED, 1e-3, steps)
+    assert me_integrate(decay_model(), EXCITED, 1e-3, np.int64(2)).shape == (3, 2, 2)
+    assert me_integrate(decay_model(), EXCITED, 1e-3, 0).shape == (1, 2, 2)
 
 
 def test_hermitian_basis_orthonormal():

@@ -36,10 +36,10 @@ from diffmon.errors import (
     ValidationError,
     WeightUnderflowError,
 )
-from diffmon.reps import random_brep, random_mrep
+from diffmon.reps import random_brep, random_mrep, random_orthogonal
 from diffmon.noise import _STREAMS, NoiseSource, lattice_normals
 from diffmon.dynamics import _measured_engine
-from diffmon.sme import _step_states
+from diffmon.sme import MODES, _step_states
 
 from conftest import (
     EXCITED,
@@ -1034,3 +1034,166 @@ def test_purity_ceiling_passes_only_certified_states(dim, tol):
     assert 0 < passed.sum() < p.size
     assert not _uncertified(g[passed], p[passed], tol).any()
     assert _uncertified(g[rel > 2e-12], p[rel > 2e-12], tol).all()
+
+
+# ---------------------------------------------------------------------------
+# back-action along the measured directions only
+
+
+def _two_channel_model(dim=3, seed=41):
+    gen = rng(seed)
+    h = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    cs = gen.normal(size=(2, dim, dim)) + 1j * gen.normal(size=(2, dim, dim))
+    return LindbladModel(hamiltonian=(h + h.conj().T) / 4.0, lindblads=cs / 4.0)
+
+
+def _tilted(theta, eps, eta=0.8):
+    """L = 1 monitoring whose two columns are real-dependent exactly when eps = 0."""
+    return MRep(np.sqrt(eta) * np.array([[np.cos(theta), np.sin(theta) * np.exp(1j * eps)]]))
+
+
+def _rotated(m, seed):
+    """M O for a random orthogonal O: the same unravelling, no column zero."""
+    o = random_orthogonal(rng(seed), 2 * m.channels).matrix
+    return MRep(m.matrix @ o, hbar=m.hbar)
+
+
+_HOMODYNE_2 = MRep(np.array([[0.8, 0, 0, 0], [0, 0.6j * np.exp(0.3j), 0, 0]]))
+_DARK_2 = MRep(random_mrep(rng(43), 2).matrix * np.array([[1.0], [0.0]]))
+
+# (name, measurement, r, columns expected to be exactly zero)
+RANK_CASES = [
+    ("homodyne", homodyne_mrep(0.7, phase=0.4), 1, [1]),
+    ("heterodyne", heterodyne_mrep(0.8), 2, []),
+    ("homodyne O", _rotated(homodyne_mrep(0.7, phase=0.4), 44), 1, []),
+    ("heterodyne O", _rotated(heterodyne_mrep(0.8), 45), 2, []),
+    ("homodyne L=2", _HOMODYNE_2, 2, [2, 3]),
+    ("homodyne L=2 O", _rotated(_HOMODYNE_2, 46), 2, []),
+    ("heterodyne L=2 O", _rotated(random_mrep(rng(47), 2), 48), 4, []),
+    ("dark channel", _DARK_2, 2, []),
+    ("dependent within tol", _tilted(0.6, 1e-15), 1, []),
+    ("dependent beyond tol", _tilted(0.6, 1e-6), 2, []),
+]
+
+
+@pytest.mark.parametrize("name, m, r, zero", RANK_CASES, ids=[c[0] for c in RANK_CASES])
+def test_measured_directions_span_the_measurement(name, m, r, zero):
+    kept, rt = dynamics._measured_directions(m)
+    t = np.concatenate([m.matrix.real, m.matrix.imag])
+    assert len(kept) == r
+    if r == t.shape[1]:
+        assert rt is None and list(kept) == list(range(r))
+        return
+    assert rt.shape == (r, t.shape[1]) and not rt.flags.writeable
+    assert np.array_equal(rt[:, kept], np.eye(r))  # exact on the kept columns
+    assert np.max(np.abs(t[:, kept] @ rt - t)) <= 1e-9 * np.linalg.norm(t)
+    for j in zero:  # an exactly zero column gets an exact zero row of R
+        assert not t[:, j].any() and not rt[:, j].any()
+    if not zero:
+        assert t.any(axis=0).all()
+
+
+def test_rank_tolerance_sits_at_the_validators_tol():
+    # A column within tol of the span is dropped, one twice as far is kept, scaled with hbar.
+    for hbar in (1.0, 2.5):
+        for eps, r in ((1e-9, 1), (4e-9, 2)):  # the second column is eps / 2 off the first
+            m = MRep(np.sqrt(hbar) * np.array([[1.0, 1.0 + 1j * eps]]) / 2.0, hbar=hbar)
+            assert len(dynamics._measured_directions(m)[0]) == r
+            assert len(dynamics._measured_directions(m, tol=eps / 10)[0]) == 2
+    # The zero measurement keeps one zero op, so that no table is empty.
+    kept, rt = dynamics._measured_directions(MRep(np.zeros((2, 4))))
+    assert kept == [0] and np.array_equal(rt, np.eye(1, 4))
+
+
+@pytest.mark.parametrize("name, m, r, zero", RANK_CASES, ids=[c[0] for c in RANK_CASES])
+@pytest.mark.parametrize("mode", MODES)
+def test_reduced_engine_records_match_all_ops(monkeypatch, name, m, r, zero, mode):
+    # Records of the engine built along the r kept directions against one built along all
+    # 2L ops, on fresh models (the slot would hand back the first engine).
+    model = _two_channel_model if m.channels == 2 else (lambda: decay_model(rabi=1.0))
+    rho0 = EXCITED if m.channels == 1 else np.diag([0.2, 0.3, 0.5]).astype(complex)
+    config = SimulationConfig(dt=1e-3, steps=40, n_traj=8, seed=5, mode=mode, snapshot_stride=8)
+    reduced = simulate_ensemble(model(), m, rho0, config)
+    engine = _measured_engine(model(), m)
+    assert len(engine.kept) == r and len(engine.ops) == 2 * m.channels
+    d2 = len(rho0) ** 2  # rows: states, 2L mean currents, cur . w and the trace
+    assert engine.sme_table(1e-3).shape == (d2 + 2 * m.channels + 2, (1 + r) * d2)
+    monkeypatch.setattr(dynamics, "_measured_directions", lambda m: (range(2 * m.channels), None))
+    full = simulate_ensemble(model(), m, rho0, config)
+    assert reduced.currents.shape == full.currents.shape == (8, 40, 2 * m.channels)
+    for k in ("currents", "noise", "purity", "log_weight", "snapshots"):
+        assert np.max(np.abs(getattr(reduced, k) - getattr(full, k))) <= 1e-13, k
+
+
+def test_homodyne_single_steps_build_one_backaction_op(monkeypatch):
+    # The companion of the heterodyne case above: the zero op gets no table.
+    built = []
+    table = dynamics._coordinate_table
+
+    def counted(n, maps, scale=1.0):
+        built.append(len(maps))
+        return table(n, maps, scale)
+
+    monkeypatch.setattr(dynamics, "_coordinate_table", counted)
+    model, m = decay_model(rabi=1.0), homodyne_mrep(0.6, phase=0.2)
+    for k in range(10):
+        out, dy = sme_step_nonlinear(model, m, EXCITED, np.array([0.01, -0.02 * k]), dt=1e-3)
+        assert dy.shape == (2,) and dy[1] == -0.02 * k  # the zero op's current is its noise
+        sme_step_linear(model, m, PLUS, np.array([0.03 * k, 0.01]), dt=1e-3)
+    assert built == [1, 1]  # one generator, one along the measured op
+
+
+def _gershgorin_rows(g, tol):
+    """The Gershgorin tier on a gathered row copy (n, d^2), as the monitor read it before."""
+    n = int(np.sqrt(g.shape[-1]))
+    k = n * (n + 1) // 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = np.hypot(g[:, n:k], g[:, k:]) @ dynamics._coordinate_weights(n)[2]
+    return ((g[:, :n] + 0.5 * tol >= r) & (g[:, :n] < np.inf)).all(axis=-1)
+
+
+@pytest.mark.parametrize("tol", (1e-3, 0.5))
+@pytest.mark.parametrize("dim", (3, 8))
+def test_monitor_on_the_column_layout_certifies_as_on_gathered_rows(monkeypatch, dim, tol):
+    # The ensemble hands the monitor the transpose of its (d^2, n) columns.  The bounds read it
+    # in place; they must send the same states to the Cholesky tier as the purity bound and
+    # the Gershgorin tier on a gathered row copy of the states they do not certify.
+    from diffmon.dynamics import _first_negative_state, _gather, _purity, _uncertified
+
+    gen = rng(1200 + dim + int(10 * tol))
+    half = 0.5 * tol
+    edge = []
+    for lam in (-half * (1.0 - 1e-9), -half * (1.0 + 1e-9), -tol * (1.0 - 1e-9), -2.0 * tol):
+        vals = np.concatenate([[lam], (1.0 - lam) * gen.dirichlet(np.ones(dim - 1))])
+        edge.append(np.diag(gen.permutation(vals)).astype(complex))
+    lams = np.array([-2.0, -1.0 - 1e-9, -1.0 + 1e-9, -0.5, 0.0]) * tol
+    rho = np.concatenate([
+        np.stack([random_state(gen, dim) for _ in range(10)]),
+        np.stack([random_pure_state(gen, dim) for _ in range(10)]),
+        np.stack([(random_state(gen, dim) + np.eye(dim)) / (1 + dim) for _ in range(10)]),
+        _states_with_min_eigenvalue(gen, dim, gen.choice(lams, size=20)),
+        np.stack(edge),
+    ])
+    rows = _gather(rho)
+    for i, value in enumerate((np.nan, np.inf, -np.inf, np.nan, 1e200, -1e200)):
+        rows[20 + i, gen.integers(dim * dim)] = value  # some of the mixed states
+    cols = np.ascontiguousarray(rows.T)  # the engine's layout
+    with np.errstate(over="ignore", invalid="ignore"):  # the purity tier of a huge entry
+        p = _purity(rows)
+        idx = np.flatnonzero(_uncertified(rows, p, tol))
+    # Before: the purity bound, then Gershgorin on a gathered copy of the uncertified rows.
+    want = idx[~_gershgorin_rows(rows[idx], tol)]
+    assert 0 < want.size < idx.size < len(rows)
+    assert np.array_equal(dynamics._gershgorin_certified(cols.T, tol), _gershgorin_rows(rows, tol))
+    assert np.array_equal(dynamics._gershgorin_certified(rows, tol), _gershgorin_rows(rows, tol))
+
+    class Batch(Exception):
+        pass
+
+    def batch(g):
+        raise Batch(g.copy())
+
+    monkeypatch.setattr(dynamics, "_scatter", batch)
+    with pytest.raises(Batch) as info, np.errstate(over="ignore", invalid="ignore"):
+        _first_negative_state(cols.T, p, tol)
+    assert np.array_equal(info.value.args[0], rows[want], equal_nan=True)
