@@ -1,8 +1,9 @@
 """Self-check suite: every module invariant as a named, seeded, deterministic check.
 
-Each check returns a result row; the CLI ``check`` subcommand runs them all
-and fails (exit 1) if any row fails.  Sampling sizes are chosen so the whole
-suite runs in well under a minute; the acceptance tests exercise the same
+Each check is registered under its name where it is defined, in report order, and
+returns ``(passed, detail)``; ``run_all_checks`` turns them into result rows and the CLI
+``check`` subcommand fails (exit 1) if any row fails.  Sampling sizes are chosen so the
+whole suite runs in well under a minute; the acceptance tests exercise the same
 properties at their full sizes.
 """
 
@@ -15,6 +16,7 @@ from numpy.random import Generator, Philox
 
 from . import dynamics, linalg, reps, sme, stats
 from .dynamics import LindbladModel
+from .errors import DiffmonError
 from .noise import NoiseSource
 from .reps import MRep
 from .sme import SimulationConfig, simulate_ensemble
@@ -26,11 +28,62 @@ class CheckResult:
     passed: bool
     detail: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "passed", bool(self.passed))
-
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
+
+
+CHECKS: list = []  # (name, check) in report order; a check maps a seed to (passed, detail)
+
+
+def _check(name: str):
+    """Register the decorated check under ``name``, after every check registered before it."""
+    def register(check):
+        CHECKS.append((name, check))
+        return check
+    return register
+
+
+def _worst(defects):
+    """The largest of a sweep's defects, elementwise for tuples of them, and 0 for none.
+
+    ``np.maximum`` carries a NaN through, where ``max(worst, x)`` would keep ``worst``, so
+    a NaN defect fails its bound; on ties it keeps the running worst, as ``max`` does.
+    """
+    worst = 0.0
+    for defect in defects:
+        worst = np.maximum(defect, worst)
+    return worst
+
+
+def _sweep(name: str, bound, detail: str):
+    """Register a generator of defects as the check that their worst is within ``bound``.
+
+    For defects that are tuples, ``bound`` holds one bound per entry; ``detail`` is
+    formatted with the worst of each entry.
+    """
+    def register(defects):
+        @_check(name)
+        def check(seed: int) -> tuple:
+            worst = _worst(defects(seed))
+            return np.all(worst <= bound), detail.format(*np.atleast_1d(worst))
+        return check
+    return register
+
+
+def run_all_checks(seed: int = 0) -> list:
+    """One row per registered check, in report order.
+
+    A check that raises a ``DiffmonError`` is a failed row naming the error, and the
+    rows after it still run; any other exception propagates.
+    """
+    rows = []
+    for name, check in CHECKS:
+        try:
+            passed, detail = check(seed)
+        except DiffmonError as exc:
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        rows.append(CheckResult(name, bool(passed), detail))
+    return rows
 
 
 def _rng(seed: int, idx: int) -> Generator:
@@ -78,133 +131,109 @@ def liouvillian_superoperator(model: LindbladModel) -> np.ndarray:
 # matrix primitives
 
 
-def check_positive_sqrt_roundtrip(seed: int) -> CheckResult:
+@_sweep("linalg.positive_sqrt_roundtrip", 1e-9, "max relative error {:.2e}")
+def check_positive_sqrt_roundtrip(seed: int):
     rng = _rng(seed, 1)
-    worst = 0.0
     for _ in range(50):
         n = int(rng.integers(2, 6))
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         b = g @ g.conj().T
         b = (b + b.conj().T) / 2.0
         root = linalg.positive_sqrt(b @ b)
-        worst = max(worst, np.linalg.norm(root - b) / max(np.linalg.norm(b), 1.0))
-    return CheckResult(
-        "linalg.positive_sqrt_roundtrip", worst <= 1e-9, f"max relative error {worst:.2e}"
-    )
+        yield np.linalg.norm(root - b) / max(np.linalg.norm(b), 1.0)
 
 
-def check_polar_recomposition(seed: int) -> CheckResult:
+@_sweep("linalg.polar_recomposition", 1e-9, "max relative error {:.2e}")
+def check_polar_recomposition(seed: int):
     rng = _rng(seed, 2)
-    worst = 0.0
     for _ in range(50):
         n = int(rng.integers(2, 7))
         t = rng.normal(size=(n, n))
         p, o, _unique = linalg.polar_decompose(t)
-        worst = max(worst, np.linalg.norm(p @ o - t) / max(np.linalg.norm(t), 1.0))
-    return CheckResult(
-        "linalg.polar_recomposition", worst <= 1e-9, f"max relative error {worst:.2e}"
-    )
+        yield np.linalg.norm(p @ o - t) / max(np.linalg.norm(t), 1.0)
 
 
-def check_pinv_orthogonal(seed: int) -> CheckResult:
+@_sweep("linalg.pinv_orthogonal_transpose", 1e-10, "max deviation {:.2e}")
+def check_pinv_orthogonal(seed: int):
     rng = _rng(seed, 3)
-    worst = 0.0
     for _ in range(20):
         n = int(rng.integers(2, 7))
         o = reps.random_orthogonal(rng, n).matrix
-        worst = max(worst, np.linalg.norm(linalg.pseudo_inverse(o) - o.T))
-    return CheckResult(
-        "linalg.pinv_orthogonal_transpose", worst <= 1e-10, f"max deviation {worst:.2e}"
-    )
+        yield np.linalg.norm(linalg.pseudo_inverse(o) - o.T)
 
 
 # ---------------------------------------------------------------------------
 # measurement parameterizations
 
 
-def check_sufficiency_sweep(seed: int, samples: int = 100) -> CheckResult:
+@_sweep("reps.sufficiency_sweep", 1e-10,
+        "derived unravelling matrices valid; worst eigenvalue deficit {:.2e}")
+def check_sufficiency_sweep(seed: int, samples: int = 100):
     rng = _rng(seed, 4)
-    worst = 0.0
     for channels in (1, 2, 3):
         for _ in range(samples):
             m = reps.random_mrep(rng, channels)
             u = reps.mrep_to_urep(m, tol=1e-10)
             w = np.linalg.eigvalsh((u.matrix + u.matrix.T) / 2.0)
-            worst = max(worst, max(0.0, -float(w[0])))
-    return CheckResult(
-        "reps.sufficiency_sweep",
-        worst <= 1e-10,
-        f"derived unravelling matrices valid; worst eigenvalue deficit {worst:.2e}",
-    )
+            yield -float(w[0])  # the worst starts at 0: a PSD matrix has no deficit
 
 
-def check_brep_route_equality(seed: int, samples: int = 60) -> CheckResult:
+@_sweep("reps.brep_route_equality", 1e-10, "max route difference {:.2e}")
+def check_brep_route_equality(seed: int, samples: int = 60):
     rng = _rng(seed, 5)
-    worst = 0.0
     for _ in range(samples):
         channels = int(rng.integers(1, 4))
         b = reps.random_brep(rng, channels)
         direct = reps.brep_to_urep(b).matrix
         via_m = reps.mrep_to_urep(reps.brep_to_mrep(b)).matrix
-        worst = max(worst, float(np.max(np.abs(direct - via_m))))
-    return CheckResult(
-        "reps.brep_route_equality", worst <= 1e-10, f"max route difference {worst:.2e}"
-    )
+        yield float(np.max(np.abs(direct - via_m)))
 
 
-def check_brep_gram_identity(seed: int, samples: int = 60) -> CheckResult:
+@_sweep("reps.brep_gram_identity", 1e-12, "max gram deviation {:.2e}")
+def check_brep_gram_identity(seed: int, samples: int = 60):
     rng = _rng(seed, 6)
-    worst = 0.0
     for _ in range(samples):
         channels = int(rng.integers(1, 4))
         b = reps.random_brep(rng, channels)
         m = reps.brep_to_mrep(b)
         gram = m.matrix @ m.matrix.conj().T
-        worst = max(worst, float(np.max(np.abs(gram - np.diag(np.clip(b.eta, 0, 1))))))
-    return CheckResult(
-        "reps.brep_gram_identity", worst <= 1e-12, f"max gram deviation {worst:.2e}"
-    )
+        yield float(np.max(np.abs(gram - np.diag(np.clip(b.eta, 0, 1)))))
 
 
-def check_factorization_roundtrip(seed: int, samples: int = 200) -> CheckResult:
+@_sweep("reps.factorization_roundtrip", 1e-8, "max reconstruction error {:.2e}")
+def check_factorization_roundtrip(seed: int, samples: int = 200):
     rng = _rng(seed, 7)
-    worst = 0.0
     for _ in range(samples):
         m = reps.random_mrep(rng, 1)
         if np.linalg.norm(m.matrix) < 1e-6:
             continue
         b, o = reps.mrep_to_brep_o(m)
         rec = reps.brep_o_to_mrep(b, o)
-        worst = max(worst, float(np.max(np.abs(rec.matrix - m.matrix))))
-    return CheckResult(
-        "reps.factorization_roundtrip", worst <= 1e-8, f"max reconstruction error {worst:.2e}"
-    )
+        yield float(np.max(np.abs(rec.matrix - m.matrix)))
 
 
-def check_polar_determinism(seed: int) -> CheckResult:
+@_check("reps.polar_determinism")
+def check_polar_determinism(seed: int) -> tuple:
     rng = _rng(seed, 8)
     ok = True
-    worst = 0.0
+    errors = []
     for _ in range(20):
         m = reps.random_mrep(rng, 2)
         t = reps.mrep_to_trep(m)
         p1, o1, u1 = reps.trep_polar(t)
         p2, o2, u2 = reps.trep_polar(t)
         ok = ok and np.array_equal(p1, p2) and np.array_equal(o1.matrix, o2.matrix) and u1 == u2
-        worst = max(
-            worst,
-            np.linalg.norm(p1 @ o1.matrix - t.matrix) / max(np.linalg.norm(t.matrix), 1e-30),
+        errors.append(
+            np.linalg.norm(p1 @ o1.matrix - t.matrix) / max(np.linalg.norm(t.matrix), 1e-30)
         )
-    return CheckResult(
-        "reps.polar_determinism",
-        ok and worst <= 1e-9,
-        f"repeat runs bit-identical: {ok}; max recomposition error {worst:.2e}",
-    )
+    worst = _worst(errors)
+    detail = f"repeat runs bit-identical: {ok}; max recomposition error {worst:.2e}"
+    return ok and worst <= 1e-9, detail
 
 
-def check_stacked_weight_identity(seed: int) -> CheckResult:
+@_sweep("reps.stacked_weight_identity", 1e-12, "max identity deviation {:.2e}")
+def check_stacked_weight_identity(seed: int):
     rng = _rng(seed, 9)
-    worst = 0.0
     for _ in range(50):
         channels = int(rng.integers(1, 4))
         m = reps.random_mrep(rng, channels)
@@ -212,51 +241,39 @@ def check_stacked_weight_identity(seed: int) -> CheckResult:
         v = rng.normal(size=channels) + 1j * rng.normal(size=channels)
         lhs = m.matrix.conj().T @ v
         rhs = t.matrix.T @ np.concatenate([v, -1j * v])
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return CheckResult(
-        "reps.stacked_weight_identity", worst <= 1e-12, f"max identity deviation {worst:.2e}"
-    )
+        yield float(np.max(np.abs(lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------
 # deterministic dynamics
 
 
-def check_generator_traceless_hermitian(seed: int) -> CheckResult:
+@_sweep("dynamics.generator_traceless_hermitian", (1e-12, 1e-12),
+        "max |trace| {:.2e}, max Hermiticity defect {:.2e}")
+def check_generator_traceless_hermitian(seed: int):
     rng = _rng(seed, 10)
-    worst_tr = 0.0
-    worst_h = 0.0
     for _ in range(25):
         model = _random_model(rng, int(rng.integers(2, 5)), int(rng.integers(1, 3)))
         rho = _random_state(rng, model.dim)
         out = dynamics.liouvillian_apply(model, rho)
-        worst_tr = max(worst_tr, abs(complex(np.trace(out))))
-        worst_h = max(worst_h, float(np.linalg.norm(out - out.conj().T)))
-    ok = worst_tr <= 1e-12 and worst_h <= 1e-12
-    return CheckResult(
-        "dynamics.generator_traceless_hermitian",
-        ok,
-        f"max |trace| {worst_tr:.2e}, max Hermiticity defect {worst_h:.2e}",
-    )
+        yield abs(complex(np.trace(out))), float(np.linalg.norm(out - out.conj().T))
 
 
-def check_decay_analytic(seed: int) -> CheckResult:
+@_sweep("dynamics.decay_analytic", 1e-8, "max population error {:.2e}")
+def check_decay_analytic(seed: int):
     model = _decay_model()
     states = dynamics.me_integrate(model, _excited(), dt=1e-3, steps=3000)
     times = np.arange(3001) * 1e-3
     pops = np.real(states[:, 0, 0])
-    worst = float(np.max(np.abs(pops - np.exp(-times))))
-    return CheckResult(
-        "dynamics.decay_analytic", worst <= 1e-8, f"max population error {worst:.2e}"
-    )
+    yield float(np.max(np.abs(pops - np.exp(-times))))
 
 
-def check_regression_vs_exponential(seed: int) -> CheckResult:
+@_sweep("dynamics.regression_vs_exponential", 1e-8, "max error {:.2e}")
+def check_regression_vs_exponential(seed: int):
     # Imported here so that importing diffmon never loads scipy.
     from scipy.linalg import expm
 
     rng = _rng(seed, 12)
-    worst = 0.0
     for dim, channels in ((2, 1), (3, 2), (4, 2)):
         model = _random_model(rng, dim, channels)
         rho = _random_state(rng, dim)
@@ -267,15 +284,13 @@ def check_regression_vs_exponential(seed: int) -> CheckResult:
             got = dynamics.regression_correlation(model, a, b, rho, tau, dt=1e-3)
             x = expm(sup * tau) @ (rho @ a).reshape(-1)
             want = complex(np.trace(b @ x.reshape(dim, dim)))
-            worst = max(worst, abs(got - want))
-    return CheckResult(
-        "dynamics.regression_vs_exponential", worst <= 1e-8, f"max error {worst:.2e}"
-    )
+            yield abs(got - want)
 
 
-def check_diffusion_invariance(seed: int, samples: int = 25) -> CheckResult:
+@_sweep("dynamics.diffusion_orthogonal_invariance", 1e-10,
+        "max diffusion-matrix change under post-processing {:.2e}")
+def check_diffusion_invariance(seed: int, samples: int = 25):
     rng = _rng(seed, 13)
-    worst = 0.0
     for _ in range(samples):
         model = _random_model(rng, 3, 2)
         rho = _random_state(rng, 3)
@@ -283,57 +298,44 @@ def check_diffusion_invariance(seed: int, samples: int = 25) -> CheckResult:
         o = reps.random_orthogonal(rng, 4)
         d1 = dynamics.diffusion_matrix(model, m, rho)
         d2 = dynamics.diffusion_matrix(model, MRep(m.matrix @ o.matrix, hbar=m.hbar), rho)
-        worst = max(worst, float(np.max(np.abs(d1 - d2))))
-    return CheckResult(
-        "dynamics.diffusion_orthogonal_invariance",
-        worst <= 1e-10,
-        f"max diffusion-matrix change under post-processing {worst:.2e}",
-    )
+        yield float(np.max(np.abs(d1 - d2)))
 
 
-def check_autocorrelation_symmetry(seed: int) -> CheckResult:
+@_sweep("dynamics.autocorrelation_symmetry", 1e-8,
+        "max asymmetry for a Hermitian-coupling model at its stationary state {:.2e}")
+def check_autocorrelation_symmetry(seed: int):
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     model = LindbladModel(hamiltonian=np.zeros((2, 2)), lindblads=(sx / np.sqrt(2.0))[None])
     m = MRep(np.sqrt(0.7) * np.array([[np.cos(0.3), np.sin(0.3)]], dtype=complex))
     rho = np.eye(2, dtype=complex) / 2.0
     corr = dynamics.predicted_autocorrelation(model, m, rho, np.array([0.2, 0.5]), dt=1e-3)
-    worst = float(max(np.max(np.abs(c - c.T)) for c in corr))
-    return CheckResult(
-        "dynamics.autocorrelation_symmetry",
-        worst <= 1e-8,
-        f"max asymmetry for a Hermitian-coupling model at its stationary state {worst:.2e}",
-    )
+    for c in corr:
+        yield float(np.max(np.abs(c - c.T)))
 
 
 # ---------------------------------------------------------------------------
 # stochastic propagation
 
 
-def check_noise_completion_psd(seed: int, samples: int = 100) -> CheckResult:
+@_sweep("sme.noise_completion_psd", (1e-10, 1e-12),
+        "worst PSD deficit {:.2e}; completion identity defect {:.2e}")
+def check_noise_completion_psd(seed: int, samples: int = 100):
     rng = _rng(seed, 15)
-    worst_psd = 0.0
-    worst_id = 0.0
     for _ in range(samples):
         channels = int(rng.integers(1, 4))
         m = reps.random_mrep(rng, channels)
         z = m.hbar * np.eye(2 * channels) - m.matrix.conj().T @ m.matrix
         w = np.linalg.eigvalsh((z + z.conj().T) / 2.0)
-        worst_psd = max(worst_psd, max(0.0, -float(w[0])))
         ell = sme.noise_completion(m)
         defect = np.linalg.norm(
             m.hbar**2 * ell @ ell.conj().T + m.matrix.conj().T @ m.matrix
             - m.hbar * np.eye(2 * channels)
         )
-        worst_id = max(worst_id, float(defect))
-    ok = worst_psd <= 1e-10 and worst_id <= 1e-12
-    return CheckResult(
-        "sme.noise_completion_psd",
-        ok,
-        f"worst PSD deficit {worst_psd:.2e}; completion identity defect {worst_id:.2e}",
-    )
+        yield -float(w[0]), float(defect)  # as in reps.sufficiency_sweep
 
 
-def check_step_trace_hermiticity(seed: int) -> CheckResult:
+@_check("sme.step_trace_hermiticity")
+def check_step_trace_hermiticity(seed: int) -> tuple:
     rng = _rng(seed, 16)
     model = _decay_model(rabi=1.0)
     m = reps.heterodyne_mrep(0.7)
@@ -344,11 +346,7 @@ def check_step_trace_hermiticity(seed: int) -> CheckResult:
     herm = float(np.max(np.abs(out - out.conj().transpose(0, 2, 1))))
     tr_dev = float(np.max(np.abs(tr - 1.0)))
     ok = herm == 0.0 and tr_dev <= 1e-12
-    return CheckResult(
-        "sme.step_trace_hermiticity",
-        ok,
-        f"pre-normalization trace deviation {tr_dev:.2e}, Hermiticity defect {herm:.2e}",
-    )
+    return ok, f"pre-normalization trace deviation {tr_dev:.2e}, Hermiticity defect {herm:.2e}"
 
 
 def _one_step_sample(model, m, rho0, seed: int, stream: int, n: int, dt: float, linear=False):
@@ -359,7 +357,8 @@ def _one_step_sample(model, m, rho0, seed: int, stream: int, n: int, dt: float, 
     return out, tr, dw
 
 
-def check_one_step_mean(seed: int) -> CheckResult:
+@_check("sme.one_step_mean")
+def check_one_step_mean(seed: int) -> tuple:
     model = _decay_model(rabi=1.0)
     dt, n, rho0 = 1e-3, 20000, _excited()
     out, _tr, _dw = _one_step_sample(model, reps.heterodyne_mrep(0.8), rho0, seed, 0, n, dt)
@@ -368,14 +367,11 @@ def check_one_step_mean(seed: int) -> CheckResult:
     det = dynamics.rk4_step(model, rho0, dt)
     excess = np.abs(mean - det) - 3.0 * np.abs(se) - 10.0 * dt**2
     worst = float(np.max(excess.real))
-    return CheckResult(
-        "sme.one_step_mean",
-        worst <= 0.0,
-        f"worst entrywise excess over 3 stderr + O(dt^2): {worst:.2e}",
-    )
+    return worst <= 0.0, f"worst entrywise excess over 3 stderr + O(dt^2): {worst:.2e}"
 
 
-def check_purity_rate(seed: int) -> CheckResult:
+@_check("sme.purity_rate_monte_carlo")
+def check_purity_rate(seed: int) -> tuple:
     model = _decay_model()
     rho0 = _excited()
     dt = 1e-4
@@ -392,10 +388,11 @@ def check_purity_rate(seed: int) -> CheckResult:
         dev = abs(float(dp.mean()) - predicted)
         ok = ok and dev <= 3.0 * se + 10.0 * dt
         details.append(f"dev {dev:.2e} vs 3se {3 * se:.2e}")
-    return CheckResult("sme.purity_rate_monte_carlo", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def check_linear_martingale(seed: int) -> CheckResult:
+@_check("sme.linear_martingale")
+def check_linear_martingale(seed: int) -> tuple:
     model = _decay_model(rabi=1.0)
     m = reps.homodyne_mrep(0.8)
     dt, n = 1e-3, 20000
@@ -408,18 +405,17 @@ def check_linear_martingale(seed: int) -> CheckResult:
     dev_y = np.abs(mean_y.mean(axis=0) - truth)
     se_y = mean_y.std(axis=0, ddof=1) / np.sqrt(n)
     ok = dev <= 3.0 * se + 1e-12 and bool(np.all(dev_y <= 3.0 * se_y + 10.0 * dt))
-    return CheckResult(
-        "sme.linear_martingale",
+    return (
         ok,
         f"weight-mean deviation {dev:.2e} (3se {3 * se:.2e});"
         f" weighted current deviation {np.max(dev_y):.2e}",
     )
 
 
-def check_brep_noise_blocks(seed: int, samples: int = 60) -> CheckResult:
+@_sweep("sme.brep_noise_blocks", (1e-12, 1e-12),
+        "completeness defect {:.2e}; measurement-matrix mismatch {:.2e}")
+def check_brep_noise_blocks(seed: int, samples: int = 60):
     rng = _rng(seed, 18)
-    worst_id = 0.0
-    worst_m = 0.0
     for _ in range(samples):
         channels = int(rng.integers(1, 4))
         b = reps.random_brep(rng, channels)
@@ -429,36 +425,44 @@ def check_brep_noise_blocks(seed: int, samples: int = 60) -> CheckResult:
             + blocks.loss @ blocks.loss.conj().T
             + blocks.splitter @ blocks.splitter.conj().T
         )
-        worst_id = max(worst_id, float(np.max(np.abs(total - np.eye(2 * channels)))))
-        worst_m = max(
-            worst_m,
+        yield (
+            float(np.max(np.abs(total - np.eye(2 * channels)))),
             float(np.max(np.abs(blocks.measurement_matrix() - reps.brep_to_mrep(b).matrix))),
         )
-    ok = worst_id <= 1e-12 and worst_m <= 1e-12
-    return CheckResult(
-        "sme.brep_noise_blocks",
-        ok,
-        f"completeness defect {worst_id:.2e}; measurement-matrix mismatch {worst_m:.2e}",
+
+
+@_check("sme.ensemble_replay")
+def check_ensemble_replay(seed: int) -> tuple:
+    model = _decay_model(rabi=1.0)
+    m = reps.heterodyne_mrep(0.8)
+    rho0 = _excited()
+    config = SimulationConfig(dt=5e-3, steps=90, n_traj=16, seed=seed, snapshot_stride=30)
+    e1 = simulate_ensemble(model, m, rho0, config, block_steps=7)
+    e2 = simulate_ensemble(model, m, rho0, config, block_steps=256)
+    ok = (
+        np.array_equal(e1.currents, e2.currents)
+        and np.array_equal(e1.noise, e2.noise)
+        and np.array_equal(e1.snapshots, e2.snapshots)
     )
+    return ok, f"identical output across batching schedules: {ok}"
 
 
 # ---------------------------------------------------------------------------
 # ensemble statistics
 
 
-def check_initial_state(seed: int) -> CheckResult:
+@_sweep("stats.initial_state", 1e-14, "initial mean-state deviation {:.2e}")
+def check_initial_state(seed: int):
     model = _decay_model(rabi=1.0)
     m = reps.homodyne_mrep(0.9)
     rho0 = _excited()
     config = SimulationConfig(dt=1e-2, steps=20, n_traj=64, seed=seed, snapshot_stride=10)
     ens = simulate_ensemble(model, m, rho0, config)
-    dev = float(np.max(np.abs(stats.ensemble_mean_state(ens, 0) - rho0)))
-    return CheckResult(
-        "stats.initial_state", dev <= 1e-14, f"initial mean-state deviation {dev:.2e}"
-    )
+    yield float(np.max(np.abs(stats.ensemble_mean_state(ens, 0) - rho0)))
 
 
-def check_stderr_scaling(seed: int) -> CheckResult:
+@_check("stats.stderr_scaling")
+def check_stderr_scaling(seed: int) -> tuple:
     model = _decay_model(rabi=1.0)
     m = reps.homodyne_mrep(0.8)
     rho0 = _excited()
@@ -472,13 +476,11 @@ def check_stderr_scaling(seed: int) -> CheckResult:
         vals = np.real(np.einsum("ab,nba->n", sz, ens.snapshots[-1]))
         ses.append(float(vals.std(ddof=1) / np.sqrt(n)))
     ratio = ses[0] / ses[1]
-    ok = 1.6 <= ratio <= 2.4
-    return CheckResult(
-        "stats.stderr_scaling", ok, f"stderr ratio across 4x sweep {ratio:.3f} (target 2)"
-    )
+    return 1.6 <= ratio <= 2.4, f"stderr ratio across 4x sweep {ratio:.3f} (target 2)"
 
 
-def check_estimator_determinism(seed: int) -> CheckResult:
+@_check("stats.estimator_determinism")
+def check_estimator_determinism(seed: int) -> tuple:
     model = _decay_model(rabi=1.0)
     m = reps.heterodyne_mrep(0.8)
     rho0 = _excited()
@@ -493,53 +495,4 @@ def check_estimator_determinism(seed: int) -> CheckResult:
         and np.array_equal(a1.stderr, a2.stderr)
         and np.array_equal(r1.trace_distances, r2.trace_distances)
     )
-    return CheckResult("stats.estimator_determinism", ok, f"re-run bit-identical: {ok}")
-
-
-def check_ensemble_replay(seed: int) -> CheckResult:
-    model = _decay_model(rabi=1.0)
-    m = reps.heterodyne_mrep(0.8)
-    rho0 = _excited()
-    config = SimulationConfig(dt=5e-3, steps=90, n_traj=16, seed=seed, snapshot_stride=30)
-    e1 = simulate_ensemble(model, m, rho0, config, block_steps=7)
-    e2 = simulate_ensemble(model, m, rho0, config, block_steps=256)
-    ok = (
-        np.array_equal(e1.currents, e2.currents)
-        and np.array_equal(e1.noise, e2.noise)
-        and np.array_equal(e1.snapshots, e2.snapshots)
-    )
-    return CheckResult(
-        "sme.ensemble_replay", ok, f"identical output across batching schedules: {ok}"
-    )
-
-
-ALL_CHECKS = (
-    check_positive_sqrt_roundtrip,
-    check_polar_recomposition,
-    check_pinv_orthogonal,
-    check_sufficiency_sweep,
-    check_brep_route_equality,
-    check_brep_gram_identity,
-    check_factorization_roundtrip,
-    check_polar_determinism,
-    check_stacked_weight_identity,
-    check_generator_traceless_hermitian,
-    check_decay_analytic,
-    check_regression_vs_exponential,
-    check_diffusion_invariance,
-    check_autocorrelation_symmetry,
-    check_noise_completion_psd,
-    check_step_trace_hermiticity,
-    check_one_step_mean,
-    check_purity_rate,
-    check_linear_martingale,
-    check_brep_noise_blocks,
-    check_ensemble_replay,
-    check_initial_state,
-    check_stderr_scaling,
-    check_estimator_determinism,
-)
-
-
-def run_all_checks(seed: int = 0) -> list:
-    return [fn(seed) for fn in ALL_CHECKS]
+    return ok, f"re-run bit-identical: {ok}"

@@ -179,7 +179,13 @@ def _cmd_autocorr(args) -> int:
     for t in lag_times:
         if not 0.0 < t <= span:  # NaN and inf fail too
             raise ValidationError(f"--lags must lie in (0, {span:g}], the run's length; got {t}")
-    lag_steps = sorted({max(1, int(round(t / args.dt))) for t in lag_times})
+    multiples = [t / config.dt for t in lag_times]
+    for t, k in zip(lag_times, multiples):
+        if abs(k - round(k)) > 1e-9 * k:
+            raise ValidationError(f"--lags must be whole multiples of --dt {config.dt:g}; got {t}")
+    lag_steps = sorted({round(k) for k in multiples})
+    if len(lag_steps) < len(lag_times):
+        raise ValidationError(f"--lags must fall on distinct steps of --dt; got {args.lags}")
     burn_in = args.burn_in if args.burn_in is not None else args.steps // 2
     ensemble = simulate_ensemble(model, mrep, rho0, config)
     estimate = autocorrelation_estimate(ensemble, lag_steps, burn_in=burn_in)
@@ -313,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("autocorr", help="estimated and predicted current autocorrelation")
     _add_run_options(p)
     p.add_argument("--lags", required=True,
-                   help="comma-separated lag times, e.g. 0.1,0.5,1.0")
+                   help="comma-separated lag times, whole multiples of --dt, e.g. 0.1,0.5,1.0")
     p.add_argument("--burn-in", type=int, default=None,
                    help="steps discarded before the stationary tail (default: half)")
     _add_common(p)

@@ -32,6 +32,7 @@ from .dynamics import (
     _scatter,
     _trace,
     check_density_matrix,
+    purity,
 )
 from .errors import (
     DimensionMismatchError,
@@ -399,7 +400,7 @@ def purity_increment_predicted(
     efficiency deficit.
     """
     rho = np.asarray(rho, dtype=complex)
-    p = float(np.real(np.einsum("ab,ba->", rho, rho)))
+    p = purity(rho)
     if p < 1.0 - max(tol, 1e-12):
         raise NotPureError(f"state purity {p} is below 1")
     _measured_ops(model, mrep)  # checks channels and scale

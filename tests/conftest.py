@@ -50,7 +50,9 @@ def gen():
 
 
 def pytest_terminal_summary(terminalreporter):
-    """Print the line count of src/diffmon next to the slowest tests: both are tracked."""
+    """Print the line count of src/diffmon, and of each of its modules, next to the slowest
+    tests: both are tracked, and the modules show where lines moved."""
     src = Path(__file__).resolve().parents[1] / "src" / "diffmon"
-    lines = sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
-    terminalreporter.write_sep("=", f"src/diffmon: {lines} lines")
+    counts = {path.name: path.read_bytes().count(b"\n") for path in sorted(src.glob("*.py"))}
+    terminalreporter.write_sep("=", f"src/diffmon: {sum(counts.values())} lines")
+    terminalreporter.write_line("  ".join(f"{name} {n}" for name, n in counts.items()))

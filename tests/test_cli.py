@@ -215,7 +215,7 @@ def test_simulate_rejects_channel_mismatch(model_file, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-def test_simulate_with_initial_state_file(het_file, model_file, tmp_path):
+def test_simulate_with_initial_state_file(het_file, model_file, tmp_path, capsys):
     init = tmp_path / "init.json"
     init.write_text(json.dumps({"state": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}))
     out = tmp_path / "runinit"
@@ -225,6 +225,15 @@ def test_simulate_with_initial_state_file(het_file, model_file, tmp_path):
         "--out", str(out),
     ]
     assert main(args) == 0
+    capsys.readouterr()
+    for doc, want in (
+        ({"rho": [[[1.0, 0.0]]]}, "initial-state file must carry a 'state' matrix"),
+        ({"state": [[[1.0, 0.0]]]}, "initial state must be 2 x 2, got (1, 1)"),
+    ):
+        init.write_text(json.dumps(doc))
+        assert main([*args[:-1], str(tmp_path / "bad")]) == 3
+        assert capsys.readouterr().err == f"schema error: {want}\n"
+    assert not (tmp_path / "bad").exists()
 
 
 def test_autocorr_writes_tables(het_file, model_file, tmp_path):
@@ -280,10 +289,18 @@ def test_run_commands_fingerprint_the_model_once(
 
 def test_autocorr_rejects_bad_lags(het_file, model_file, tmp_path, capsys):
     # -1 and 0 used to run with a one-step lag; nan, inf and 1e300 ended in a traceback
-    # (exit 1).  A lag past the run's 0.5 time units has no pairs to estimate.
-    cases = [("abc", None), ("-1", "-1.0"), ("0", "0.0"), ("nan", "nan"), ("0.1,inf", "inf"),
-             ("0.1,1e400", "inf"), ("1e300", "1e+300"), ("0.2,0.6", "0.6")]
-    for lags, bad in cases:
+    # (exit 1).  A lag past the run's 0.5 time units has no pairs to estimate.  A lag off
+    # the step grid used to be rounded to it, and lags on one step merged, without a word.
+    span = "--lags must lie in (0, 0.5], the run's length; got "
+    whole = "--lags must be whole multiples of --dt 0.01; got "
+    cases = [("abc", None), ("-1", span + "-1.0"), ("0", span + "0.0"), ("nan", span + "nan"),
+             ("0.1,inf", span + "inf"), ("0.1,1e400", span + "inf"), ("1e300", span + "1e+300"),
+             ("0.2,0.6", span + "0.6"), (",", "--lags must name at least one positive lag time"),
+             ("0.0001,0.012", whole + "0.0001"), ("0.013", whole + "0.013"),
+             ("0.02,0.02", "--lags must fall on distinct steps of --dt; got 0.02,0.02"),
+             ("0.01,0.010000000001",
+              "--lags must fall on distinct steps of --dt; got 0.01,0.010000000001")]
+    for lags, want in cases:
         args = [
             "autocorr", "--model", str(model_file), "--rep", str(het_file),
             "--dt", "0.01", "--steps", "50", "--ntraj", "4",
@@ -291,8 +308,7 @@ def test_autocorr_rejects_bad_lags(het_file, model_file, tmp_path, capsys):
         ]
         assert main(args) == 4
         err = capsys.readouterr().err
-        if bad is not None:
-            want = f"--lags must lie in (0, 0.5], the run's length; got {bad}"
+        if want is not None:
             assert err == f"validation error: {want}\n"
     assert not (tmp_path / "x").exists()
 

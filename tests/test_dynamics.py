@@ -161,6 +161,17 @@ def test_state_check_rejects_non_finite_entries():
         me_integrate(decay_model(), np.array([[np.nan, 0.0], [0.0, 1.0]]), dt=1e-3, steps=2)
 
 
+def test_purity_of_pure_mixed_and_random_states():
+    # The public Tr rho^2: 1 for a pure state, 1/d at the maximally mixed state, and
+    # the coordinate form the ensemble records for any other state.
+    gen = rng(79)
+    assert dynamics.purity(random_pure_state(gen, 3)) == pytest.approx(1.0, abs=1e-12)
+    assert dynamics.purity(np.eye(4, dtype=complex) / 4.0) == 0.25
+    rho = random_state(gen, 3)
+    assert isinstance(dynamics.purity(rho), float)
+    assert abs(dynamics.purity(rho) - _purity(_gather(rho))) <= 1e-14
+
+
 BAD_DT = [0.0, -1e-3, np.nan, np.inf, -np.inf]
 
 

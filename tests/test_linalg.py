@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from diffmon import classify, polar_decompose, positive_sqrt, pseudo_inverse
+from diffmon import (
+    classify,
+    homodyne_mrep,
+    mrep_to_trep,
+    polar_decompose,
+    positive_sqrt,
+    pseudo_inverse,
+)
 from diffmon.errors import NotHermitianError, NotPSDError
 
 from conftest import rng
@@ -78,11 +85,18 @@ def test_polar_random_invertible():
 
 
 def test_polar_rank_deficient_flags_and_det():
-    t = np.diag([1.0, 0.0])
-    p, o, unique = polar_decompose(t)
-    assert not unique
-    assert np.linalg.det(o) > 0.0
-    assert np.linalg.norm(p @ o - t) <= 1e-12
+    # (rank-deficient t, whether the SVD's own orthogonal factor has det -1 and is flipped)
+    cases = [
+        (np.diag([1.0, 0.0]), False),
+        (mrep_to_trep(homodyne_mrep(0.7, phase=2.0)).matrix, True),  # a homodyne T-rep
+    ]
+    for t, flipped in cases:
+        w, _s, vt = np.linalg.svd(t)
+        assert (np.linalg.det(w @ vt) < 0.0) == flipped  # the case reaches the flip it names
+        p, o, unique = polar_decompose(t)
+        assert not unique
+        assert abs(np.linalg.det(o) - 1.0) <= 1e-12
+        assert np.linalg.norm(p @ o - t) <= 1e-12
 
 
 def test_polar_recomposition_property():

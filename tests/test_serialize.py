@@ -123,9 +123,15 @@ def test_parse_rep_schema_errors():
     for field, bad in (
         ("L", "abc"), ("L", [1]), ("hbar", [1]), ("hbar", "x"),
         ("L", 1.5), ("L", True), ("L", "1"), ("L", 1.0), ("hbar", "2.5"), ("hbar", True),
+        ("L", 0), ("L", -1), ("hbar", 10**400),  # an integer beyond the float range
     ):
         with pytest.raises(SchemaError, match=field):
             parse_rep({**payload, field: bad})
+    brep = {"type": "brep", "hbar": 1.0, "L": 1, "eta": [1.0], "S": [[[1.0, 0.0]]], "theta": [0.0]}
+    parse_rep(brep)
+    for field, bad in (("eta", [1.0, 1.0]), ("S", [[[1.0, 0.0], [0.0, 0.0]]]), ("theta", [])):
+        with pytest.raises(SchemaError, match="brep payload shapes do not match L = 1"):
+            parse_rep({**brep, field: bad})
 
 
 def test_parse_rep_validation_error():
@@ -163,6 +169,7 @@ def test_model_schema_errors():
     for field, bad in (
         ("dim", "x"), ("dim", None), ("hbar", [1]), ("hbar", "x"),
         ("dim", 2.9), ("dim", "2"), ("dim", 2.0), ("dim", True), ("hbar", "2.5"), ("hbar", True),
+        ("hbar", 10**400),
     ):
         with pytest.raises(SchemaError, match=field):
             parse_model({**payload, field: bad})

@@ -653,6 +653,15 @@ def test_single_steps_reject_bad_dt(dt):
         sme_step_linear(model, m, PLUS, np.zeros(2), dt)
 
 
+def test_linear_step_rejects_non_positive_traces():
+    # The log-weight increment log(Tr out / Tr in) needs both traces positive.
+    model, m = decay_model(rabi=1.0), heterodyne_mrep(0.8)
+    with pytest.raises(StateInvalidError, match="input trace"):
+        sme_step_linear(model, m, -PLUS, np.zeros(2), 1e-3)
+    with pytest.raises(StateInvalidError, match="updated trace"):
+        sme_step_linear(model, m, PLUS, np.array([-10.0, -10.0]), 1e-3)
+
+
 @pytest.mark.parametrize("mode", ["nonlinear", "linear"])
 def test_ensemble_names_non_finite_trace(mode):
     # The positivity monitor's Cholesky does not fail on a NaN state, so a
@@ -694,6 +703,21 @@ def test_config_rejects_non_integer_counts(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be an integer"):
         SimulationConfig(**{**good, field: value})
     SimulationConfig(**{**good, field: np.int64(good[field])})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("steps", 0, "steps must be at least 1, got 0"),
+        ("n_traj", 0, "n_traj must be at least 1, got 0"),
+        ("snapshot_stride", 0, "snapshot_stride must be at least 1 when given"),
+        ("mode", "quantum", "mode must be one of"),
+    ],
+)
+def test_config_rejects_out_of_range_settings(field, value, message):
+    good = dict(dt=1e-3, steps=4, n_traj=2, seed=1, snapshot_stride=2)
+    with pytest.raises(ValidationError, match=message):
+        SimulationConfig(**{**good, field: value})
 
 
 def _states_with_min_eigenvalue(gen, dim, lams):

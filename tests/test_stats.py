@@ -18,6 +18,7 @@ from diffmon.errors import (
     InsufficientDataError,
     NonPositiveLagError,
     NoSnapshotsError,
+    ValidationError,
 )
 
 from conftest import EXCITED, SIGMA_Z, decay_model
@@ -138,6 +139,9 @@ def test_autocorrelation_errors():
         autocorrelation_estimate(ens, [19])
     with pytest.raises(InsufficientDataError):
         autocorrelation_estimate(ens, [])
+    for burn_in in (-1, 20):  # the burn-in must leave at least one step of the 20
+        with pytest.raises(ValidationError, match=f"burn-in {burn_in} outside 0..19"):
+            autocorrelation_estimate(ens, [1], burn_in=burn_in)
 
 
 def test_autocorrelation_deterministic_rerun():
