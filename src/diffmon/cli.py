@@ -135,6 +135,12 @@ def _load_run(args):
     return model, mrep, rho0, inputs
 
 
+def _write_run_manifest(args, outdir: Path, inputs: dict, outputs: list, **config) -> Path:
+    """``manifest.json`` of a run: the run options every command shares, then ``config``."""
+    shared = {"dt": args.dt, "steps": args.steps, "n_traj": args.ntraj, "tol": args.tol}
+    return write_manifest(outdir, args.command, args.seed, inputs, {**shared, **config}, outputs)
+
+
 def _cmd_simulate(args) -> int:
     model, mrep, rho0, inputs = _load_run(args)
     config = _simulation_config(args)
@@ -143,22 +149,9 @@ def _cmd_simulate(args) -> int:
     outputs = [write_trajectory_csv(outdir / "trajectories.csv", ensemble)]
     report = convergence_report(ensemble, model)
     outputs += write_report(outdir, "convergence", report.to_dict(), convergence_tables(report))
+    stride = config.snapshot_stride
     outputs.append(
-        write_manifest(
-            outdir,
-            "simulate",
-            args.seed,
-            inputs=inputs,
-            config={
-                "dt": args.dt,
-                "steps": args.steps,
-                "n_traj": args.ntraj,
-                "mode": config.mode,
-                "snapshot_stride": config.snapshot_stride,
-                "tol": args.tol,
-            },
-            outputs=outputs,
-        )
+        _write_run_manifest(args, outdir, inputs, outputs, mode=config.mode, snapshot_stride=stride)
     )
     print(f"max trace distance to the unconditioned solution: {report.max_trace_distance:.3e}")
     for path in outputs:
@@ -211,22 +204,9 @@ def _cmd_autocorr(args) -> int:
     outputs = write_report(
         outdir, "autocorr", payload, autocorrelation_tables(estimate, predicted)
     )
+    lags = estimate.lag_times.tolist()
     outputs.append(
-        write_manifest(
-            outdir,
-            "autocorr",
-            args.seed,
-            inputs=inputs,
-            config={
-                "dt": args.dt,
-                "steps": args.steps,
-                "n_traj": args.ntraj,
-                "burn_in": int(burn_in),
-                "lags": estimate.lag_times.tolist(),
-                "tol": args.tol,
-            },
-            outputs=outputs,
-        )
+        _write_run_manifest(args, outdir, inputs, outputs, burn_in=int(burn_in), lags=lags)
     )
     print(
         f"max |estimate - prediction| = {payload['max_abs_difference']:.3e}"

@@ -28,6 +28,7 @@ from .errors import (
     StateInvalidError,
     ValidationError,
     check_dt,
+    is_integer,
 )
 from .linalg import DEFAULT_TOL, positive_sqrt, pseudo_inverse
 from .reps import MRep, TRep, URep, _check_hbar, urep_split
@@ -83,11 +84,17 @@ class LindbladModel:
         return self.lindblads.shape[0]
 
 
+def _square(x) -> np.ndarray:
+    """x as an array, once it is one square matrix."""
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise DimensionMismatchError(f"state must be a square matrix, got {x.shape}")
+    return x
+
+
 def check_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
     """Raise unless rho is Hermitian, unit trace, and PSD within tolerance."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatchError(f"state must be a square matrix, got {rho.shape}")
+    rho = np.asarray(_square(rho), dtype=complex)
     if not np.all(np.isfinite(rho)):
         raise ValidationError("state has a non-finite entry")
     if np.linalg.norm(rho - rho.conj().T) > tol * max(1.0, float(np.linalg.norm(rho))):
@@ -101,12 +108,16 @@ def check_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
 
 
 def purity(rho: np.ndarray) -> float:
-    rho = np.asarray(rho)
-    return float(np.real(np.einsum("...ij,...ji->...", rho, rho)))
+    """Tr(rho^2) of one state, the real part for a matrix that is not Hermitian."""
+    rho = _square(rho)
+    return float(np.real(np.einsum("ij,ji->", rho, rho)))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the sum of absolute eigenvalues of the (Hermitian) difference."""
+    """Half the sum of absolute eigenvalues of the (Hermitian) difference of two states."""
+    a, b = _square(a), _square(b)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"states of shapes {a.shape} and {b.shape} differ in size")
     d = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
     d = (d + d.conj().T) / 2.0
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(d))))
@@ -285,18 +296,18 @@ class _Engine:
     Every d steps alike; tables are dense up to ``_SUPEROPERATOR_MAX_DIM``, CSR above.
     SME steps take states as columns (d^2, n).
 
-    The back-action is tabulated along the ops ``kept`` only, r of the J ops, when the
-    others are ``a_j = sum_k R_jk a_kept[k]`` with ``rt = R^T`` (r, J): the step then
-    runs along the increments ``R^T w`` (``directions``), while ``ops``, the mean currents
-    and the records keep all J.  ``rt = None`` keeps every op.
+    A measured engine tabulates the back-action along the ops ``kept`` only, r of the J
+    ops, the others being ``a_j = sum_k R_jk a_kept[k]`` with ``rt = R^T`` (r, J): the step
+    runs along the increments ``R^T w``, while ``ops``, the mean currents and the records
+    keep all J.  The model's engine (no ops) holds the generator table and polynomial.
     """
 
     def __init__(self, model: LindbladModel, ops: np.ndarray | None = None, kept=None, rt=None):
-        n = self.dim = model.dim
+        self.dim = model.dim
         self.hbar = model.hbar
         self.model = model
-        self.ops = np.zeros((0, n, n), dtype=complex) if ops is None else ops
-        self.kept = range(len(self.ops)) if kept is None else kept
+        self.ops = ops
+        self.kept = kept
         self.rt = rt
         self.base = self if ops is None else model.engine  # holds the generator table and poly
         self._poly = self._sme = (None, None)  # (step size, table) of the last h
@@ -341,15 +352,11 @@ class _Engine:
             stacked = block([[self.poly(h)], [back / self.hbar]])
             t = stacked @ _coordinate_weights(self.dim)[0]
             cur = back[:, : self.dim].sum(axis=1) / self.hbar
-            means = cur.reshape(-1, n2) if self.rt is None else self.rt.T @ cur.reshape(-1, n2)
+            means = self.rt.T @ cur.reshape(-1, n2)
             heads = np.zeros((len(self.ops) + 2, len(t)))  # mean currents, cur . w and the trace
             heads[:-2, :n2], heads[-2, n2:], heads[-1] = means, cur, t
             hit = self._sme = (h, block([[stacked.T], [heads]]))
         return hit[1]
-
-    def directions(self, w: np.ndarray) -> np.ndarray:
-        """Increments w (..., J, n) along the ops as ``R^T w`` (..., r, n) along the kept ones."""
-        return w if self.rt is None else np.matmul(self.rt, w)
 
     def operand(self, g: np.ndarray) -> np.ndarray:
         """The columns g (d^2, n) with room below them for ``w (x) g``."""
@@ -357,7 +364,7 @@ class _Engine:
 
     def sme_step(self, x: np.ndarray, w: np.ndarray, h: float, linear: bool = True):
         """One Ito step of the columns ``g = x[:d^2]`` of an ``operand`` along increments w (r, n),
-        ``directions`` of the increments along the J ops.
+        ``R^T`` of the increments along the J ops.
 
         Returns (output, its trace, mean current), views of ``sme_table(h) @ [g ; w (x) g]``.
         The linear output is the RK4 step plus ``sum_j w_j (a_j rho + rho a_j^dag) / hbar``;
@@ -429,7 +436,7 @@ def me_integrate(
     """
     check_density_matrix(rho0)
     dt = check_dt(dt)
-    if isinstance(steps, bool) or not (isinstance(steps, (int, np.integer)) and steps >= 0):
+    if not (is_integer(steps) and steps >= 0):
         raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
     p = model.engine.poly(dt)
     g = np.empty((steps + 1, model.dim**2))
@@ -568,8 +575,8 @@ def _measured_directions(mrep: MRep, tol: float = DEFAULT_TOL) -> tuple:
     Op j is real-linear in column j, so ``a_j = sum_k R_jk a_kept[k]``.  A column is kept
     when its distance to the span of the kept ones before it exceeds ``tol max(1, |T|)`` in
     units of sqrt(hbar), the scale ``validate_mrep`` allows off the diagonal of ``M M^dag``.
-    R^T is None when every column is kept; it selects the kept columns exactly and has
-    exact zeros for a column that is exactly zero.
+    R^T selects the kept columns exactly, so it is the identity when every column is kept,
+    and has exact zeros for a column that is exactly zero.
     """
     t = np.concatenate([mrep.matrix.real, mrep.matrix.imag]) / math.sqrt(mrep.hbar)
     atol, kept, q = tol * max(1.0, float(np.linalg.norm(t))), [], np.zeros((len(t), 0))
@@ -579,8 +586,6 @@ def _measured_directions(mrep: MRep, tol: float = DEFAULT_TOL) -> tuple:
         if (size := float(np.linalg.norm(v))) > atol:
             kept.append(j)
             q = np.column_stack([q, v / size])
-    if len(kept) == len(t):
-        return kept, None
     if not kept:  # every op is zero within tol: one zero op keeps the tables non-empty
         return [0], *_frozen(np.eye(1, len(t)))
     c = q.T @ t  # the columns in the kept ones' orthonormal basis; c[:, kept] is triangular

@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit, and the step-size check."""
+"""Exception types shared across the toolkit, and the step-size and integer checks."""
 
 import math
+from numbers import Integral
 
 
 class DiffmonError(Exception):
@@ -93,6 +94,11 @@ class SchemaError(DiffmonError):
 
 class IoError(DiffmonError):
     """Writing an output artifact failed."""
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is a flag, not a count."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def check_dt(dt) -> float:

@@ -20,7 +20,7 @@ from functools import cache
 import numpy as np
 from numpy.random import Philox
 
-from .errors import ValidationError, check_dt
+from .errors import ValidationError, check_dt, is_integer
 
 _LATTICE = 1 << 53
 _HALF = float(1 << 52)
@@ -125,7 +125,7 @@ def _shared_bits() -> Philox:
 def _check_streams(base_seed, first_stream, n_streams: int) -> tuple[int, int]:
     """(base_seed, first_stream) as ints, once the seed and the stream ids fit in 64 bits."""
     for name, value in (("base_seed", base_seed), ("stream_id", first_stream)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not is_integer(value):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
     base_seed, first_stream = int(base_seed), int(first_stream)
     if not (0 <= base_seed < (1 << 64)):
@@ -181,14 +181,14 @@ class NoiseSource:
 
     def __init__(self, base_seed: int, stream_id: int, dim: int):
         self.base_seed, self.stream_id = _check_streams(base_seed, stream_id, 1)
-        if not (isinstance(dim, (int, np.integer)) and dim >= 1):
+        if not (is_integer(dim) and dim >= 1):
             raise ValidationError(f"dim must be a positive integer, got {dim!r}")
         self.dim = int(dim)
         self.step = 0
 
     def lattice_block(self, n_steps: int) -> np.ndarray:
         """Lattice integers of the next ``n_steps`` steps, shape (n_steps, dim)."""
-        if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 0):
+        if not (is_integer(n_steps) and n_steps >= 0):
             raise ValidationError(f"n_steps must be a non-negative integer, got {n_steps!r}")
         out = np.empty((n_steps, self.dim, 1), dtype=np.uint64)
         lattice_streams(self.base_seed, self.stream_id, self.step, out)

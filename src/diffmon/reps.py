@@ -344,6 +344,10 @@ def urep_assemble(h: np.ndarray, y: np.ndarray, hbar: float = 1.0) -> URep:
     """Build the unravelling matrix with efficiency diagonal ``h`` and correlations ``y``."""
     h = np.asarray(h, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=complex)
+    if y.shape != (len(h), len(h)):
+        raise DimensionMismatchError(
+            f"correlations must be {len(h)} x {len(h)} for {len(h)} efficiencies, got {y.shape}"
+        )
     hm = np.diag(h)
     u = 0.5 * np.block([[hm + y.real, y.imag], [y.imag, hm - y.real]])
     return URep(u, hbar=hbar)

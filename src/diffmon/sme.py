@@ -27,7 +27,6 @@ from .dynamics import (
     _measured_engine,
     _measured_ops,
     _physical_memory,
-    _purity,
     _purity_ceiling,
     _scatter,
     _trace,
@@ -42,6 +41,7 @@ from .errors import (
     ValidationError,
     WeightUnderflowError,
     check_dt,
+    is_integer,
 )
 from .linalg import DEFAULT_TOL, positive_sqrt
 from .noise import lattice_normals, lattice_streams
@@ -76,8 +76,7 @@ class SimulationConfig:
         check_dt(self.dt)
         for name in ("steps", "n_traj", "seed", "snapshot_stride"):
             value = getattr(self, name)
-            count = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if not (count or value is None and name == "snapshot_stride"):
+            if not (is_integer(value) or value is None and name == "snapshot_stride"):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.steps < 1:
             raise ValidationError(f"steps must be at least 1, got {self.steps}")
@@ -143,6 +142,8 @@ class Ensemble:
         return self.currents.shape[2]
 
     def trajectory(self, k: int) -> Trajectory:
+        if not (is_integer(k) and 0 <= k < self.n_traj):
+            raise ValidationError(f"trajectory index {k!r} outside 0..{self.n_traj - 1}")
         return Trajectory(
             stream_id=k,
             times=self.times,
@@ -170,7 +171,7 @@ def _step_states(engine: _Engine, rho, w, dt: float, linear: bool):
     if w.shape != (*lead, j):
         raise DimensionMismatchError(f"increments must have shape {(*lead, j)}, got {w.shape}")
     g = _gather(rho).reshape(-1, engine.dim**2).T
-    w = engine.directions(w.reshape(-1, j).T)
+    w = engine.rt @ w.reshape(-1, j).T
     out, tr, cur = engine.sme_step(engine.operand(g), w, dt, linear)
     if not linear:
         tr = _trace(out.T)
@@ -234,11 +235,6 @@ def _monitor(g: np.ndarray, p: np.ndarray, tol: float, step: int) -> None:
         )
 
 
-def _check_positivity(rho: np.ndarray, tol: float, step: int) -> None:
-    """``_monitor`` on a stack of Hermitian matrices."""
-    _monitor(g := _gather(rho), _purity(g), tol, step)
-
-
 def _auto_positivity_tol(engine: _Engine, dt: float) -> float:
     # An Ito step from a nearly pure state acquires a negative eigenvalue of
     # order dt * |z|^2 * (noise scale); the threshold sits far above that so
@@ -260,9 +256,7 @@ def simulate_ensemble(
     deterministic function of the configuration alone, independent of
     ``block_steps`` (an internal batching knob).
     """
-    if isinstance(block_steps, bool) or not (
-        isinstance(block_steps, (int, np.integer)) and block_steps >= 1
-    ):
+    if not (is_integer(block_steps) and block_steps >= 1):
         raise ValidationError(f"block_steps must be a positive integer, got {block_steps!r}")
     check_density_matrix(rho0)
     # Local import: the file-format layer depends on the domain layers, not
@@ -324,7 +318,9 @@ def simulate_ensemble(
         cur_block = lattice_streams(config.seed, 0, start, np.empty((block, noise_dim, n)))
         dw_block = lattice_normals(cur_block)
         dw_block *= np.sqrt(dt)
-        w_block = engine.directions(dw_block)  # the increments along the back-action's directions
+        # The increments along the back-action's r directions, R^T dw, go into the first r
+        # rows of the block: step i reads its row before its mean currents overwrite it.
+        w_block = np.matmul(engine.rt, dw_block, out=cur_block[:, : len(engine.kept)])
         p_block, lw_block = np.empty((2, block, n))
         for i in range(block):
             m = start + i + 1

@@ -18,6 +18,7 @@ from .errors import (
     NonPositiveLagError,
     NoSnapshotsError,
     ValidationError,
+    is_integer,
 )
 from .reps import MRep
 from .sme import Ensemble, SimulationConfig, simulate_ensemble
@@ -52,6 +53,8 @@ def ensemble_mean_state(ensemble: Ensemble, t_index: int) -> np.ndarray:
     """Weighted ensemble average of the stored snapshots at one snapshot index."""
     if ensemble.snapshots is None or ensemble.snapshot_steps.size == 0:
         raise NoSnapshotsError("the ensemble stored no state snapshots")
+    if not is_integer(t_index):
+        raise ValidationError(f"snapshot index must be an integer, got {t_index!r}")
     if not (0 <= t_index < ensemble.snapshot_steps.size):
         raise NoSnapshotsError(
             f"snapshot index {t_index} outside 0..{ensemble.snapshot_steps.size - 1}"
@@ -137,14 +140,19 @@ def autocorrelation_estimate(
     discarded unless ``burn_in`` overrides it.  Standard errors come from the
     spread of the per-trajectory time averages.
     """
-    lags = np.asarray(lag_indices, dtype=int).reshape(-1)
+    lags = np.asarray(lag_indices, dtype=object).reshape(-1)
     if lags.size == 0:
         raise InsufficientDataError("no lags requested")
+    if not all(map(is_integer, lags)):  # a float would be truncated, a bool taken as 1
+        raise ValidationError(f"autocorrelation lags must be integers, got {lag_indices!r}")
+    lags = lags.astype(int)
     if np.any(lags < 1):
         raise NonPositiveLagError("autocorrelation lags must be at least 1 step")
     steps = ensemble.steps
     if burn_in is None:
         burn_in = steps // 2
+    if not is_integer(burn_in):
+        raise ValidationError(f"burn-in must be an integer, got {burn_in!r}")
     if not (0 <= burn_in < steps):
         raise ValidationError(f"burn-in {burn_in} outside 0..{steps - 1}")
     y = ensemble.currents

@@ -172,6 +172,20 @@ def test_purity_of_pure_mixed_and_random_states():
     assert abs(dynamics.purity(rho) - _purity(_gather(rho))) <= 1e-14
 
 
+def test_purity_and_trace_distance_take_one_state():
+    # A stack of states used to end in a bare TypeError (purity) or to mix the
+    # pairs by transposing every axis (trace_distance: 1.059 where each pair is 0.7071).
+    a = np.diag([1.0, 0.0]).astype(complex)
+    b = np.full((2, 2), 0.5, dtype=complex)
+    assert dynamics.trace_distance(a, b) == pytest.approx(np.sqrt(0.5), abs=1e-15)
+    with pytest.raises(DimensionMismatchError, match="square matrix"):
+        dynamics.purity(np.stack([a, a]))
+    with pytest.raises(DimensionMismatchError, match="square matrix"):
+        dynamics.trace_distance(np.stack([a, b]), np.stack([b, a]))
+    with pytest.raises(DimensionMismatchError, match="differ in size"):
+        dynamics.trace_distance(a, np.eye(3))
+
+
 BAD_DT = [0.0, -1e-3, np.nan, np.inf, -np.inf]
 
 
@@ -658,7 +672,7 @@ def test_engine_coordinate_step_matches_oracle(dim):
     gen = rng(76 + dim)
     model = _scaled_model(gen, dim)
     ops = measurement_ops(random_mrep(gen, 2), model.lindblads)
-    engine = _Engine(model, ops)
+    engine = _Engine(model, ops, range(len(ops)), np.eye(len(ops)))  # along all ops
     h = 2e-2
     a = h * liouvillian_superoperator(model)
     taylor = np.eye(dim * dim) + a + a @ a / 2.0 + a @ a @ a / 6.0 + a @ a @ a @ a / 24.0
@@ -684,7 +698,7 @@ def test_engine_step_weights_the_mean_current(dim):
     gen = rng(78 + dim)
     model = _scaled_model(gen, dim)
     ops = measurement_ops(random_mrep(gen, 2), model.lindblads)
-    engine = _Engine(model, ops)
+    engine = _Engine(model, ops, range(len(ops)), np.eye(len(ops)))  # along all ops
     g = _gather(np.stack([random_state(gen, dim) for _ in range(4)]))
     w = gen.normal(size=(4, ops.shape[0]))
     out, tr, cur = _step_rows(engine, g, w, 1e-2)

@@ -80,7 +80,7 @@ def test_argument_validation():
 
 
 def test_noise_dim_must_be_a_positive_integer():
-    for dim in (2.5, 2.0, "2", 0, -1):
+    for dim in (2.5, 2.0, "2", 0, -1, True):
         with pytest.raises(ValidationError, match="dim must be a positive integer"):
             NoiseSource(0, 0, dim)
     assert NoiseSource(0, 0, np.int64(3)).dim == 3
@@ -324,9 +324,9 @@ def test_draw_block_rejects_bad_dt(dt):
 
 
 def test_lattice_block_rejects_bad_lengths():
-    # -1 used to end in a bare ValueError from numpy, 1.5 in a TypeError.
+    # -1 used to end in a bare ValueError from numpy, 1.5 and True in a TypeError.
     src = NoiseSource(0, 0, 2)
-    for n_steps in (-1, 1.5):
+    for n_steps in (-1, 1.5, True):
         with pytest.raises(ValidationError, match="n_steps must be a non-negative integer"):
             src.lattice_block(n_steps)
     assert src.lattice_block(0).shape == (0, 2)

@@ -157,6 +157,15 @@ def test_urep_split_symmetry_and_reassembly():
         assert np.max(np.abs(rebuilt.matrix - u.matrix)) <= 1e-14
 
 
+def test_urep_assemble_rejects_mismatched_shapes():
+    # One efficiency with 2 x 2 correlations used to broadcast into an L = 2 U-rep;
+    # other mismatches ended in a bare ValueError from np.block.
+    for h, y in (([0.5], np.zeros((2, 2))), ([0.5, 0.5], np.zeros((1, 1))), ([0.5], np.zeros(1))):
+        with pytest.raises(DimensionMismatchError, match="correlations must be"):
+            urep_assemble(h, y)
+    assert urep_assemble([0.5], np.zeros((1, 1))).matrix.shape == (2, 2)
+
+
 def test_trep_polar_orthogonal_input():
     # An orthogonal stacked matrix is valid at hbar = 2 (efficiencies are then 1).
     c, s = np.cos(0.4), np.sin(0.4)

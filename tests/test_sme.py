@@ -513,11 +513,21 @@ def test_trajectory_view_consistency():
     assert np.array_equal(traj.snapshots, ens.snapshots[:, 2])
     assert traj.stream_id == 2
     assert len(ens.trajectories()) == 4
+    # -1 used to return trajectory 3 labelled stream_id -1.
+    for k in (-1, 4, 1.0, True):
+        with pytest.raises(ValidationError, match=f"trajectory index {k!r} outside 0..3"):
+            ens.trajectory(k)
+
+
+def _check_positivity(rho, tol, step):
+    """The ensemble's positivity monitor on a stack of Hermitian matrices."""
+    from diffmon.dynamics import _gather, _purity
+    from diffmon.sme import _monitor
+
+    _monitor(g := _gather(rho), _purity(g), tol, step)
 
 
 def test_positivity_monitor_names_trajectory_and_step():
-    from diffmon.sme import _check_positivity
-
     gen = rng(63)
     rho = np.stack([random_pure_state(gen, 3) for _ in range(5)])
     _check_positivity(rho, 1e-9, 1)
@@ -735,7 +745,6 @@ def _states_with_min_eigenvalue(gen, dim, lams):
 @pytest.mark.parametrize("dim", (2, 3, 8, 16))
 def test_positivity_monitor_matches_eigenvalue_reference(dim):
     from diffmon.dynamics import _gather, _purity, _uncertified
-    from diffmon.sme import _check_positivity
 
     tol = 1e-3
     gen = rng(64 + dim)
@@ -778,7 +787,6 @@ def test_purity_bound_in_squared_form_keeps_the_sign_of_the_trace():
     # -I/d has the purity of a maximally mixed state, but the bound it gives
     # is -2/d; squaring t + d tol/2 alone would certify it.
     from diffmon.dynamics import _gather, _purity, _uncertified
-    from diffmon.sme import _check_positivity
 
     rho = np.stack([np.eye(2, dtype=complex) / 2.0, -np.eye(2, dtype=complex) / 2.0])
     g = _gather(rho)
@@ -1105,11 +1113,10 @@ def test_measured_directions_span_the_measurement(name, m, r, zero):
     kept, rt = dynamics._measured_directions(m)
     t = np.concatenate([m.matrix.real, m.matrix.imag])
     assert len(kept) == r
-    if r == t.shape[1]:
-        assert rt is None and list(kept) == list(range(r))
-        return
     assert rt.shape == (r, t.shape[1]) and not rt.flags.writeable
     assert np.array_equal(rt[:, kept], np.eye(r))  # exact on the kept columns
+    if r == t.shape[1]:  # every column kept: exactly the identity
+        assert list(kept) == list(range(r)) and np.array_equal(rt, np.eye(r))
     assert np.max(np.abs(t[:, kept] @ rt - t)) <= 1e-9 * np.linalg.norm(t)
     for j in zero:  # an exactly zero column gets an exact zero row of R
         assert not t[:, j].any() and not rt[:, j].any()
@@ -1142,7 +1149,9 @@ def test_reduced_engine_records_match_all_ops(monkeypatch, name, m, r, zero, mod
     assert len(engine.kept) == r and len(engine.ops) == 2 * m.channels
     d2 = len(rho0) ** 2  # rows: states, 2L mean currents, cur . w and the trace
     assert engine.sme_table(1e-3).shape == (d2 + 2 * m.channels + 2, (1 + r) * d2)
-    monkeypatch.setattr(dynamics, "_measured_directions", lambda m: (range(2 * m.channels), None))
+    monkeypatch.setattr(
+        dynamics, "_measured_directions", lambda m: (range(2 * m.channels), np.eye(2 * m.channels))
+    )
     full = simulate_ensemble(model(), m, rho0, config)
     assert reduced.currents.shape == full.currents.shape == (8, 40, 2 * m.channels)
     for k in ("currents", "noise", "purity", "log_weight", "snapshots"):

@@ -144,6 +144,23 @@ def test_autocorrelation_errors():
             autocorrelation_estimate(ens, [1], burn_in=burn_in)
 
 
+def test_estimators_reject_non_integer_indices():
+    # A float lag used to be truncated (1.5 and True both ran lag 1) and NaN ended in a
+    # bare ValueError; a float burn-in or snapshot index ended in a TypeError or IndexError.
+    _model, _m, ens = _small_ensemble(n_traj=4, steps=20)
+    for lags in ([1.5], [True], [2, True], [np.nan], 2.0, np.array([1.0])):
+        with pytest.raises(ValidationError, match="lags must be integers"):
+            autocorrelation_estimate(ens, lags)
+    with pytest.raises(ValidationError, match="burn-in must be an integer"):
+        autocorrelation_estimate(ens, [1], burn_in=2.5)
+    for index in (1.5, True):
+        with pytest.raises(ValidationError, match="snapshot index must be an integer"):
+            ensemble_mean_state(ens, index)
+    lags = np.array([1, 3], dtype=np.uint8)
+    assert autocorrelation_estimate(ens, lags).lag_steps.tolist() == [1, 3]
+    assert np.array_equal(ensemble_mean_state(ens, np.int64(0)), ensemble_mean_state(ens, 0))
+
+
 def test_autocorrelation_deterministic_rerun():
     _model, _m, ens = _small_ensemble(n_traj=50, steps=100)
     a = autocorrelation_estimate(ens, [1, 3])
