@@ -160,6 +160,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_autocorr(args) -> int:
+    if args.ntraj < 2:  # one trajectory gives no standard error to compare against
+        raise ValidationError(f"autocorr needs --ntraj of at least 2, got {args.ntraj}")
     model, mrep, rho0, inputs = _load_run(args)
     config = _simulation_config(args, mode="nonlinear")
     try:

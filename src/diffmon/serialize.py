@@ -10,6 +10,7 @@ or from an in-memory object.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.util
 import json
@@ -290,6 +291,100 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+# The trajectory CSV renders "%.17g" a block of steps at a time.  A value's
+# slot holds a sign byte, the "0.000" of decades -4..-1, then its 17 digits
+# each followed by a byte for the point; byte 39 takes the separator.  Unused
+# bytes are NUL and deleted.  What the vectorized path cannot decide exactly
+# goes through _fmt: exponent forms, non-finite values, ties and decade edges.
+_CSV_BLOCK_ROWS = 2048  # steps per block: this many rows, or one step
+_SLOT = 40
+_TIE = 1e-9  # a fraction of the scaled value this close to 1/2 is left to _fmt
+
+
+def _split(x):
+    """Dekker's split: x = hi + lo, each with at most 26 significant bits."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _csv_tables():
+    """The formatter's tables, built at its first use, not at import.
+
+    10^k for k = 0..21 (exact doubles, from integers) and their halves; the
+    digit words of 0..9999 and of a leading digit; trailing zeros of four
+    digits; and, per (sign, k = 16 - decade, cut trailing digits), the slot
+    bytes to add and to keep.  k = 21 stands for zero.
+    """
+    pw = np.array([float(10**k) for k in range(22)])
+    g = np.arange(10**4)
+    digits = sum(
+        (48 + g // 10**i % 10).astype(np.uint64) << np.uint64(48 - 16 * i) for i in range(4)
+    )
+    text = np.zeros((2, 22, 18, _SLOT), np.uint8)
+    keep = np.full((2, 22, 18, _SLOT), 255, np.uint8)
+    text[1, ..., 0] = ord("-")
+    for k in range(22):
+        e = 16 - k
+        if e == -5:  # zero
+            text[:, k, :, 1] = ord("0")
+        elif e < 0:
+            text[:, k, :, 1 : 2 - e] = np.frombuffer(b"0.000"[: 1 - e], np.uint8)
+        elif e < 16:
+            text[:, k, :, 7 + 2 * e] = ord(".")
+        for t in range(18):
+            cut = 17 if k == 21 else min(t, 16 - max(e, 0))  # digits after the point
+            keep[:, k, t, 39 - 2 * cut : 39] = 0  # with a point left bare
+    words = (text.reshape(-1, _SLOT).view("<u8"), keep.reshape(-1, _SLOT).view("<u8"))
+    lead = digits[:11] & np.uint64(255 << 48)
+    return (pw, *_split(pw), digits, lead, sum(g % 10**j == 0 for j in (1, 2, 3)), *words)
+
+
+def _csv_slots(v: np.ndarray) -> np.ndarray:
+    """(n,) doubles -> (n, _SLOT) bytes holding "%.17g" % v, NUL-padded."""
+    pw, ph, pl, digits, lead, zeros4, text, keep = _csv_tables()
+    zero = v == 0
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e17)  # %g's fixed-point range: no NaN, inf or 0
+    a = np.where(fast, a, 1e-5)  # k = 21 for the rest
+    k = np.clip(16 - np.floor(np.log10(a)), 0, 21).astype(np.intp)
+    # a 10^k = hi + lo exactly (Dekker's product), rounded to q, halves down.
+    ah, al = _split(a)
+    hi = a * pw.take(k)
+    ph, pl = ph.take(k), pl.take(k)
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    fl = np.floor(lo)
+    frac = lo - fl
+    q = hi.astype(np.int64) + fl.astype(np.int64) + (frac > 0.5)
+    edge = (q < 10**16 + 4) | (q > 10**17 - 4)  # log10 may have missed the decade
+    slow = (~fast | (np.abs(frac - 0.5) < _TIE) | edge) & ~zero
+    h = q // 10**8
+    low = (q - h * 10**8).astype(np.int32)
+    h = h.astype(np.int32)
+    d0 = h // 10**8
+    x = h - d0 * 10**8
+    g0, g2 = x // 10**4, low // 10**4
+    g3 = low - g2 * 10**4
+    cut = zeros4.take(g3)
+    rows = np.flatnonzero((g3 == 0) & ~zero)
+    if rows.size:
+        cut[rows] = sum(q[rows] % 10**j == 0 for j in range(1, 17))
+    idx = (np.signbit(v) * 22 + k) * 18 + cut
+    w = text.take(idx, axis=0)
+    w[:, 0] |= lead.take(d0)
+    w[:, 1] |= digits.take(g0)
+    w[:, 2] |= digits.take(x - g0 * 10**4)
+    w[:, 3] |= digits.take(g2)
+    w[:, 4] |= digits.take(g3)
+    w &= keep.take(idx, axis=0)
+    out = w.view(np.uint8)
+    rest = np.flatnonzero(slow)
+    scalar = np.array([_fmt(u) for u in v[rest].tolist()], f"S{_SLOT}")
+    out[rest] = scalar.view(np.uint8).reshape(-1, _SLOT)
+    return out
+
+
 def write_json(path, payload: dict) -> Path:
     path = Path(path)
     try:
@@ -308,28 +403,39 @@ def write_trajectory_csv(path, ensemble) -> Path:
 
     Row for step m of trajectory k reports the time at the end of the step,
     the current over that step, and the purity and cumulative log-weight of
-    the state at that time.  Floats carry 17 significant digits.
+    the state at that time.  Each float is written exactly as "%.17g" % v.
     """
     if ensemble.purity is None:
         raise InsufficientDataError("the ensemble did not store purities; cannot write CSV")
     path = Path(path)
-    d = ensemble.noise_dim
-    header = "t,traj," + ",".join(f"y_{j + 1}" for j in range(d)) + ",purity,log_weight"
-    # "%.17g" % v renders a float exactly as _fmt does.
-    fields = ",".join(["%.17g"] * (d + 2))
+    d, n = ensemble.noise_dim, ensemble.n_traj
+    header = "t,traj," + ",".join(f"y_{j + 1}" for j in range(d)) + ",purity,log_weight\n"
+    seps = np.frombuffer(b"," * (d + 1) + b"\n", np.uint8)
+    traj = np.array([f"{k}," for k in range(n)], "S").view(np.uint8).reshape(n, -1)
     try:
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            for m in range(ensemble.steps):
-                row = f"{_fmt(ensemble.times[m + 1])},%d,{fields}\n"
-                values = np.column_stack(
+        with path.open("wb") as fh:
+            fh.write(header.encode())
+            block = max(1, _CSV_BLOCK_ROWS // n)
+            for m in range(0, ensemble.steps, block):
+                s = slice(m, min(m + block, ensemble.steps))
+                b, after = s.stop - m, slice(m + 1, s.stop + 1)  # states at the steps' ends
+                times = np.array([_fmt(t) + "," for t in ensemble.times[after]], "S")
+                times = times.view(np.uint8).reshape(b, 1, -1)
+                values = np.empty((b, n, d + 2))
+                values[..., :d] = ensemble.currents[:, s].transpose(1, 0, 2)
+                values[..., d] = ensemble.purity[:, after].T
+                values[..., d + 1] = ensemble.log_weight[:, after].T
+                text = _csv_slots(values.ravel()).reshape(b, n, d + 2, _SLOT)
+                text[..., -1] = seps
+                rows = np.concatenate(
                     (
-                        ensemble.currents[:, m],
-                        ensemble.purity[:, m + 1],
-                        ensemble.log_weight[:, m + 1],
-                    )
-                ).tolist()
-                fh.write("".join(row % (k, *v) for k, v in enumerate(values)))
+                        np.broadcast_to(times, (b, n, times.shape[2])),
+                        np.broadcast_to(traj, (b, *traj.shape)),
+                        text.reshape(b, n, -1),
+                    ),
+                    axis=2,
+                )
+                fh.write(rows.tobytes().translate(None, b"\0"))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path

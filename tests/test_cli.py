@@ -313,6 +313,39 @@ def test_autocorr_rejects_bad_lags(het_file, model_file, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_autocorr_rejects_a_single_trajectory(het_file, model_file, tmp_path, capsys):
+    # One trajectory has no standard error: autocorr.json held Infinity, and
+    # "max_difference_over_stderr": 0.0 claimed an agreement nothing measured.
+    args = [
+        "autocorr", "--model", str(model_file), "--rep", str(het_file), "--dt", "0.01",
+        "--steps", "50", "--ntraj", "1", "--lags", "0.1", "--out", str(tmp_path / "x"),
+    ]
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err == "validation error: autocorr needs --ntraj of at least 2, got 1\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_commands_write_standard_json(het_file, model_file, tmp_path):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    runs = [
+        ("simulate", []), ("simulate", ["--mode", "linear"]), ("autocorr", ["--lags", "0.05,0.1"]),
+    ]
+    for i, (command, extra) in enumerate(runs):
+        out = tmp_path / f"{command}{i}"
+        args = [
+            command, "--model", str(model_file), "--rep", str(het_file), "--dt", "0.01",
+            "--steps", "40", "--ntraj", "2", "--seed", "5", "--out", str(out), *extra,
+        ]
+        assert main(args) == 0
+        paths = sorted(out.glob("*.json"))
+        assert len(paths) == 2  # the report and the manifest
+        for path in paths:
+            json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_validate_other_kinds(tmp_path, capsys):
     urep_path = tmp_path / "u.json"
     urep_path.write_text(
@@ -447,6 +480,21 @@ def test_import_loads_no_self_checks():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_import_builds_no_csv_tables():
+    # The trajectory CSV's formatter builds its tables at its first use, and
+    # needs neither fractions nor decimal.
+    env = dict(os.environ, PYTHONPATH=str(Path(diffmon.__file__).resolve().parents[1]))
+    code = (
+        "import sys, diffmon.cli; from diffmon import serialize; "
+        "print(serialize._csv_tables.cache_info().currsize, "
+        "'fractions' in sys.modules, 'decimal' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 False False"
 
 
 def test_scipy_version_without_version_file(monkeypatch, tmp_path):

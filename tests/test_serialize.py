@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffmon import LindbladModel, SimulationConfig, heterodyne_mrep, simulate_ensemble
 from diffmon.errors import (
@@ -10,6 +12,7 @@ from diffmon.errors import (
     SchemaError,
     ValidationError,
 )
+from diffmon import serialize
 from diffmon.linalg import positive_sqrt
 from diffmon.reps import (
     TRep,
@@ -368,3 +371,141 @@ def test_trajectory_csv_matches_per_value_rendering(tmp_path):
             values = [*currents[k, m], pur[k, m + 1], logw[k, m + 1]]
             lines.append(f"{fmt(ens.times[m + 1])},{k}," + ",".join(fmt(v) for v in values))
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# The CSV formatter against "%.17g" % v, string for string.
+
+
+def render(values) -> list:
+    """Each value as the trajectory CSV's formatter writes it."""
+    slots = serialize._csv_slots(np.asarray(values, dtype=float)).copy()
+    slots[:, -1] = ord("\n")
+    return slots.tobytes().translate(None, b"\0").decode().splitlines()
+
+
+def assert_renders_as_percent_17g(values):
+    values = np.asarray(values, dtype=float)
+    got = render(values)
+    want = ["%.17g" % v for v in values.tolist()]
+    wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+def test_csv_formatter_at_the_exponent_switch():
+    # %g prints 1e-5 and 1e17 in exponent form and 1e-4 and 1e16 in fixed form.
+    edges = [1e-5, 5e-5, 1e-4, 5e-4, 1e16, 5e16, 1e17, 5e17]
+    values = [np.nextafter(x, to) for x in edges for to in (-np.inf, np.inf)] + edges
+    assert_renders_as_percent_17g(np.concatenate([values, np.negative(values)]))
+
+
+def test_csv_formatter_beside_every_power_of_ten():
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    assert_renders_as_percent_17g(
+        np.concatenate([powers, np.nextafter(powers, -np.inf), np.nextafter(powers, np.inf)])
+    )
+
+
+def test_csv_formatter_breaks_exact_ties_half_even():
+    assert render([(4e15 + 3) / 4, (4e15 + 1) / 4]) == ["1000000000000000.8", "1000000000000000.2"]
+    # In decade e, n / 2^(17 - e) is an exact tie at the 17th digit for every odd n.
+    ties = [
+        (np.ceil(10.0**e * 2.0 ** (17 - e)) + np.arange(999)) / 2.0 ** (17 - e)
+        for e in range(-4, 16)
+    ]
+    assert_renders_as_percent_17g(np.concatenate(ties + [-t for t in ties]))
+
+
+def test_csv_formatter_special_values():
+    values = [
+        0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+        2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    ]
+    subnormals = rng(90).integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+    assert_renders_as_percent_17g(np.concatenate([values, subnormals, -subnormals]))
+
+
+def test_csv_formatter_random_bit_patterns():
+    bits = rng(91).integers(0, 2**64, 10**5, dtype=np.uint64)
+    assert_renders_as_percent_17g(bits.view(np.float64))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.floats(), max_size=40))
+def test_csv_formatter_matches_percent_17g(values):
+    assert_renders_as_percent_17g(values)
+
+
+# The CSV's bytes depend on nothing but the data.
+
+
+def per_value_csv(ens) -> bytes:
+    """The trajectory CSV rendered one "%.17g" at a time, the writer's oracle."""
+    names = [f"y_{j + 1}" for j in range(ens.noise_dim)]
+    lines = [",".join(["t", "traj", *names, "purity", "log_weight"])]
+    for m in range(ens.steps):
+        for k in range(ens.n_traj):
+            values = [*ens.currents[k, m], ens.purity[k, m + 1], ens.log_weight[k, m + 1]]
+            fields = ["%.17g" % ens.times[m + 1], str(k), *("%.17g" % v for v in values)]
+            lines.append(",".join(fields))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_trajectory_csv_linear_mode_matches_per_value_rendering(tmp_path):
+    import dataclasses
+
+    config = SimulationConfig(dt=1e-2, steps=9, n_traj=5, seed=12, mode="linear")
+    ens = simulate_ensemble(decay_model(rabi=1.0), heterodyne_mrep(0.8), EXCITED, config)
+    assert np.count_nonzero(ens.log_weight[:, 2:]) == ens.log_weight[:, 2:].size
+    logw = ens.log_weight.copy()
+    logw[3, 4] = -0.0
+    ens = dataclasses.replace(ens, log_weight=logw)
+    path = write_trajectory_csv(tmp_path / "linear.csv", ens)
+    assert path.read_bytes() == per_value_csv(ens)
+    assert b",-0\n" in path.read_bytes()
+
+
+def test_trajectory_csv_two_channels_match_per_value_rendering(tmp_path):
+    model = decay_model(rabi=1.0)
+    cs = np.array([model.lindblads[0], 0.3 * np.eye(2, dtype=complex)])
+    model2 = LindbladModel(hamiltonian=model.hamiltonian, lindblads=cs)
+    config = SimulationConfig(dt=1e-2, steps=6, n_traj=4, seed=13)
+    ens = simulate_ensemble(model2, random_mrep(rng(92), 2), EXCITED, config)
+    assert ens.noise_dim == 4
+    path = write_trajectory_csv(tmp_path / "l2.csv", ens)
+    assert path.read_bytes() == per_value_csv(ens)
+
+
+def test_trajectory_csv_bytes_do_not_depend_on_the_step_block(tmp_path, monkeypatch):
+    config = SimulationConfig(dt=1e-2, steps=23, n_traj=6, seed=14, mode="linear")
+    ens = simulate_ensemble(decay_model(rabi=1.0), heterodyne_mrep(0.8), EXCITED, config)
+    default = write_trajectory_csv(tmp_path / "default.csv", ens).read_bytes()
+    assert default == per_value_csv(ens)
+    for steps in (1, 7):  # the last block of 23 steps is short
+        monkeypatch.setattr(serialize, "_CSV_BLOCK_ROWS", steps * ens.n_traj)
+        path = write_trajectory_csv(tmp_path / f"block{steps}.csv", ens)
+        assert path.read_bytes() == default
+
+
+def test_trajectory_csv_sends_no_fixed_form_value_to_the_scalar_path(tmp_path, monkeypatch):
+    # The bench's `simulate` shape (qubit decay, heterodyne eta = 0.8, 500 steps
+    # x 50 trajectories, from the maximally mixed state) in both modes.  The
+    # scalar formatter gets the time column, one value per step, and the
+    # values "%.17g" writes in exponent form: no current or purity, no
+    # log-weight in nonlinear mode, and the few linear log-weights below 1e-4.
+    rendered = []
+
+    def counting_fmt(v):
+        rendered.append(v)
+        return f"{float(v):.17g}"
+
+    monkeypatch.setattr(serialize, "_fmt", counting_fmt)
+    rho0 = np.eye(2, dtype=complex) / 2
+    for mode in ("nonlinear", "linear"):
+        config = SimulationConfig(dt=1e-3, steps=500, n_traj=50, seed=15, mode=mode)
+        ens = simulate_ensemble(decay_model(), heterodyne_mrep(0.8), rho0, config)
+        rendered.clear()
+        write_trajectory_csv(tmp_path / f"{mode}.csv", ens)
+        logw = ens.log_weight[:, 1:].T.ravel()  # in the order rows are written
+        tiny = logw[(logw != 0) & (np.abs(logw) < 1e-4)]
+        assert sorted(rendered) == sorted([*ens.times[1:], *tiny])
+        assert (tiny.size == 0) == (mode == "nonlinear")
