@@ -1,14 +1,16 @@
-"""Self-check suite: every module invariant as a named, seeded, deterministic check.
+"""Self-check suite: every module invariant as a named, deterministic check.
 
 Each check is registered under its name where it is defined, in report order, and
 returns ``(passed, detail)``; ``run_all_checks`` turns them into result rows and the CLI
-``check`` subcommand fails (exit 1) if any row fails.  Sampling sizes are chosen so the
-whole suite runs in well under a minute; the acceptance tests exercise the same
-properties at their full sizes.
+``check`` subcommand fails (exit 1) if any row fails.  The one-step SME rows take exact
+Gauss-Hermite means, so they sample nothing and read no seed.  The sampled rows draw
+seeded inputs or ensembles, sized so the whole suite runs in well under a minute; the
+acceptance tests exercise the same properties at their full sizes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,6 @@ from numpy.random import Generator, Philox
 from . import dynamics, linalg, reps, sme, stats
 from .dynamics import LindbladModel
 from .errors import DiffmonError
-from .noise import NoiseSource
 from .reps import MRep
 from .sme import SimulationConfig, simulate_ensemble
 
@@ -349,25 +350,29 @@ def check_step_trace_hermiticity(seed: int) -> tuple:
     return ok, f"pre-normalization trace deviation {tr_dev:.2e}, Hermiticity defect {herm:.2e}"
 
 
-def _one_step_sample(model, m, rho0, seed: int, stream: int, n: int, dt: float, linear=False):
-    """n copies of rho0 stepped once along the first n increments of a stream: (out, tr, dw)."""
-    dw = NoiseSource(seed, stream, 2 * m.channels).draw_block(n, dt)
-    rho = np.broadcast_to(rho0, (n, *rho0.shape))
-    out, tr, _cur = sme._step_states(dynamics._measured_engine(model, m), rho, dw, dt, linear)
-    return out, tr, dw
+def _one_step_mean(model, m, rho0, dt: float, f, linear: bool = False):
+    """The exact mean of ``f(out, tr, w)`` over one step of rho0 along Gaussian increments w.
+
+    The step is taken once at each node of the 2-point Gauss-Hermite rule, w in
+    {+-sqrt(dt)}^(2L) with equal weights, which integrates exactly every polynomial of
+    degree at most 3 in each increment.  The rule is exact here because the nonlinear
+    pre-normalization trace does not depend on w (``sme.step_trace_hermiticity`` checks
+    this): a step's states and traces are then affine in w, and each ``f`` below is of
+    degree at most 2 in it.  A step that divides by a w-dependent trace needs more nodes.
+    """
+    w = np.sqrt(dt) * np.array(list(itertools.product((-1.0, 1.0), repeat=2 * m.channels)))
+    rho = np.broadcast_to(rho0, (len(w), *rho0.shape))
+    out, tr, _cur = sme._step_states(dynamics._measured_engine(model, m), rho, w, dt, linear)
+    return np.mean(f(out, tr, w), axis=0)
 
 
 @_check("sme.one_step_mean")
 def check_one_step_mean(seed: int) -> tuple:
     model = _decay_model(rabi=1.0)
-    dt, n, rho0 = 1e-3, 20000, _excited()
-    out, _tr, _dw = _one_step_sample(model, reps.heterodyne_mrep(0.8), rho0, seed, 0, n, dt)
-    mean = out.mean(axis=0)
-    se = out.std(axis=0, ddof=1) / np.sqrt(n)
-    det = dynamics.rk4_step(model, rho0, dt)
-    excess = np.abs(mean - det) - 3.0 * np.abs(se) - 10.0 * dt**2
-    worst = float(np.max(excess.real))
-    return worst <= 0.0, f"worst entrywise excess over 3 stderr + O(dt^2): {worst:.2e}"
+    dt, rho0 = 1e-3, _excited()
+    mean = _one_step_mean(model, reps.heterodyne_mrep(0.8), rho0, dt, lambda out, tr, w: out)
+    dev = float(np.max(np.abs(mean - dynamics.rk4_step(model, rho0, dt))))
+    return dev <= 10.0 * dt**2, f"worst entrywise deviation from the RK4 step: {dev:.2e}"
 
 
 @_check("sme.purity_rate_monte_carlo")
@@ -375,41 +380,32 @@ def check_purity_rate(seed: int) -> tuple:
     model = _decay_model()
     rho0 = _excited()
     dt = 1e-4
-    n = 20000
-    details = []
-    ok = True
-    for idx, m in enumerate(
-        (reps.heterodyne_mrep(1.0), reps.homodyne_mrep(0.5), MRep(np.zeros((1, 2))))
-    ):
+
+    def rate(out, tr, w):
+        return (np.real(np.einsum("nab,nba->n", out, out)) - 1.0) / dt
+
+    devs = []
+    for m in (reps.heterodyne_mrep(1.0), reps.homodyne_mrep(0.5), MRep(np.zeros((1, 2)))):
         predicted = sme.purity_increment_predicted(model, m, rho0)
-        out, _tr, _dw = _one_step_sample(model, m, rho0, seed, idx + 1, n, dt)
-        dp = (np.real(np.einsum("nab,nba->n", out, out)) - 1.0) / dt
-        se = float(dp.std(ddof=1) / np.sqrt(n))
-        dev = abs(float(dp.mean()) - predicted)
-        ok = ok and dev <= 3.0 * se + 10.0 * dt
-        details.append(f"dev {dev:.2e} vs 3se {3 * se:.2e}")
-    return ok, "; ".join(details)
+        devs.append(abs(_one_step_mean(model, m, rho0, dt, rate) - predicted))
+    ok = all(dev <= 10.0 * dt for dev in devs)
+    return ok, "; ".join(f"dev {dev:.2e}" for dev in devs)
 
 
 @_check("sme.linear_martingale")
 def check_linear_martingale(seed: int) -> tuple:
     model = _decay_model(rabi=1.0)
     m = reps.homodyne_mrep(0.8)
-    dt, n = 1e-3, 20000
+    dt = 1e-3
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    _out, tr, y_dt = _one_step_sample(model, m, plus, seed, 5, n, dt, linear=True)
-    se = float(tr.std(ddof=1) / np.sqrt(n))
-    dev = abs(float(tr.mean()) - 1.0)
-    mean_y = y_dt * tr[:, None] / dt
-    truth = dynamics._measured_engine(model, m).current(plus)
-    dev_y = np.abs(mean_y.mean(axis=0) - truth)
-    se_y = mean_y.std(axis=0, ddof=1) / np.sqrt(n)
-    ok = dev <= 3.0 * se + 1e-12 and bool(np.all(dev_y <= 3.0 * se_y + 10.0 * dt))
-    return (
-        ok,
-        f"weight-mean deviation {dev:.2e} (3se {3 * se:.2e});"
-        f" weighted current deviation {np.max(dev_y):.2e}",
+    weight = _one_step_mean(model, m, plus, dt, lambda out, tr, w: tr, linear=True)
+    current = _one_step_mean(
+        model, m, plus, dt, lambda out, tr, w: w * tr[:, None] / dt, linear=True
     )
+    dev = abs(weight - 1.0)
+    dev_y = np.abs(current - dynamics._measured_engine(model, m).current(plus))
+    ok = dev <= 1e-12 and bool(np.all(dev_y <= 10.0 * dt))
+    return ok, f"weight-mean deviation {dev:.2e}; weighted current deviation {np.max(dev_y):.2e}"
 
 
 @_sweep("sme.brep_noise_blocks", (1e-12, 1e-12),

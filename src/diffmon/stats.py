@@ -138,7 +138,7 @@ def autocorrelation_estimate(
     Lags are in steps and must be at least 1 (the singular equal-time product
     is excluded by construction).  The first half of each trajectory is
     discarded unless ``burn_in`` overrides it.  Standard errors come from the
-    spread of the per-trajectory time averages.
+    spread of the per-trajectory time averages, so at least 2 trajectories are needed.
     """
     lags = np.asarray(lag_indices, dtype=object).reshape(-1)
     if lags.size == 0:
@@ -155,8 +155,10 @@ def autocorrelation_estimate(
         raise ValidationError(f"burn-in must be an integer, got {burn_in!r}")
     if not (0 <= burn_in < steps):
         raise ValidationError(f"burn-in {burn_in} outside 0..{steps - 1}")
-    y = ensemble.currents
     n = ensemble.n_traj
+    if n < 2:
+        raise InsufficientDataError(f"a standard error needs at least 2 trajectories, got {n}")
+    y = ensemble.currents
     d = ensemble.noise_dim
     mats = np.empty((lags.size, d, d))
     errs = np.empty((lags.size, d, d))
@@ -171,10 +173,7 @@ def autocorrelation_estimate(
         b = y[:, burn_in + lag : last + lag, :]
         per_traj = np.matmul(a.transpose(0, 2, 1), b) / a.shape[1]
         mats[i] = per_traj.mean(axis=0)
-        if n > 1:
-            errs[i] = per_traj.std(axis=0, ddof=1) / np.sqrt(n)
-        else:
-            errs[i] = np.inf
+        errs[i] = per_traj.std(axis=0, ddof=1) / np.sqrt(n)
     return AutocorrelationEstimate(
         lag_steps=lags,
         lag_times=lags * ensemble.config.dt,

@@ -144,6 +144,16 @@ def test_autocorrelation_errors():
             autocorrelation_estimate(ens, [1], burn_in=burn_in)
 
 
+def test_autocorrelation_rejects_a_single_trajectory():
+    # One trajectory used to give every stderr as inf, which to_dict() passed on and
+    # json.dumps wrote as the non-standard token Infinity.
+    _model, _m, ens = _small_ensemble(n_traj=1, steps=20)
+    with pytest.raises(InsufficientDataError, match="at least 2 trajectories, got 1"):
+        autocorrelation_estimate(ens, [1])
+    _model, _m, ens = _small_ensemble(n_traj=2, steps=20)
+    assert np.all(np.isfinite(autocorrelation_estimate(ens, [1]).stderr))
+
+
 def test_estimators_reject_non_integer_indices():
     # A float lag used to be truncated (1.5 and True both ran lag 1) and NaN ended in a
     # bare ValueError; a float burn-in or snapshot index ended in a TypeError or IndexError.
