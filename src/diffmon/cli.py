@@ -162,7 +162,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_autocorr(args) -> int:
     if args.ntraj < 2:  # one trajectory gives no standard error to compare against
         raise ValidationError(f"autocorr needs --ntraj of at least 2, got {args.ntraj}")
-    model, mrep, rho0, inputs = _load_run(args)
     config = _simulation_config(args, mode="nonlinear")
     try:
         lag_times = [float(v) for v in args.lags.split(",") if v.strip()]
@@ -170,6 +169,12 @@ def _cmd_autocorr(args) -> int:
         raise ValidationError(f"cannot parse --lags {args.lags!r}: {exc}") from exc
     if not lag_times:
         raise ValidationError("--lags must name at least one positive lag time")
+    burn_in = args.burn_in if args.burn_in is not None else args.steps // 2
+    if not 0 <= burn_in < args.steps:
+        raise ValidationError(
+            f"--burn-in must lie in [0, {args.steps}), below --steps; got {burn_in}"
+        )
+    tail = args.steps - burn_in
     span = args.steps * config.dt
     for t in lag_times:
         if not 0.0 < t <= span:  # NaN and inf fail too
@@ -178,10 +183,15 @@ def _cmd_autocorr(args) -> int:
     for t, k in zip(lag_times, multiples):
         if abs(k - round(k)) > 1e-9 * k:
             raise ValidationError(f"--lags must be whole multiples of --dt {config.dt:g}; got {t}")
+        if round(k) >= tail:  # no pair of currents that far apart is left after the burn-in
+            raise ValidationError(
+                f"--lags must be under {tail} steps (--steps {args.steps} minus burn-in {burn_in});"
+                f" got {t}"
+            )
     lag_steps = sorted({round(k) for k in multiples})
     if len(lag_steps) < len(lag_times):
         raise ValidationError(f"--lags must fall on distinct steps of --dt; got {args.lags}")
-    burn_in = args.burn_in if args.burn_in is not None else args.steps // 2
+    model, mrep, rho0, inputs = _load_run(args)
     ensemble = simulate_ensemble(model, mrep, rho0, config)
     estimate = autocorrelation_estimate(ensemble, lag_steps, burn_in=burn_in)
     rho_tail = me_integrate(model, rho0, args.dt, burn_in)[-1]
@@ -315,9 +325,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_scales(args) -> None:
+    """--tol and --hbar, checked before any document is read: a document never takes the blame."""
+    if not 0.0 <= args.tol < np.inf:  # NaN fails too
+        raise ValidationError(f"--tol must be finite and non-negative, got {args.tol}")
+    if not 0.0 < args.hbar < np.inf:
+        raise ValidationError(f"--hbar must be finite and positive, got {args.hbar}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "tol" in args:  # every command but check reads documents
+            _check_scales(args)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -518,37 +518,6 @@ def _first_negative_state(g: np.ndarray, p: np.ndarray, tol: float) -> tuple | N
 # measurement back-action
 
 
-def backaction_apply(
-    weights: np.ndarray,
-    lindblads: np.ndarray,
-    rho: np.ndarray,
-    linear: bool = False,
-) -> np.ndarray:
-    """Measurement back-action update for a weighted combination of couplings.
-
-    With combination A, the linear form returns ``A rho + rho A^dag``; the
-    nonlinear form subtracts ``Tr[A rho + rho A^dag] rho`` and is traceless.
-    A real weight vector of length 2L addresses the doubled (quadrature)
-    direction set; its second half weights the couplings times -i.
-    """
-    cs = _operator_stack(lindblads)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != cs.shape[1:]:
-        raise DimensionMismatchError(
-            f"state shape {rho.shape} does not match operators {cs.shape[1:]}"
-        )
-    w, channels = np.asarray(weights), cs.shape[0]
-    if w.shape == (2 * channels,) and np.isrealobj(w):
-        w = w[:channels] - 1j * w[channels:]
-    elif w.shape != (channels,):
-        raise DimensionMismatchError(
-            f"weights must be a complex vector of length {channels} or a real vector of"
-            f" length {2 * channels}, got shape {w.shape}"
-        )
-    lin = _backaction(w, cs, rho)
-    return lin if linear else _traceless(lin, rho)
-
-
 def measurement_ops(mrep: MRep, lindblads: np.ndarray) -> np.ndarray:
     """The 2L weighted coupling combinations addressed by each noise direction."""
     cs = _operator_stack(lindblads)

@@ -44,10 +44,6 @@ class DimensionMismatchError(ValidationError):
     pass
 
 
-class InvalidEfficientPartError(ValidationError):
-    """The unit-efficiency factor of a measurement matrix is not row-orthonormal."""
-
-
 class NotL1Error(DiffmonError):
     """The B-rep factorization only handles a single measured channel."""
 

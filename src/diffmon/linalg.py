@@ -7,19 +7,11 @@ Frobenius norm of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotHermitianError, NotPSDError
 
 DEFAULT_TOL = 1e-9
-
-
-def _scale(a: np.ndarray, tol: float) -> float:
-    """Absolute comparison threshold: relative to ||a||, falling back to tol for a = 0."""
-    norm = float(np.linalg.norm(a))
-    return tol * norm if norm > 0.0 else tol
 
 
 def positive_sqrt(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -33,7 +25,8 @@ def positive_sqrt(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {a.shape}")
-    atol = _scale(a, tol)
+    norm = float(np.linalg.norm(a))
+    atol = tol * norm if norm > 0.0 else tol  # relative to ||a||, absolute for a = 0
     if np.linalg.norm(a - a.conj().T) > atol:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
@@ -77,49 +70,3 @@ def pseudo_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse; singular values below tol*max(s) are dropped."""
     return np.linalg.pinv(np.asarray(a, dtype=float), rcond=tol)
 
-
-@dataclass(frozen=True)
-class MatrixFlags:
-    """Structural predicates of a matrix, each true iff it holds within tolerance."""
-
-    hermitian: bool
-    psd: bool
-    unitary: bool
-    orthogonal: bool
-    real: bool
-    diagonal: bool
-
-
-def classify(a: np.ndarray, tol: float = DEFAULT_TOL) -> MatrixFlags:
-    """Evaluate the structural predicates of ``a`` at relative tolerance ``tol``."""
-    a = np.asarray(a, dtype=complex)
-    atol = _scale(a, tol)
-    real = bool(np.max(np.abs(a.imag), initial=0.0) <= atol)
-    square = a.ndim == 2 and a.shape[0] == a.shape[1]
-    hermitian = bool(square and np.linalg.norm(a - a.conj().T) <= atol)
-    psd = False
-    if hermitian:
-        w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-        psd = bool(w[0] >= -atol)
-    unitary = bool(
-        square and np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0])) <= max(atol, tol)
-    )
-    orthogonal = bool(
-        square
-        and real
-        and np.linalg.norm(a.real.T @ a.real - np.eye(a.shape[0])) <= max(atol, tol)
-    )
-    diagonal = False
-    if a.ndim == 2:
-        mask = np.ones(a.shape, dtype=bool)
-        k = min(a.shape)
-        mask[np.arange(k), np.arange(k)] = False
-        diagonal = bool(np.max(np.abs(a[mask]), initial=0.0) <= atol)
-    return MatrixFlags(
-        hermitian=hermitian,
-        psd=psd,
-        unitary=unitary,
-        orthogonal=orthogonal,
-        real=real,
-        diagonal=diagonal,
-    )

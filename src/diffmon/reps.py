@@ -29,7 +29,6 @@ from .errors import (
     DimensionMismatchError,
     EfficiencyOutOfRangeError,
     InternalInconsistencyError,
-    InvalidEfficientPartError,
     NotL1Error,
     NotPSDError,
     OffBlockAsymmetricError,
@@ -300,15 +299,6 @@ def trep_to_mrep(trep: TRep) -> MRep:
     return MRep(trep.real_part + 1j * trep.imag_part, hbar=trep.hbar)
 
 
-def mrep_trep(rep):
-    """Toggle between the complex and the stacked-real measurement matrix forms."""
-    if isinstance(rep, MRep):
-        return mrep_to_trep(rep)
-    if isinstance(rep, TRep):
-        return trep_to_mrep(rep)
-    raise TypeError(f"expected MRep or TRep, got {type(rep).__name__}")
-
-
 def trep_to_urep(trep: TRep, tol: float = DEFAULT_TOL) -> URep:
     """Unravelling matrix of a stacked measurement matrix: t @ t.T / hbar."""
     u = trep.matrix @ trep.matrix.T / trep.hbar  # (j, k) and (k, j) sum the same products
@@ -436,29 +426,6 @@ def heterodyne_mrep(eta: float, hbar: float = 1.0) -> MRep:
         raise EfficiencyOutOfRangeError(f"efficiency {eta} falls outside [0, 1]")
     amp = np.sqrt(hbar * eta / 2.0)
     return MRep(np.array([[amp, 1j * amp]]), hbar=hbar)
-
-
-def custom_efficiency_mrep(
-    efficient_part: np.ndarray, eta: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TOL
-) -> MRep:
-    """Scale a unit-efficiency measurement matrix by per-channel efficiencies.
-
-    ``efficient_part`` must satisfy ``m' @ m'^dag = hbar * identity``.
-    """
-    hbar = _check_hbar(hbar)
-    mp = np.asarray(efficient_part, dtype=complex)
-    eta = np.asarray(eta, dtype=float).reshape(-1)
-    if mp.ndim != 2 or mp.shape != (eta.shape[0], 2 * eta.shape[0]):
-        raise DimensionMismatchError(
-            f"unit-efficiency factor must be L x 2L with L = len(eta), got {mp.shape}"
-        )
-    _check_unit_range(eta, 0.0, "eta")
-    gram = mp @ mp.conj().T / hbar
-    if np.linalg.norm(gram - np.eye(eta.shape[0])) > tol * max(1.0, float(np.linalg.norm(gram))):
-        raise InvalidEfficientPartError(
-            "the unit-efficiency factor must have orthonormal rows at scale sqrt(hbar)"
-        )
-    return MRep(np.sqrt(eta)[:, None] * mp, hbar=hbar)
 
 
 def efficient_decomposition(mrep: MRep, tol: float = DEFAULT_TOL):

@@ -96,24 +96,6 @@ class SimulationConfig:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Per-trajectory view of an ensemble record.
-
-    ``currents`` holds the measured current (increment divided by dt) for each
-    step; ``purity`` and ``log_weight`` are tabulated on the full time grid.
-    """
-
-    stream_id: int
-    times: np.ndarray
-    currents: np.ndarray
-    noise: np.ndarray | None
-    purity: np.ndarray | None
-    log_weight: np.ndarray
-    snapshot_steps: np.ndarray
-    snapshots: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class Ensemble:
     """Seeded record of an ensemble of conditioned trajectories."""
 
@@ -140,23 +122,6 @@ class Ensemble:
     @property
     def noise_dim(self) -> int:
         return self.currents.shape[2]
-
-    def trajectory(self, k: int) -> Trajectory:
-        if not (is_integer(k) and 0 <= k < self.n_traj):
-            raise ValidationError(f"trajectory index {k!r} outside 0..{self.n_traj - 1}")
-        return Trajectory(
-            stream_id=k,
-            times=self.times,
-            currents=self.currents[k],
-            noise=None if self.noise is None else self.noise[k],
-            purity=None if self.purity is None else self.purity[k],
-            log_weight=self.log_weight[k],
-            snapshot_steps=self.snapshot_steps,
-            snapshots=None if self.snapshots is None else self.snapshots[:, k],
-        )
-
-    def trajectories(self):
-        return [self.trajectory(k) for k in range(self.n_traj)]
 
 
 def _step_states(engine: _Engine, rho, w, dt: float, linear: bool):
@@ -252,7 +217,7 @@ def simulate_ensemble(
 ) -> Ensemble:
     """Run independent conditioned trajectories, one noise stream per trajectory.
 
-    Trajectory ``k`` consumes the stream keyed by (seed, k); the output is a
+    The k-th trajectory consumes the stream keyed by (seed, k); the output is a
     deterministic function of the configuration alone, independent of
     ``block_steps`` (an internal batching knob).
     """

@@ -326,6 +326,83 @@ def test_autocorr_rejects_a_single_trajectory(het_file, model_file, tmp_path, ca
     assert not (tmp_path / "x").exists()
 
 
+class _Simulated(Exception):
+    """Raised in place of the ensemble run, to show that a command got that far."""
+
+
+def test_autocorr_checks_burn_in_and_lag_window_before_simulating(
+    het_file, model_file, tmp_path, capsys, monkeypatch
+):
+    # A burn-in outside [0, steps) and a lag with no pair left after the burn-in used to
+    # fail only after the whole ensemble had run ("error: lag 30 leaves no pairs ...").
+    from diffmon import cli
+
+    def refuse(*args, **kwargs):
+        raise _Simulated
+
+    monkeypatch.setattr(cli, "simulate_ensemble", refuse)
+    burn = "--burn-in must lie in [0, 50), below --steps; got "
+    tail = "--lags must be under {} steps (--steps 50 minus burn-in {}); got {}"
+    cases = [
+        (["--lags", "0.1", "--burn-in", "-1"], burn + "-1"),
+        (["--lags", "0.1", "--burn-in", "50"], burn + "50"),
+        (["--lags", "0.1", "--burn-in", "60"], burn + "60"),
+        (["--lags", "0.1,0.3"], tail.format(25, 25, 0.3)),
+        (["--lags", "0.25"], tail.format(25, 25, 0.25)),
+        (["--lags", "0.2", "--burn-in", "30"], tail.format(20, 30, 0.2)),
+    ]
+    run = [
+        "autocorr", "--model", str(model_file), "--rep", str(het_file),
+        "--dt", "0.01", "--steps", "50", "--ntraj", "4", "--out", str(tmp_path / "x"),
+    ]
+    for extra, want in cases:
+        assert main(run + extra) == 4
+        assert capsys.readouterr().err == f"validation error: {want}\n"
+    assert not (tmp_path / "x").exists()
+    # The last lag with a pair left, at the default and at the widest burn-in, gets through.
+    for extra in (["--lags", "0.24"], ["--lags", "0.49", "--burn-in", "0"]):
+        with pytest.raises(_Simulated):
+            main(run + extra)
+
+
+@pytest.mark.parametrize(
+    "option, value, want",
+    [
+        ("--tol", "inf", "--tol must be finite and non-negative, got inf"),
+        ("--tol", "nan", "--tol must be finite and non-negative, got nan"),
+        ("--tol", "-1", "--tol must be finite and non-negative, got -1.0"),
+        ("--hbar", "nan", "--hbar must be finite and positive, got nan"),
+        ("--hbar", "inf", "--hbar must be finite and positive, got inf"),
+        ("--hbar", "0", "--hbar must be finite and positive, got 0.0"),
+        ("--hbar", "-2", "--hbar must be finite and positive, got -2.0"),
+    ],
+)
+def test_commands_check_tol_and_hbar_before_reading(tmp_path, capsys, option, value, want):
+    # --tol inf passed an M-rep of efficiency 9 as valid, and simulate ran it; --tol -1
+    # blamed a valid document, and --hbar nan was reported as a schema error of the
+    # document.  The documents named here do not exist: the option is refused first.
+    rep, model, out = str(tmp_path / "rep.json"), str(tmp_path / "model.json"), tmp_path / "o"
+    run = ["--model", model, "--rep", rep, "--dt", "0.01", "--steps", "50", "--ntraj", "4"]
+    commands = [
+        ["validate", rep],
+        ["convert", rep, "--to", "urep", "--out", str(out)],
+        ["factorize", rep, "--out", str(out)],
+        ["simulate", *run, "--out", str(out)],
+        ["autocorr", *run, "--lags", "0.1", "--out", str(out)],
+    ]
+    for command in commands:
+        assert main([*command, option, value]) == 4
+        assert capsys.readouterr().err == f"validation error: {want}\n"
+    assert not out.exists()
+
+
+def test_bad_hbar_is_refused_for_a_document_that_carries_its_own(het_file, capsys):
+    # The document's hbar used to win, and the bad option was never looked at.
+    assert main(["validate", str(het_file), "--hbar", "nan"]) == 4
+    want = "validation error: --hbar must be finite and positive, got nan\n"
+    assert capsys.readouterr().err == want
+
+
 def test_run_commands_write_standard_json(het_file, model_file, tmp_path):
     def refuse(constant):
         raise ValueError(f"non-standard JSON constant {constant}")

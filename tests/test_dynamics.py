@@ -8,7 +8,6 @@ from diffmon import (
     LindbladModel,
     MRep,
     URep,
-    backaction_apply,
     diffusion_matrix,
     hermitian_basis,
     heterodyne_mrep,
@@ -31,6 +30,7 @@ from diffmon.dynamics import (
     _purity,
     _scatter,
     _trace,
+    _traceless,
     _uncertified,
     measurement_ops,
     rk4_step,
@@ -204,7 +204,7 @@ def test_integrators_reject_bad_dt(dt):
 
 def test_backaction_vanishes_on_certain_outcome():
     model_c = np.array([SIGMA_Z], dtype=complex)
-    out = backaction_apply(np.array([1.0 + 0j]), model_c, EXCITED)
+    out = _traceless(_backaction(np.array([1.0 + 0j]), model_c, EXCITED), EXCITED)
     assert np.max(np.abs(out)) <= 1e-14
 
 
@@ -215,7 +215,7 @@ def test_backaction_pure_state_overlap_is_zero():
         rho = random_pure_state(gen, 3)
         cs = gen.normal(size=(2, 3, 3)) + 1j * gen.normal(size=(2, 3, 3))
         w = gen.normal(size=2) + 1j * gen.normal(size=2)
-        out = backaction_apply(w, cs, rho)
+        out = _traceless(_backaction(w, cs, rho), rho)
         assert abs(np.trace(rho @ out)) <= 1e-12 * np.linalg.norm(out)
         assert abs(np.trace(out)) <= 1e-12 * max(1.0, np.linalg.norm(out))
 
@@ -225,19 +225,9 @@ def test_backaction_linear_nonlinear_differ_by_trace_term():
     rho = random_state(gen, 3)
     cs = gen.normal(size=(1, 3, 3)) + 1j * gen.normal(size=(1, 3, 3))
     w = np.array([0.7 - 0.2j])
-    lin = backaction_apply(w, cs, rho, linear=True)
-    nonlin = backaction_apply(w, cs, rho)
+    lin = _backaction(w, cs, rho)
+    nonlin = _traceless(lin, rho)
     assert np.max(np.abs(lin - np.real(np.trace(lin)) * rho - nonlin)) <= 1e-14
-
-
-def test_backaction_real_weights_address_doubled_directions():
-    gen = rng(55)
-    rho = random_state(gen, 2)
-    cs = gen.normal(size=(2, 2, 2)) + 1j * gen.normal(size=(2, 2, 2))
-    w = gen.normal(size=4)
-    via_real = backaction_apply(w, cs, rho)
-    via_complex = backaction_apply(w[:2] - 1j * w[2:], cs, rho)
-    assert np.max(np.abs(via_real - via_complex)) <= 1e-14
 
 
 def test_regression_zero_lag_is_plain_average():
@@ -599,7 +589,7 @@ def test_backaction_matches_inline_formula(dim):
     v = gen.normal(size=2) + 1j * gen.normal(size=2)
     a = v[0] * model.lindblads[0] + v[1] * model.lindblads[1]
     want = a @ rho + rho @ a.conj().T
-    got = backaction_apply(v, model.lindblads, rho, linear=True)
+    got = _backaction(v, model.lindblads, rho)
     assert np.max(np.abs(got - want)) <= 1e-13
     # The engine's per-direction back-action, contracted with real weights,
     # for a stack of states.

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from diffmon import (
-    classify,
     homodyne_mrep,
     mrep_to_trep,
     polar_decompose,
@@ -134,24 +133,3 @@ def test_pinv_orthogonal_is_transpose():
     c, s = np.cos(1.1), np.sin(1.1)
     o = np.array([[c, s], [-s, c]])
     assert np.allclose(pseudo_inverse(o), o.T, atol=1e-12)
-
-
-def test_classify_identity():
-    flags = classify(np.eye(3))
-    assert flags.hermitian and flags.psd and flags.unitary
-    assert flags.orthogonal and flags.real and flags.diagonal
-
-
-def test_classify_hadamard_like():
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    flags = classify(h)
-    assert flags.unitary and flags.orthogonal and flags.hermitian
-    assert not flags.diagonal
-    assert not flags.psd
-
-
-def test_classify_nilpotent():
-    flags = classify(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert flags.real
-    assert not (flags.hermitian or flags.psd or flags.unitary or flags.orthogonal)
-    assert not flags.diagonal

@@ -10,13 +10,11 @@ from diffmon import (
     brep_o_to_mrep,
     brep_to_mrep,
     brep_to_urep,
-    custom_efficiency_mrep,
     efficient_decomposition,
     heterodyne_mrep,
     homodyne_mrep,
     mrep_to_trep,
     mrep_to_urep,
-    mrep_trep,
     trep_polar,
     trep_to_mrep,
     trep_to_urep,
@@ -30,7 +28,6 @@ from diffmon import (
 from diffmon.errors import (
     DimensionMismatchError,
     EfficiencyOutOfRangeError,
-    InvalidEfficientPartError,
     NotPSDError,
     OffBlockAsymmetricError,
     OffDiagonalError,
@@ -105,15 +102,6 @@ def test_mrep_trep_roundtrip_bit_identical():
     back = trep_to_mrep(mrep_to_trep(m))
     assert np.array_equal(back.matrix, m.matrix)
     assert back.hbar == m.hbar
-
-
-def test_mrep_trep_dispatcher():
-    m = heterodyne_mrep(0.5)
-    t = mrep_trep(m)
-    assert isinstance(t, TRep)
-    assert isinstance(mrep_trep(t), MRep)
-    with pytest.raises(TypeError):
-        mrep_trep(np.eye(2))
 
 
 def test_trep_to_urep_heterodyne():
@@ -301,16 +289,6 @@ def test_standard_constructors_scale_with_hbar():
         assert abs(validate_mrep(m.matrix, hbar=2.5)[0] - 0.6) <= 1e-12
 
 
-def test_custom_efficiency_constructor():
-    part = np.array([[1.0, 1j]]) / np.sqrt(2.0)
-    m = custom_efficiency_mrep(part, [0.5])
-    assert abs(validate_mrep(m.matrix)[0] - 0.5) <= 1e-12
-    with pytest.raises(EfficiencyOutOfRangeError):
-        custom_efficiency_mrep(part, [1.5])
-    with pytest.raises(InvalidEfficientPartError):
-        custom_efficiency_mrep(np.array([[1.0, 1.0]]), [0.5])
-
-
 def test_efficiency_constructor_rejects_out_of_range():
     with pytest.raises(EfficiencyOutOfRangeError):
         homodyne_mrep(1.2)
@@ -352,6 +330,21 @@ def test_efficient_decomposition_completion_stays_orthonormal():
     assert list(dark) == [False, True]
     assert np.allclose(part @ part.conj().T, np.eye(2), atol=1e-12)
     assert np.allclose(part[0], live, atol=1e-12)
+
+
+def test_efficient_decomposition_rebuilds_m_at_any_hbar():
+    # M = diag(sqrt(eta)) M' with M' M'^dag = hbar I, at hbar != 1 and up to L = 3, with
+    # and without a dark (zero) channel.
+    gen = rng(31)
+    cases = [random_mrep(gen, channels, hbar=2.5) for channels in (1, 2, 3) for _ in range(5)]
+    dark_row = random_mrep(gen, 3, hbar=2.5).matrix.copy()
+    dark_row[1] = 0.0
+    cases.append(MRep(dark_row, hbar=2.5))
+    for m in cases:
+        eta, part, dark = efficient_decomposition(m)
+        assert list(dark) == [not row.any() for row in m.matrix]
+        assert np.max(np.abs(np.sqrt(eta)[:, None] * part - m.matrix)) <= 1e-12
+        assert np.max(np.abs(part @ part.conj().T - 2.5 * np.eye(m.channels))) <= 1e-12
 
 
 def test_sufficiency_sweep_small():

@@ -503,22 +503,6 @@ def test_ensemble_carries_fingerprints():
     assert ens2.rep_fingerprint == ens.rep_fingerprint
 
 
-def test_trajectory_view_consistency():
-    model = decay_model(rabi=1.0)
-    m = heterodyne_mrep(0.8)
-    config = SimulationConfig(dt=5e-3, steps=20, n_traj=4, seed=9, snapshot_stride=10)
-    ens = simulate_ensemble(model, m, EXCITED, config)
-    traj = ens.trajectory(2)
-    assert np.array_equal(traj.currents, ens.currents[2])
-    assert np.array_equal(traj.snapshots, ens.snapshots[:, 2])
-    assert traj.stream_id == 2
-    assert len(ens.trajectories()) == 4
-    # -1 used to return trajectory 3 labelled stream_id -1.
-    for k in (-1, 4, 1.0, True):
-        with pytest.raises(ValidationError, match=f"trajectory index {k!r} outside 0..3"):
-            ens.trajectory(k)
-
-
 def _check_positivity(rho, tol, step):
     """The ensemble's positivity monitor on a stack of Hermitian matrices."""
     from diffmon.dynamics import _gather, _purity
@@ -636,7 +620,7 @@ def test_nonlinear_log_weight_is_a_read_only_zero_view():
     assert np.all(ens.log_weight == 0.0)
     with pytest.raises(ValueError):
         ens.log_weight[0, 1] = 1.0
-    assert np.array_equal(ens.trajectory(1).log_weight, np.zeros(13))
+    assert np.array_equal(ens.log_weight[1], np.zeros(13))
 
 
 def test_memory_estimate_counts_log_weights_in_linear_mode_only(monkeypatch):
