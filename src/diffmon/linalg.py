@@ -7,11 +7,31 @@ Frobenius norm of the input.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NotHermitianError, NotPSDError
 
 DEFAULT_TOL = 1e-9
+
+
+def frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of a real or complex array, as ``np.linalg.norm(a)`` gives it.
+
+    ``math.hypot`` over the real and imaginary parts scales as it sums, so
+    finite entries whose squares overflow still give a finite norm (inf only
+    past the largest float); a NaN entry gives NaN, as in numpy.  On the small
+    matrices of this package it also skips numpy's per-call wrapper.
+    """
+    flat = a.ravel()
+    if flat.dtype.kind == "c":
+        flat = flat.astype(complex, copy=False).view(float)
+    parts = flat.tolist()
+    norm = math.hypot(*parts)
+    if norm == math.inf and any(p != p for p in parts):  # hypot lets inf win over NaN
+        return math.nan
+    return norm
 
 
 def positive_sqrt(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -25,14 +45,14 @@ def positive_sqrt(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {a.shape}")
-    norm = float(np.linalg.norm(a))
+    norm = frobenius(a)
     atol = tol * norm if norm > 0.0 else tol  # relative to ||a||, absolute for a = 0
-    if np.linalg.norm(a - a.conj().T) > atol:
+    if frobenius(a - a.conj().T) > atol:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     if w[0] < -atol:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -tol*||a||")
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     root = (v * np.sqrt(w)) @ v.conj().T
     root = (root + root.conj().T) / 2.0
     if np.isrealobj(a):

@@ -20,6 +20,7 @@ equivalent measurement matrices.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -37,7 +38,36 @@ from .errors import (
     ValidationError,
     ZeroMError,
 )
-from .linalg import DEFAULT_TOL, polar_decompose
+from .linalg import DEFAULT_TOL, frobenius, polar_decompose
+
+# Products and sums of entries below this bound cannot overflow; past it the
+# checks enter np.errstate, so that overflow is named by a check, not warned.
+_OVERFLOW_FREE = 1e300
+_NO_GUARD = contextlib.nullcontext()
+
+
+def _overflow_guard(bound: float):
+    """Silence overflow and the inf - inf it leads to, when ``bound`` (or NaN) allows them."""
+    if bound < _OVERFLOW_FREE:
+        return _NO_GUARD
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _clamp01(vec: np.ndarray) -> np.ndarray:
+    """``vec.clip(0.0, 1.0)`` of a short vector, bit for bit (-0.0 and NaN kept)."""
+    out = np.array(vec, dtype=float)
+    for k, v in enumerate(out.tolist()):
+        if v < 0.0:
+            out[k] = 0.0
+        elif v > 1.0:
+            out[k] = 1.0
+    return out
+
+
+def _max_abs(a: np.ndarray):
+    """``np.abs(a).max()``, NaN if an entry is NaN, without the reduction's wrapper."""
+    mag = np.abs(a).ravel()
+    return mag[mag.argmax()]
 
 
 def _check_hbar(hbar: float) -> float:
@@ -47,9 +77,12 @@ def _check_hbar(hbar: float) -> float:
     return hbar
 
 
-def _check_finite(a: np.ndarray, what: str) -> None:
-    if not np.isfinite(a).all():
+def _check_finite(a: np.ndarray, what: str) -> float:
+    """Raise unless every entry of ``a`` is finite; returns ``frobenius(a)``."""
+    norm = frobenius(a)
+    if not math.isfinite(norm) and not np.isfinite(a).all():
         raise ValidationError(f"{what} has non-finite entries")
+    return norm
 
 
 def _check_unit_range(vec: np.ndarray, slack: float, label: str, error=EfficiencyOutOfRangeError):
@@ -60,11 +93,19 @@ def _check_unit_range(vec: np.ndarray, slack: float, label: str, error=Efficienc
 
 
 def _check_unitary(a: np.ndarray, tol: float, failure: str) -> None:
-    """Raise ``failure`` with the defect unless ``|a^dag a - I| <= tol max(1, |a|^2)``."""
-    gram = a.conj().T @ a
+    """Raise ``failure`` with the defect unless ``|a^dag a - I| <= tol max(1, |a|^2)``.
+
+    Both sides are divided by ``max(1, |a|)``, so an ``|a|^2`` past the
+    largest float does not turn the bound into inf; an overflowed defect is
+    inf or NaN and fails.
+    """
+    norm = frobenius(a)
+    with _overflow_guard(norm * norm):
+        gram = a.conj().T @ a
     gram.flat[:: gram.shape[0] + 1] -= 1.0
-    defect = np.linalg.norm(gram)
-    if defect > tol * max(1.0, float(np.linalg.norm(a)) ** 2):
+    defect = frobenius(gram)
+    scale = max(1.0, norm)
+    if not defect / scale <= tol * scale:
         raise ValidationError(f"{failure} (defect {defect:.3e})")
 
 
@@ -186,9 +227,11 @@ class OrthoMatrix:
         o = np.array(self.matrix, dtype=float)
         if o.ndim != 2 or o.shape[0] != o.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got {o.shape}")
-        _check_finite(o, "post-processing matrix")
+        norm = _check_finite(o, "post-processing matrix")
         object.__setattr__(self, "matrix", o)
-        det = float(np.linalg.det(o))
+        # Hadamard's inequality bounds |det o| by |o|^n, without overflow here.
+        with _overflow_guard(math.prod([norm] * o.shape[0])):
+            det = float(np.linalg.det(o))
         sign = 1 if det > 0 else -1
         if self.det_sign == 0:
             object.__setattr__(self, "det_sign", sign)
@@ -217,56 +260,70 @@ def validate_mrep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TO
     if m.ndim != 2 or m.shape[1] != 2 * m.shape[0] or not m.size:
         raise DimensionMismatchError(f"measurement matrix must be L x 2L, got {m.shape}")
     hbar = _check_hbar(hbar)
-    gram = m @ m.conj().T / hbar
-    atol = tol * max(1.0, float(np.linalg.norm(gram)))
-    d = gram.diagonal().copy()
-    # Subtracting the diagonal from itself zeroes it, and keeps a NaN there.
-    gram.flat[:: d.size + 1] -= d
-    mag = np.abs(gram)
-    if mag.max() > atol:
-        j, k = np.unravel_index(int(mag.argmax()), mag.shape)
+    norm = frobenius(m)
+    with _overflow_guard(norm * norm / min(hbar, 1.0)):
+        gram = m @ m.conj().T / hbar
+        size = frobenius(gram)
+        d = gram.diagonal().copy()
+        # Subtracting the diagonal from itself zeroes it, and keeps a NaN there.
+        gram.flat[:: d.size + 1] -= d
+    # An overflowed gram keeps the bare tolerance, so the range check names it.
+    atol = tol * max(1.0, size) if math.isfinite(size) else tol
+    mag = np.abs(gram).ravel()
+    k = int(mag.argmax())  # the first NaN if there is one, and then no entry is named
+    if mag[k] > atol:
+        j, k = divmod(k, d.size)
         raise OffDiagonalError(
             f"channel gram matrix has off-diagonal entry ({j},{k}) = {gram[j, k]:.3e}"
         )
     _check_unit_range(d.real, atol, "efficiency")
-    return d.real.clip(0.0, 1.0)
+    return _clamp01(d.real)
 
 
 def validate_urep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate an unravelling matrix and return its efficiency vector.
 
-    Checks positive-semidefiniteness (which presumes symmetry), that the sum
-    of the diagonal blocks is diagonal with entries in [0, 1], and that the
-    off-diagonal blocks are equal.
+    The checks run in this order, each within ``tol max(1, |U|)``: finite
+    entries, symmetry, positive-semidefiniteness (the least eigenvalue), equal
+    off-diagonal blocks, and a diagonal-block sum that is diagonal with
+    entries in [0, 1].  Only the eigenvalue check needs an eigensolver, and
+    only a matrix of unknown origin needs it: the conversions that build U as
+    a Gram product (``trep_to_urep``, ``brep_to_urep``) run the other checks.
     """
     u = np.asarray(matrix, dtype=float)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] % 2 or not u.size:
         raise DimensionMismatchError(f"unravelling matrix must be 2L x 2L, got {u.shape}")
     _check_hbar(hbar)
-    with np.errstate(over="ignore"):  # huge finite entries overflow the squares and the sum
-        L, norm = u.shape[0] // 2, float(np.linalg.norm(u))
+    return _check_urep(u, tol, spectrum=True)
+
+
+def _check_urep(u: np.ndarray, tol: float, spectrum: bool) -> np.ndarray:
+    """``validate_urep``'s checks of a 2L x 2L float array; the eigenvalue one if ``spectrum``."""
+    L, norm = u.shape[0] // 2, frobenius(u)
+    with _overflow_guard(norm):  # huge finite entries overflow the sums and differences
         s = u[:L, :L] + u[L:, L:]
+        skew = u - u.T
+        off = u[:L, L:] - u[L:, :L]
     diag = s.diagonal().copy()
     if not math.isfinite(norm):
         if not np.isfinite(u).all():  # a NaN in the diagonal-block sum is named first
             _check_unit_range(diag, tol, "diagonal-block sum entry ", SumNotInHError)
             raise ValidationError("unravelling matrix has non-finite entries")
-        top = float(np.abs(u).max())  # finite entries whose squares overflow
-        norm = min(top * float(np.linalg.norm(u / top)), np.finfo(float).max)
+        norm = np.finfo(float).max  # finite entries whose norm passes the largest float
     atol = tol * max(1.0, norm)
-    skew = u - u.T
-    if np.linalg.norm(skew) > atol:
+    if frobenius(skew) > atol:
         raise NotPSDError("unravelling matrix is not symmetric")
-    w = np.linalg.eigvalsh(u - 0.5 * skew)
-    if w[0] < -atol:
-        raise NotPSDError(f"unravelling matrix has eigenvalue {w[0]:.3e} below zero")
-    if np.linalg.norm(u[:L, L:] - u[L:, :L]) > atol:
+    if spectrum:
+        w = np.linalg.eigvalsh(u - 0.5 * skew)
+        if w[0] < -atol:
+            raise NotPSDError(f"unravelling matrix has eigenvalue {w[0]:.3e} below zero")
+    if frobenius(off) > atol:
         raise OffBlockAsymmetricError("off-diagonal blocks of the unravelling matrix differ")
     s.flat[:: L + 1] = 0.0  # not s - diag, which is NaN where an entry is inf
-    if np.abs(s).max() > atol:
+    if _max_abs(s) > atol:
         raise SumNotInHError("diagonal-block sum of the unravelling matrix is not diagonal")
     _check_unit_range(diag, atol, "diagonal-block sum entry ", SumNotInHError)
-    return diag.clip(0.0, 1.0)
+    return _clamp01(diag)
 
 
 def validate_trep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -275,12 +332,13 @@ def validate_trep(matrix: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TO
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] % 2 or not t.size:
         raise DimensionMismatchError(f"stacked matrix must be 2L x 2L, got {t.shape}")
     hbar = _check_hbar(hbar)
-    L = t.shape[0] // 2
+    L, norm = t.shape[0] // 2, frobenius(t)
     t1, t2 = t[:L], t[L:]
-    atol = tol * max(1.0, float(np.linalg.norm(t)) ** 2 / hbar)
-    c = t1 @ t2.T
-    cross = c - c.T
-    if np.abs(cross).max() > atol * hbar:
+    atol = tol * max(1.0, norm * norm / hbar)
+    with _overflow_guard(norm * norm):  # |t1 t2^T| <= |t|^2
+        c = t1 @ t2.T
+        cross = c - c.T
+    if _max_abs(cross) > atol * hbar:
         raise OffBlockAsymmetricError("block cross products of the stacked matrix differ")
     return validate_mrep(t1 + 1j * t2, hbar=hbar, tol=tol)
 
@@ -300,10 +358,19 @@ def trep_to_mrep(trep: TRep) -> MRep:
 
 
 def trep_to_urep(trep: TRep, tol: float = DEFAULT_TOL) -> URep:
-    """Unravelling matrix of a stacked measurement matrix: t @ t.T / hbar."""
+    """Unravelling matrix of a stacked measurement matrix: t @ t.T / hbar.
+
+    U is checked for finite entries, symmetry, equal off-diagonal blocks and a
+    diagonal-block sum that is diagonal with entries in [0, 1]; an input that
+    is not a valid measurement matrix fails one of these, as an
+    ``InternalInconsistencyError``.  The eigenvalue check of ``validate_urep``
+    is skipped: a Gram product is positive-semidefinite by construction, and
+    its computed least eigenvalue is at least about ``-2L eps |t|^2 / hbar``,
+    far inside the tolerance ``tol max(1, |U|)``.
+    """
     u = trep.matrix @ trep.matrix.T / trep.hbar  # (j, k) and (k, j) sum the same products
     try:
-        validate_urep(u, hbar=trep.hbar, tol=tol)
+        _check_urep(u, tol, spectrum=False)
     except ValidationError as exc:
         raise InternalInconsistencyError(
             f"derived unravelling matrix fails validation: {exc}"
@@ -362,8 +429,8 @@ def brep_to_mrep(brep: BRep, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> MRe
     """
     validate_brep(brep, tol=tol)
     hbar = _check_hbar(hbar)
-    a = np.sqrt(hbar * brep.eta.clip(0.0, 1.0))[:, None] * brep.mixing.conj().T
-    rq, rqb = np.sqrt(np.array([brep.theta, 1.0 - brep.theta]).clip(0.0, 1.0))
+    a = np.sqrt(hbar * _clamp01(brep.eta))[:, None] * brep.mixing.conj().T
+    rq, rqb = np.sqrt(_clamp01(brep.theta)), np.sqrt(_clamp01(1.0 - brep.theta))
     return MRep(np.concatenate([a * rq, -1j * a * rqb], axis=1), hbar=hbar)
 
 
@@ -374,17 +441,18 @@ def brep_to_urep(brep: BRep, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> URe
     mode, and ``W = diag(sqrt(theta), sqrt(1 - theta)) [[S_r, -S_i], [S_i, S_r]]``
     mixes the modes by the real form of ``S`` and splits each output between
     its homodyne pair.  The route does not pass through ``brep_to_mrep``, so
-    the two conversions check each other.
+    the two conversions check each other.  U is a Gram product, so it gets
+    the checks of ``trep_to_urep``, without the eigenvalue one.
     """
     validate_brep(brep, tol=tol)
     hbar = _check_hbar(hbar)
-    z = brep.mixing * np.sqrt(brep.eta.clip(0.0, 1.0))
+    z = brep.mixing * np.sqrt(_clamp01(brep.eta))
     rs = np.concatenate([z, 1j * z], axis=1)  # real part [S_r, -S_i] D, imaginary [S_i, S_r] D
-    split = np.sqrt(np.concatenate([brep.theta, 1.0 - brep.theta]).clip(0.0, 1.0))
+    split = np.sqrt(_clamp01(np.concatenate([brep.theta, 1.0 - brep.theta])))
     wd = np.concatenate([rs.real, rs.imag]) * split[:, None]
     u = wd.T @ wd
     try:
-        validate_urep(u, hbar=hbar, tol=max(tol, 1e-12))
+        _check_urep(u, max(tol, 1e-12), spectrum=False)
     except ValidationError as exc:
         raise InternalInconsistencyError(
             f"unravelling matrix derived from the block realization fails validation: {exc}"

@@ -33,6 +33,7 @@ from .reps import (
     MRep,
     TRep,
     URep,
+    _clamp01,
     brep_to_mrep,
     brep_to_urep,
     mrep_to_trep,
@@ -195,7 +196,7 @@ def rep_efficiencies(rep_file: RepFile, tol: float = DEFAULT_TOL) -> np.ndarray:
     if kind in _MATRIX_KINDS:
         return _MATRIX_KINDS[kind][1](rep.matrix, hbar=rep.hbar, tol=tol)
     validate_brep(rep, tol=tol)
-    return np.clip(rep.eta, 0.0, 1.0)
+    return _clamp01(rep.eta)
 
 
 def rep_to_mrep(rep_file: RepFile, tol: float = DEFAULT_TOL) -> MRep:

@@ -1,11 +1,17 @@
-"""Mutated input documents end in a documented exit code, never a traceback."""
+"""Mutated input documents end in a documented exit code, never a traceback.
 
+Every command runs with RuntimeWarnings as errors, so an overflow or NaN
+that diffmon does not name in its own message fails the run too.
+"""
+
+import contextlib
 import copy
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from diffmon import brep_to_mrep, heterodyne_mrep
@@ -16,6 +22,9 @@ from diffmon.reps import mrep_to_trep, mrep_to_urep, random_brep
 from conftest import decay_model, rng
 
 ALLOWED = {0, 2, 3, 4}
+# Powers of ten a document's numbers are scaled by: tiny, and past the point
+# where products of two entries overflow.
+SCALES = (-150, 150, 200, 300)
 
 _MREP = brep_to_mrep(random_brep(rng(80), 2))
 REP_DOCS = [
@@ -57,16 +66,31 @@ def _paths(node, path=()):
             yield from _paths(value, path + (i,))
 
 
+def _scaled(node, factor: float):
+    """``node`` with every float in it multiplied by ``factor`` (integers kept)."""
+    if isinstance(node, float):
+        return node * factor
+    if isinstance(node, list):
+        return [_scaled(v, factor) for v in node]
+    if isinstance(node, dict):
+        return {k: _scaled(v, factor) for k, v in node.items()}
+    return node
+
+
 @st.composite
-def mutated(draw, docs):
-    """A valid document with one to three edits: replace, delete, or nest a node."""
+def mutated(draw, docs, actions=("replace", "delete", "nest", "scale")):
+    """A valid document with one to three edits: replace, delete, nest or scale a node."""
     doc = copy.deepcopy(draw(st.sampled_from(docs)))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
-        action = draw(st.sampled_from(["replace", "delete", "nest"]))
+        action = draw(st.sampled_from(actions))
+        if action == "scale":
+            factor = 10.0 ** draw(st.sampled_from(SCALES))
         if not path:
             if action == "replace":
                 doc = draw(json_values)
+            elif action == "scale":
+                doc = _scaled(doc, factor)
             continue
         parent = doc
         for key in path[:-1]:
@@ -75,37 +99,54 @@ def mutated(draw, docs):
             del parent[path[-1]]
         elif action == "nest":
             parent[path[-1]] = [parent[path[-1]]]
+        elif action == "scale":
+            parent[path[-1]] = _scaled(parent[path[-1]], factor)
         else:
             parent[path[-1]] = draw(json_values)
     return doc
 
 
-def _run(argv_of, doc):
-    with tempfile.TemporaryDirectory() as tmp:
+@contextlib.contextmanager
+def _written(doc):
+    """``doc`` written to a temporary directory: yields (its path, the directory)."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         path = Path(tmp) / "doc.json"
         path.write_text(json.dumps(doc))
-        return main(argv_of(str(path), tmp))
+        yield str(path), tmp
+
+
+def _with_scaled_mixing(factor: float) -> dict:
+    doc = copy.deepcopy(REP_DOCS[4])
+    doc["S"] = _scaled(doc["S"], factor)
+    return doc
 
 
 @FUZZ
 @given(mutated(REP_DOCS), st.sampled_from(["validate", "mrep", "urep", "trep"]))
+# A mixing "unitary" whose squares overflow passed as unitary.
+@example(_with_scaled_mixing(1e200), "validate")
+@example(_with_scaled_mixing(1e200), "mrep")
 def test_mutated_measurement_documents(doc, command):
-    if command == "validate":
-        code = _run(lambda path, tmp: ["validate", path], doc)
-    else:
-        code = _run(lambda path, tmp: ["convert", path, "--to", command, "--out", tmp], doc)
-    assert code in ALLOWED
+    with _written(doc) as (path, tmp):
+        if command == "validate":
+            assert main(["validate", path]) in ALLOWED
+            return
+        code = main(["convert", path, "--to", command, "--out", tmp])
+        assert code in ALLOWED
+        if code == 0:  # what convert writes, validate accepts
+            assert main(["validate", str(Path(tmp) / f"doc_{command}.json")]) == 0
 
 
+# Not scaled: a model whose numbers overflow is not yet named by a check.
 @FUZZ
-@given(mutated([MODEL_DOC]))
+@given(mutated([MODEL_DOC], actions=("replace", "delete", "nest")))
 def test_mutated_model_documents(doc):
-    def argv(path, tmp):
+    with _written(doc) as (path, tmp):
         rep = Path(tmp) / "rep.json"
         rep.write_text(json.dumps(REP_DOCS[0]))
-        return [
+        argv = [
             "simulate", "--model", path, "--rep", str(rep), "--dt", "0.01",
             "--steps", "2", "--ntraj", "2", "--out", tmp,
         ]
-
-    assert _run(argv, doc) in ALLOWED
+        assert main(argv) in ALLOWED

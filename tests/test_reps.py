@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -28,13 +30,15 @@ from diffmon import (
 from diffmon.errors import (
     DimensionMismatchError,
     EfficiencyOutOfRangeError,
+    InternalInconsistencyError,
     NotPSDError,
     OffBlockAsymmetricError,
     OffDiagonalError,
     SumNotInHError,
     ValidationError,
 )
-from diffmon.reps import random_brep, random_mrep, random_orthogonal
+from diffmon.linalg import frobenius
+from diffmon.reps import _clamp01, random_brep, random_mrep, random_orthogonal
 
 from conftest import rng
 
@@ -440,6 +444,32 @@ VALIDATOR_FAILURES = [
      "diagonal-block sum entry [0] = inf falls outside [0, 1]"),
     (validate_urep, np.diag([0.25, 1.7e308, 0.25, 1.7e308]), SumNotInHError,
      "diagonal-block sum entry [1] = inf falls outside [0, 1]"),
+    # Finite entries whose channel gram overflows: the same messages as
+    # before, now without overflow or inf - inf warnings.
+    (validate_mrep, np.array([[1e200, 0]]), EfficiencyOutOfRangeError,
+     "efficiency[0] = inf falls outside [0, 1]"),
+    (validate_mrep, np.array([[1e200, 0, 0, 0], [0, 0.5, 0, 0]]), EfficiencyOutOfRangeError,
+     "efficiency[0] = nan falls outside [0, 1]"),
+    (validate_trep, np.array([[1e200, 0], [0, 0]]), EfficiencyOutOfRangeError,
+     "efficiency[0] = inf falls outside [0, 1]"),
+    (validate_trep, np.array([[0.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 1e200, 0], [0, 0, 0, 0]]),
+     EfficiencyOutOfRangeError, "efficiency[0] = nan falls outside [0, 1]"),
+    # A finite gram whose norm overflowed made the tolerance inf, and an
+    # efficiency of 1e200 passed as 1.
+    (validate_mrep, np.array([[1e100, 0]]), EfficiencyOutOfRangeError,
+     "efficiency[0] = 1e+200 falls outside [0, 1]"),
+    (validate_trep, np.array([[1e100, 0], [0, 0]]), EfficiencyOutOfRangeError,
+     "efficiency[0] = 1e+200 falls outside [0, 1]"),
+    # |a|^2 past the largest float made the unitarity bound inf, which no
+    # defect exceeds: an overflowed gram, or a finite one (the last row).
+    (lambda b: validate_brep(BRep(*b)), ([0.5], [[1e200]], [0.5]),
+     ValidationError, "mixing matrix is not unitary (defect inf)"),
+    (lambda b: validate_brep(BRep(*b)), ([0.5, 0.5], [[1e200, 0], [0, 1]], [0.5, 0.5]),
+     ValidationError, "mixing matrix is not unitary (defect nan)"),
+    (lambda o: OrthoMatrix(o).validate(), 1e155 * np.eye(2),
+     ValidationError, "matrix is not orthogonal (defect inf)"),
+    (lambda o: OrthoMatrix(o).validate(), 1.1e154 * np.eye(2),
+     ValidationError, "matrix is not orthogonal (defect 1.711e+308)"),
 ]
 
 
@@ -531,6 +561,88 @@ def test_brep_to_urep_stage_product_matches_block_formulas():
                 want = _block_formula_urep(b)
                 assert np.max(np.abs(u - want)) <= 1e-14 * np.max(np.abs(want))
                 assert np.array_equal(u, u.T)
+
+
+def test_postprocessing_of_overflowing_norm_is_refused():
+    # brep_o_to_mrep returned an M-rep of infinite efficiency.
+    with pytest.raises(ValidationError, match=r"^matrix is not orthogonal \(defect inf\)$"):
+        brep_o_to_mrep(BRep([0.5], [[1.0]], [0.5]), OrthoMatrix(1e155 * np.eye(2)))
+
+
+# Invalid stacked matrices, one per check that a Gram-form U still runs.
+GRAM_FAILURES = [
+    (np.array([[1, 0, 0, 0], [1, 0, 0, 0]]) / _R2,
+     "diagonal-block sum of the unravelling matrix is not diagonal"),
+    (np.array([[0.5, 0, 0, 0], [0, 1.5, 0, 0]]),
+     "diagonal-block sum entry [1] = 2.25 falls outside [0, 1]"),
+    (np.array([[0.5, 0, 0, 0], [0.5j, 0, 0, 0]]),
+     "off-diagonal blocks of the unravelling matrix differ"),
+]
+
+
+@pytest.mark.parametrize("m, message", GRAM_FAILURES)
+def test_gram_urep_without_spectrum_still_detects_invalid_inputs(m, message):
+    # cross-channel gram, efficiency above 1, asymmetric block cross products
+    want = f"^derived unravelling matrix fails validation: {re.escape(message)}$"
+    for convert, rep in ((mrep_to_urep, MRep(m)), (trep_to_urep, mrep_to_trep(MRep(m)))):
+        with pytest.raises(InternalInconsistencyError, match=want):
+            convert(rep)
+
+
+def _stage_product(brep):
+    """The stage product U = (W D)^T (W D), operation for operation."""
+    z = brep.mixing * np.sqrt(np.clip(brep.eta, 0.0, 1.0))
+    rs = np.concatenate([z, 1j * z], axis=1)
+    split = np.sqrt(np.clip(np.concatenate([brep.theta, 1.0 - brep.theta]), 0.0, 1.0))
+    wd = np.concatenate([rs.real, rs.imag]) * split[:, None]
+    return wd.T @ wd
+
+
+def test_gram_ureps_are_their_formulas_and_positive_semidefinite():
+    gen = rng(34)
+    for channels in (1, 2, 3, 4):
+        for hbar in (0.5, 2.0, 1e-150, 1e150):
+            for _ in range(10):
+                m = random_mrep(gen, channels, hbar=hbar)
+                t = mrep_to_trep(m).matrix
+                b = random_brep(gen, channels)
+                for u, want in (
+                    (mrep_to_urep(m).matrix, t @ t.T / hbar),
+                    (trep_to_urep(mrep_to_trep(m)).matrix, t @ t.T / hbar),
+                    (brep_to_urep(b, hbar=hbar).matrix, _stage_product(b)),
+                ):
+                    assert np.array_equal(u, want)
+                    validate_urep(u, hbar=hbar)
+                    assert np.linalg.eigvalsh(u)[0] >= -1e-14 * np.linalg.norm(u)
+
+
+def test_frobenius_is_numpys_norm_without_overflow():
+    gen = rng(35)
+    for shape in ((1, 2), (2, 2), (3, 6), (6, 6)):
+        a = gen.normal(size=shape)
+        c = a + 1j * gen.normal(size=shape)
+        for x in (a, c, a.T, c.T):
+            for scale in (1.0, 1e-200, 1e200):  # numpy's squares underflow and overflow
+                want = scale * np.linalg.norm(x)
+                assert abs(frobenius(scale * x) - want) <= 1e-15 * want
+    assert frobenius(np.array([1.7e308, 1.7e308])) == np.inf
+    assert frobenius(np.array([np.inf, np.nan])) != frobenius(np.array([np.inf, np.nan]))
+    assert frobenius(np.array([np.inf, 1.0])) == np.inf
+    assert frobenius(np.array([np.nan + 1j * np.inf])) != 0.0  # NaN, as numpy gives
+    assert frobenius(np.zeros((2, 2))) == 0.0
+
+
+def test_clamp01_is_clip_bitwise():
+    gen = rng(36)
+    edges = [-0.0, 0.0, 1.0, -1e-300, 1.0 + 1e-12, np.nan, -np.inf, np.inf, 5e-324, 0.5]
+    for size in range(1, 7):
+        for _ in range(50):
+            v = gen.choice(edges + list(gen.uniform(-0.5, 1.5, size=4)), size=size)
+            want = v.clip(0.0, 1.0)
+            got = _clamp01(v)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    view = np.array([0.2 - 1j, 1.5, -0.0]).real  # a strided view
+    assert _clamp01(view).tobytes() == view.clip(0.0, 1.0).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
