@@ -92,10 +92,10 @@ def _rng(seed: int, idx: int) -> Generator:
     return Generator(Philox(key=(1 << 120) + (idx << 64) + seed))
 
 
-def _decay_model(gamma: float = 1.0, rabi: float = 0.0, hbar: float = 1.0) -> LindbladModel:
+def _decay_model(rabi: float = 0.0) -> LindbladModel:
     sm = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return LindbladModel(hamiltonian=0.5 * rabi * sx, lindblads=np.sqrt(gamma) * sm[None], hbar=hbar)
+    return LindbladModel(hamiltonian=0.5 * rabi * sx, lindblads=sm[None])
 
 
 def _excited() -> np.ndarray:
@@ -169,10 +169,10 @@ def check_pinv_orthogonal(seed: int):
 
 @_sweep("reps.sufficiency_sweep", 1e-10,
         "derived unravelling matrices valid; worst eigenvalue deficit {:.2e}")
-def check_sufficiency_sweep(seed: int, samples: int = 100):
+def check_sufficiency_sweep(seed: int):
     rng = _rng(seed, 4)
     for channels in (1, 2, 3):
-        for _ in range(samples):
+        for _ in range(100):
             m = reps.random_mrep(rng, channels)
             u = reps.mrep_to_urep(m, tol=1e-10)
             w = np.linalg.eigvalsh((u.matrix + u.matrix.T) / 2.0)
@@ -180,9 +180,9 @@ def check_sufficiency_sweep(seed: int, samples: int = 100):
 
 
 @_sweep("reps.brep_route_equality", 1e-10, "max route difference {:.2e}")
-def check_brep_route_equality(seed: int, samples: int = 60):
+def check_brep_route_equality(seed: int):
     rng = _rng(seed, 5)
-    for _ in range(samples):
+    for _ in range(60):
         channels = int(rng.integers(1, 4))
         b = reps.random_brep(rng, channels)
         direct = reps.brep_to_urep(b).matrix
@@ -191,9 +191,9 @@ def check_brep_route_equality(seed: int, samples: int = 60):
 
 
 @_sweep("reps.brep_gram_identity", 1e-12, "max gram deviation {:.2e}")
-def check_brep_gram_identity(seed: int, samples: int = 60):
+def check_brep_gram_identity(seed: int):
     rng = _rng(seed, 6)
-    for _ in range(samples):
+    for _ in range(60):
         channels = int(rng.integers(1, 4))
         b = reps.random_brep(rng, channels)
         m = reps.brep_to_mrep(b)
@@ -202,9 +202,9 @@ def check_brep_gram_identity(seed: int, samples: int = 60):
 
 
 @_sweep("reps.factorization_roundtrip", 1e-8, "max reconstruction error {:.2e}")
-def check_factorization_roundtrip(seed: int, samples: int = 200):
+def check_factorization_roundtrip(seed: int):
     rng = _rng(seed, 7)
-    for _ in range(samples):
+    for _ in range(200):
         m = reps.random_mrep(rng, 1)
         if np.linalg.norm(m.matrix) < 1e-6:
             continue
@@ -290,9 +290,9 @@ def check_regression_vs_exponential(seed: int):
 
 @_sweep("dynamics.diffusion_orthogonal_invariance", 1e-10,
         "max diffusion-matrix change under post-processing {:.2e}")
-def check_diffusion_invariance(seed: int, samples: int = 25):
+def check_diffusion_invariance(seed: int):
     rng = _rng(seed, 13)
-    for _ in range(samples):
+    for _ in range(25):
         model = _random_model(rng, 3, 2)
         rho = _random_state(rng, 3)
         m = reps.random_mrep(rng, 2)
@@ -320,9 +320,9 @@ def check_autocorrelation_symmetry(seed: int):
 
 @_sweep("sme.noise_completion_psd", (1e-10, 1e-12),
         "worst PSD deficit {:.2e}; completion identity defect {:.2e}")
-def check_noise_completion_psd(seed: int, samples: int = 100):
+def check_noise_completion_psd(seed: int):
     rng = _rng(seed, 15)
-    for _ in range(samples):
+    for _ in range(100):
         channels = int(rng.integers(1, 4))
         m = reps.random_mrep(rng, channels)
         z = m.hbar * np.eye(2 * channels) - m.matrix.conj().T @ m.matrix
@@ -410,9 +410,9 @@ def check_linear_martingale(seed: int) -> tuple:
 
 @_sweep("sme.brep_noise_blocks", (1e-12, 1e-12),
         "completeness defect {:.2e}; measurement-matrix mismatch {:.2e}")
-def check_brep_noise_blocks(seed: int, samples: int = 60):
+def check_brep_noise_blocks(seed: int):
     rng = _rng(seed, 18)
-    for _ in range(samples):
+    for _ in range(60):
         channels = int(rng.integers(1, 4))
         b = reps.random_brep(rng, channels)
         blocks = sme.brep_noise_matrices(b)

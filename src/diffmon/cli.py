@@ -28,7 +28,7 @@ from .serialize import (
     autocorrelation_tables,
     convergence_tables,
     convert_rep,
-    fingerprint_model,  # noqa: F401 -- a binding bench/tracing.py wraps
+    fingerprint_model,
     fingerprint_rep,
     load_json,
     load_model,
@@ -129,7 +129,7 @@ def _load_run(args):
     mrep = rep_to_mrep(rep_file, tol=args.tol)
     rho0 = _load_initial_state(args.init, model.dim)
     inputs = {
-        "model": {"path": str(args.model), "fingerprint": model.fingerprint},
+        "model": {"path": str(args.model), "fingerprint": fingerprint_model(model)},
         "rep": {"path": str(args.rep), "fingerprint": fingerprint_rep(rep_file)},
     }
     return model, mrep, rho0, inputs

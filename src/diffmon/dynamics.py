@@ -30,8 +30,8 @@ from .errors import (
     check_dt,
     is_integer,
 )
-from .linalg import DEFAULT_TOL, positive_sqrt, pseudo_inverse
-from .reps import MRep, TRep, URep, _check_hbar, urep_split
+from .linalg import DEFAULT_TOL, frobenius, positive_sqrt, pseudo_inverse
+from .reps import MRep, TRep, URep, _check_hbar, _overflow_guard, urep_split
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,10 @@ class LindbladModel:
             )
         if not (np.all(np.isfinite(ham)) and np.all(np.isfinite(cs))):
             raise ValidationError("hamiltonian and coupling operators must have finite entries")
-        if np.linalg.norm(ham - ham.conj().T) > DEFAULT_TOL * max(
-            1.0, float(np.linalg.norm(ham))
-        ):
+        norm = frobenius(ham)
+        with _overflow_guard(norm):
+            skew = frobenius(ham - ham.conj().T)
+        if skew > DEFAULT_TOL * max(1.0, norm):
             raise NotHermitianError("hamiltonian is not Hermitian within tolerance")
         ham, cs = _frozen(ham, cs)  # read-only: the cached engine must never go stale
         object.__setattr__(self, "hamiltonian", ham)
@@ -67,13 +68,6 @@ class LindbladModel:
     def engine(self) -> _Engine:
         """The model's one engine (generator tables, RK4 polynomial), built at first use."""
         return _Engine(self)
-
-    @cached_property
-    def fingerprint(self) -> str:
-        """SHA-256 of the model's document payload, computed once: the arrays are read-only."""
-        from .serialize import fingerprint_model  # serialize imports this module
-
-        return fingerprint_model(self)
 
     @property
     def dim(self) -> int:
@@ -97,9 +91,11 @@ def check_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
     rho = np.asarray(_square(rho), dtype=complex)
     if not np.all(np.isfinite(rho)):
         raise ValidationError("state has a non-finite entry")
-    if np.linalg.norm(rho - rho.conj().T) > tol * max(1.0, float(np.linalg.norm(rho))):
+    norm = frobenius(rho)
+    with _overflow_guard(norm):  # huge finite entries overflow the difference and the trace
+        skew, tr = frobenius(rho - rho.conj().T), complex(np.trace(rho))
+    if skew > tol * max(1.0, norm):
         raise NotHermitianError("state is not Hermitian within tolerance")
-    tr = complex(np.trace(rho))
     if abs(tr - 1.0) > max(tol, 1e-12):
         raise ValidationError(f"state trace is {tr}, expected 1")
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
@@ -243,11 +239,16 @@ def _coordinate_table(n: int, maps: list, scale: float = 1.0):
     p, q = slot // 2, mirror // 2
     u = np.where(slot % 2, 1j, 1.0)  # odd float slots are imaginary parts
     v = sign * u * (np.arange(n * n) >= n)  # a diagonal unit is one entry
-    m = block([[sum(kron(a, b) for a, b in terms) for terms in maps]])  # side by side
     at, k = n * n * np.arange(len(maps))[:, None], len(maps)
-    y = (m[:, (at + p).ravel()] * np.tile(u, k) + m[:, (at + q).ravel()] * np.tile(v, k)) / scale
-    z = y[p] * (0.5 * u.conj())[:, None] + y[q] * (0.5 * sign * u.conj())[:, None]
-    return z.real.T.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # built once, and refused if not finite
+        m = block([[sum(kron(a, b) for a, b in terms) for terms in maps]])  # side by side
+        y = m[:, (at + p).ravel()] * np.tile(u, k) + m[:, (at + q).ravel()] * np.tile(v, k)
+        y = y / scale
+        z = y[p] * (0.5 * u.conj())[:, None] + y[q] * (0.5 * sign * u.conj())[:, None]
+        table = z.real.T.copy()
+        if not math.isfinite(table.sum()):
+            raise ValidationError("the model's generator or back-action table is not finite")
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -321,8 +322,12 @@ class _Engine:
         if self.base is not self:
             back = [[(a, one), (one, a.conj())] for a in self.ops[self.kept]]
             return self.base.tables[0], _coordinate_table(n, back)
-        cs = self.model.lindblads
-        k = -1j * self.model.hamiltonian - 0.5 * np.sum(cs.conj().swapaxes(-1, -2) @ cs, axis=0)
+        cs, norm = self.model.lindblads, frobenius(self.model.lindblads)
+        with _overflow_guard(norm * norm):
+            rates = np.sum(cs.conj().swapaxes(-1, -2) @ cs, axis=0)
+        if not np.isfinite(rates).all():
+            raise ValidationError("the model's rates sum_k c_k^dag c_k are not finite")
+        k = -1j * self.model.hamiltonian - 0.5 * rates
         generator = [(k, one), (one, k.conj()), *zip(cs, cs.conj())]
         return _coordinate_table(n, [generator], self.hbar), None
 
@@ -349,13 +354,14 @@ class _Engine:
         hit = self._sme
         if hit[0] != h:
             n2, back, block = self.dim**2, self.tables[1], _table_kit(self.dim)[2]
-            stacked = block([[self.poly(h)], [back / self.hbar]])
-            t = stacked @ _coordinate_weights(self.dim)[0]
-            cur = back[:, : self.dim].sum(axis=1) / self.hbar
-            means = self.rt.T @ cur.reshape(-1, n2)
-            heads = np.zeros((len(self.ops) + 2, len(t)))  # mean currents, cur . w and the trace
-            heads[:-2, :n2], heads[-2, n2:], heads[-1] = means, cur, t
-            hit = self._sme = (h, block([[stacked.T], [heads]]))
+            with np.errstate(over="ignore", invalid="ignore"):  # a step names a non-finite state
+                stacked = block([[self.poly(h)], [back / self.hbar]])
+                t = stacked @ _coordinate_weights(self.dim)[0]
+                cur = back[:, : self.dim].sum(axis=1) / self.hbar
+                means = self.rt.T @ cur.reshape(-1, n2)
+                heads = np.zeros((len(self.ops) + 2, len(t)))  # mean currents, cur . w, trace
+                heads[:-2, :n2], heads[-2, n2:], heads[-1] = means, cur, t
+                hit = self._sme = (h, block([[stacked.T], [heads]]))
         return hit[1]
 
     def operand(self, g: np.ndarray) -> np.ndarray:
@@ -425,26 +431,29 @@ def me_integrate(
     rho0: np.ndarray,
     dt: float,
     steps: int,
-    positivity_tol: float = 1e-6,
 ) -> np.ndarray:
     """Integrate the master equation; returns states at all steps+1 grid points.
 
     Steps the real coordinates of the state, so each output state is exactly
-    Hermitian, and renormalizes it; positivity is monitored and a violation
-    beyond ``positivity_tol`` raises ``StateInvalidError`` rather than being
+    Hermitian, and renormalizes it; a non-finite state, or an eigenvalue below
+    the fixed threshold -1e-6, raises ``StateInvalidError`` rather than being
     silently repaired.
     """
     check_density_matrix(rho0)
     dt = check_dt(dt)
     if not (is_integer(steps) and steps >= 0):
         raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
-    p = model.engine.poly(dt)
     g = np.empty((steps + 1, model.dim**2))
     g[0] = _gather(np.asarray(rho0, dtype=complex))
-    for m in range(steps):
-        x = g[m] @ p
-        g[m + 1] = x / _trace(x)
-    bad = _first_negative_state(g[1:], _purity(g[1:]), positivity_tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state is named below
+        p = model.engine.poly(dt)
+        for m in range(steps):
+            x = g[m] @ p
+            g[m + 1] = x / _trace(x)
+    finite = np.isfinite(g).all(axis=1)
+    if not finite.all():
+        raise StateInvalidError(f"non-finite state at step {int(np.argmin(finite))}")
+    bad = _first_negative_state(g[1:], _purity(g[1:]), 1e-6)
     if bad is not None:
         raise StateInvalidError(
             f"positivity lost at step {bad[0] + 1}: min eigenvalue {bad[1]:.3e}"
@@ -473,9 +482,11 @@ def _purity_ceiling(d: int, tol: float) -> float:
     """Purity under which every trace-one state of dimension d passes ``_uncertified``.
 
     At t = 1 the bound's test is ``p <= (1 + (1 + d tol/2)^2 / (d - 1)) / d``; the
-    ceiling sits 1e-12 below it, far above the rounding of the test and of t.
+    ceiling sits 1e-12 below it, far above the rounding of the test and of t.  A product,
+    not ``**``, squares: it overflows to inf, where ``**`` raises.
     """
-    return (1.0 + (1.0 + 0.5 * d * tol) ** 2 / max(d - 1, 1)) / d * (1.0 - 1e-12)
+    s = 1.0 + 0.5 * d * tol
+    return (1.0 + s * s / max(d - 1, 1)) / d * (1.0 - 1e-12)
 
 
 def _gershgorin_certified(g: np.ndarray, tol: float) -> np.ndarray:
@@ -658,34 +669,22 @@ def predicted_autocorrelation(
 # diffusion characterization and the correlation-matrix current
 
 
-def diffusion_matrix(
-    model: LindbladModel,
-    mrep: MRep,
-    rho: np.ndarray,
-    basis: np.ndarray | None = None,
-) -> np.ndarray:
+def diffusion_matrix(model: LindbladModel, mrep: MRep, rho: np.ndarray) -> np.ndarray:
     """Diffusion matrix of the vectorized conditioned state.
 
-    The state components are taken in an orthonormal Hermitian operator
-    basis; the columns of the noise-coefficient matrix are the back-action
-    updates along each of the 2L noise directions over hbar, as in the SME step:
-    a step of length dt has covariance ``D dt`` at any scale.  Equal diffusion
+    The state components are taken in the orthonormal Hermitian operator basis
+    ``hermitian_basis(d)``; the columns of the noise-coefficient matrix are the
+    back-action updates along each of the 2L noise directions over hbar, as in the
+    SME step: a step of length dt has covariance ``D dt`` at any scale.  Equal diffusion
     matrices mean the two measurement matrices generate the same unravelling.
     """
     rho = np.asarray(rho, dtype=complex)
     n = model.dim
     if rho.shape != (n, n):
         raise DimensionMismatchError(f"state must be {n} x {n}, got {rho.shape}")
-    if basis is None:
-        basis = hermitian_basis(n)
-    basis = np.asarray(basis, dtype=complex)
-    if basis.shape != (n * n, n, n):
-        raise DimensionMismatchError(
-            f"operator basis must have shape {(n * n, n, n)}, got {basis.shape}"
-        )
     xops = _measured_ops(model, mrep)
     updates = _traceless(_backaction(np.eye(len(xops)), xops, rho), rho) / model.hbar
-    bmat = np.real(np.einsum("kij,aji->ka", basis, updates))
+    bmat = np.real(np.einsum("kij,aji->ka", hermitian_basis(n), updates))
     return bmat @ bmat.T
 
 

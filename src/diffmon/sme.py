@@ -43,7 +43,7 @@ from .errors import (
     check_dt,
     is_integer,
 )
-from .linalg import DEFAULT_TOL, positive_sqrt
+from .linalg import DEFAULT_TOL, frobenius, positive_sqrt
 from .noise import lattice_normals, lattice_streams
 from .reps import BRep, MRep, _check_hbar, validate_brep
 
@@ -100,7 +100,6 @@ class Ensemble:
     """Seeded record of an ensemble of conditioned trajectories."""
 
     config: SimulationConfig
-    hbar: float
     times: np.ndarray
     currents: np.ndarray
     noise: np.ndarray | None
@@ -108,8 +107,6 @@ class Ensemble:
     log_weight: np.ndarray
     snapshot_steps: np.ndarray
     snapshots: np.ndarray | None
-    model_fingerprint: str = ""
-    rep_fingerprint: str = ""
 
     @property
     def n_traj(self) -> int:
@@ -204,8 +201,9 @@ def _auto_positivity_tol(engine: _Engine, dt: float) -> float:
     # An Ito step from a nearly pure state acquires a negative eigenvalue of
     # order dt * |z|^2 * (noise scale); the threshold sits far above that so
     # only genuine instability (dt too large for the rates) trips it.
-    noise_scale = float(np.sum(np.abs(engine.ops) ** 2)) / engine.hbar**2
-    return max(1e-6, 60.0 * dt * max(1.0, noise_scale))
+    # Huge ops square to an infinite threshold, which switches monitoring off.
+    scale = frobenius(engine.ops) / engine.hbar
+    return max(1e-6, 60.0 * dt * max(1.0, scale * scale))
 
 
 def simulate_ensemble(
@@ -224,12 +222,6 @@ def simulate_ensemble(
     if not (is_integer(block_steps) and block_steps >= 1):
         raise ValidationError(f"block_steps must be a positive integer, got {block_steps!r}")
     check_density_matrix(rho0)
-    # Local import: the file-format layer depends on the domain layers, not
-    # the other way around; only the fingerprint helpers are needed here.
-    from .serialize import RepFile, fingerprint_rep
-
-    model_fp = model.fingerprint
-    rep_fp = fingerprint_rep(RepFile("mrep", mrep, mrep.hbar))
     engine = _measured_engine(model, mrep)
     n, steps, dt = config.n_traj, config.steps, config.dt
     linear = config.mode == "linear"
@@ -325,7 +317,6 @@ def simulate_ensemble(
 
     return Ensemble(
         config=config,
-        hbar=model.hbar,
         times=times,
         currents=currents,
         noise=noise,
@@ -333,8 +324,6 @@ def simulate_ensemble(
         log_weight=logw,
         snapshot_steps=snap_steps,
         snapshots=snaps,
-        model_fingerprint=model_fp,
-        rep_fingerprint=rep_fp,
     )
 
 

@@ -223,14 +223,15 @@ def linear_nonlinear_consistency(
     rho0: np.ndarray,
     config: SimulationConfig,
     observables=None,
-    threshold: float = 4.0,
 ) -> ConsistencyReport:
     """Run matched nonlinear and linear ensembles and compare final observables.
 
     The linear run uses an independent stream family (seed + 1).  Each
     observable's weighted linear mean is compared to the plain nonlinear mean;
-    a deviation above ``threshold`` combined standard errors is flagged.
+    a deviation above 4 combined standard errors (the report's ``threshold``)
+    is flagged.
     """
+    threshold = 4.0
     if observables is None:
         from .dynamics import hermitian_basis
 

@@ -9,11 +9,11 @@ import pytest
 
 import diffmon
 from diffmon.cli import main
-from diffmon.serialize import load_rep, model_payload, rep_payload, RepFile
+from diffmon.serialize import load_model, load_rep, model_payload, rep_payload, RepFile
 from diffmon import OrthoMatrix, brep_o_to_mrep, heterodyne_mrep, homodyne_mrep
 from diffmon.reps import random_mrep
 
-from conftest import decay_model, rng
+from conftest import SIGMA_M, SIGMA_X, decay_model, rng
 
 
 @pytest.fixture
@@ -257,24 +257,19 @@ def test_autocorr_writes_tables(het_file, model_file, tmp_path):
 def test_run_commands_fingerprint_the_model_once(
     command, het_file, model_file, tmp_path, monkeypatch
 ):
-    # The manifest and the ensemble read the one fingerprint the model caches.
+    # The CLI fingerprints the model once, for the manifest; no other layer does.
     import diffmon.cli as cli
     import diffmon.serialize as serialize
 
-    calls, ensembles = [], []
-    real_fingerprint, real_simulate = serialize.fingerprint_model, cli.simulate_ensemble
+    calls = []
+    real_fingerprint = serialize.fingerprint_model
 
     def counted(model):
         calls.append(model)
         return real_fingerprint(model)
 
-    def kept(*args, **kwargs):
-        ensembles.append(real_simulate(*args, **kwargs))
-        return ensembles[-1]
-
     monkeypatch.setattr(serialize, "fingerprint_model", counted)
     monkeypatch.setattr(cli, "fingerprint_model", counted)
-    monkeypatch.setattr(cli, "simulate_ensemble", kept)
     out = tmp_path / command
     args = [
         command, "--model", str(model_file), "--rep", str(het_file),
@@ -283,8 +278,32 @@ def test_run_commands_fingerprint_the_model_once(
     assert main(args + (["--lags", "0.05"] if command == "autocorr" else [])) == 0
     assert len(calls) == 1
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["inputs"]["model"]["fingerprint"] == ensembles[0].model_fingerprint
-    assert ensembles[0].model_fingerprint == real_fingerprint(calls[0])
+    assert manifest["inputs"]["model"]["fingerprint"] == real_fingerprint(load_model(model_file))
+
+
+@pytest.mark.parametrize("command", ["simulate", "autocorr"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (1e150, "error: trajectory 0, step 1: non-finite trace nan"),
+        (1e200, "validation error: the model's rates sum_k c_k^dag c_k are not finite"),
+    ],
+    ids=["1e150", "1e200"],
+)
+def test_run_commands_name_huge_lindblad_entries(
+    command, entry, message, het_file, tmp_path, capsys
+):
+    # A 1e150 entry ended in an OverflowError traceback (exit 1) at the purity ceiling,
+    # and a 1e200 one warned on overflow before its NaN trace.
+    path = tmp_path / "huge.json"
+    model = diffmon.LindbladModel(hamiltonian=0.5 * SIGMA_X, lindblads=entry * SIGMA_M)
+    path.write_text(json.dumps(model_payload(model)))
+    args = [
+        command, "--model", str(path), "--rep", str(het_file), "--dt", "0.01",
+        "--steps", "20", "--ntraj", "2", "--out", str(tmp_path / "out"),
+    ]
+    assert main(args + (["--lags", "0.05"] if command == "autocorr" else [])) == 4
+    assert capsys.readouterr().err.strip() == message
 
 
 def test_autocorr_rejects_bad_lags(het_file, model_file, tmp_path, capsys):

@@ -632,6 +632,25 @@ def test_frobenius_is_numpys_norm_without_overflow():
     assert frobenius(np.zeros((2, 2))) == 0.0
 
 
+def test_frobenius_of_large_arrays_is_numpys_norm_without_overflow():
+    # Past 256 floats the norm is numpy's, of the entries scaled by the largest.
+    gen = rng(36)
+    for shape in ((257,), (12, 12), (2, 32, 32)):
+        a = gen.normal(size=shape)
+        c = a + 1j * gen.normal(size=shape)
+        for x in (a, c):
+            for scale in (1.0, 1e-200, 1e200, 1e306):
+                want = scale * np.linalg.norm(x)
+                assert abs(frobenius(scale * x) - want) <= 1e-14 * want
+    big = np.full(300, 1.7e308)
+    assert frobenius(big) == np.inf
+    big[7] = np.nan
+    assert frobenius(big) != frobenius(big)
+    big[7] = np.inf
+    assert frobenius(big) == np.inf
+    assert frobenius(np.zeros((16, 16), dtype=complex)) == 0.0
+
+
 def test_clamp01_is_clip_bitwise():
     gen = rng(36)
     edges = [-0.0, 0.0, 1.0, -1e-300, 1.0 + 1e-12, np.nan, -np.inf, np.inf, 5e-324, 0.5]

@@ -491,18 +491,6 @@ def test_ensemble_rejects_bad_block_steps(block_steps):
     simulate_ensemble(model, m, EXCITED, config, block_steps=np.int64(3))
 
 
-def test_ensemble_carries_fingerprints():
-    model = decay_model(rabi=1.0)
-    m = heterodyne_mrep(0.8)
-    config = SimulationConfig(dt=5e-3, steps=10, n_traj=2, seed=1)
-    ens = simulate_ensemble(model, m, EXCITED, config)
-    assert len(ens.model_fingerprint) == 64
-    assert len(ens.rep_fingerprint) == 64
-    ens2 = simulate_ensemble(model, m, EXCITED, config)
-    assert ens2.model_fingerprint == ens.model_fingerprint
-    assert ens2.rep_fingerprint == ens.rep_fingerprint
-
-
 def _check_positivity(rho, tol, step):
     """The ensemble's positivity monitor on a stack of Hermitian matrices."""
     from diffmon.dynamics import _gather, _purity
@@ -665,6 +653,40 @@ def test_ensemble_names_non_finite_trace(mode):
         model = LindbladModel(hamiltonian=1e300 * SIGMA_X, lindblads=SIGMA_M)
         with pytest.raises(StateInvalidError, match="trajectory 0, step 1: non-finite trace"):
             simulate_ensemble(model, heterodyne_mrep(0.8), EXCITED, config)
+
+
+def test_huge_positivity_tolerance_runs():
+    # The purity ceiling squared 1 + d tol / 2 with **, which raised an OverflowError
+    # past tol = 1e154; a product overflows to inf, and no state is screened out.
+    assert dynamics._purity_ceiling(2, 1e300) == np.inf
+    config = SimulationConfig(dt=1e-3, steps=3, n_traj=2, seed=1, positivity_tol=1e300)
+    simulate_ensemble(decay_model(), heterodyne_mrep(0.8), EXCITED, config)
+
+
+def test_model_with_overflowing_rates_is_refused():
+    # sum_k c_k^dag c_k of a 1e200 entry overflowed with a warning, and the model ran on to a
+    # NaN trace.  Its engine now refuses it by name.
+    model = LindbladModel(hamiltonian=np.zeros((2, 2)), lindblads=1e200 * SIGMA_M)
+    message = r"^the model's rates sum_k c_k\^dag c_k are not finite$"
+    with pytest.raises(ValidationError, match=message):
+        me_integrate(model, EXCITED, 1e-3, 2)
+    with pytest.raises(ValidationError, match=message):
+        simulate_ensemble(model, heterodyne_mrep(0.8), EXCITED, SimulationConfig(
+            dt=1e-3, steps=2, n_traj=2, seed=1))
+
+
+def test_model_with_overflowing_tables_is_refused():
+    # H / hbar = 1e350 overflowed the generator table with warnings, and stepped NaN states.
+    model = LindbladModel(hamiltonian=1e200 * SIGMA_X, lindblads=SIGMA_M, hbar=1e-150)
+    with pytest.raises(ValidationError, match="^the model's generator or back-action table"):
+        me_integrate(model, EXCITED, 1e-3, 2)
+
+
+def test_me_integrate_names_a_non_finite_state():
+    # An RK4 step that overflows returned NaN states after a warning; it is now named.
+    model = LindbladModel(hamiltonian=1e300 * SIGMA_X, lindblads=SIGMA_M)
+    with pytest.raises(StateInvalidError, match="^non-finite state at step 1$"):
+        me_integrate(model, EXCITED, 1e-3, 3)
 
 
 @pytest.mark.parametrize(
