@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from . import dynamics, linalg, reps, sme, stats
+from . import dynamics, linalg, noise, reps, sme, stats
 from .dynamics import LindbladModel
 from .errors import DiffmonError
 from .reps import MRep
@@ -75,8 +75,10 @@ def run_all_checks(seed: int = 0) -> list:
     """One row per registered check, in report order.
 
     A check that raises a ``DiffmonError`` is a failed row naming the error, and the
-    rows after it still run; any other exception propagates.
+    rows after it still run; any other exception propagates.  A seed that does not fit
+    in 64 unsigned bits raises ``ValidationError`` before any row runs.
     """
+    noise._check_streams(seed, 0, 1)  # the seed keys Philox streams: refused before any row
     rows = []
     for name, check in CHECKS:
         try:
@@ -403,7 +405,8 @@ def check_linear_martingale(seed: int) -> tuple:
         model, m, plus, dt, lambda out, tr, w: w * tr[:, None] / dt, linear=True
     )
     dev = abs(weight - 1.0)
-    dev_y = np.abs(current - dynamics._measured_engine(model, m).current(plus))
+    truth = dynamics._measured_engine(model, m).currents @ dynamics._gather(plus)
+    dev_y = np.abs(current - truth)
     ok = dev <= 1e-12 and bool(np.all(dev_y <= 10.0 * dt))
     return ok, f"weight-mean deviation {dev:.2e}; weighted current deviation {np.max(dev_y):.2e}"
 

@@ -195,11 +195,8 @@ def _cmd_autocorr(args) -> int:
     ensemble = simulate_ensemble(model, mrep, rho0, config)
     estimate = autocorrelation_estimate(ensemble, lag_steps, burn_in=burn_in)
     rho_tail = me_integrate(model, rho0, args.dt, burn_in)[-1]
-    predicted = (
-        predicted_autocorrelation(
-            model, mrep, rho_tail, estimate.lag_times, dt=min(args.dt, 1e-3)
-        )
-        / model.hbar**2
+    predicted = predicted_autocorrelation(
+        model, mrep, rho_tail, estimate.lag_times, dt=min(args.dt, 1e-3)
     )
     gap = np.abs(estimate.matrices - predicted)
     payload = {

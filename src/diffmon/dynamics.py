@@ -1,10 +1,11 @@
 """Deterministic open-system machinery.
 
 Implements the Lindblad generator and a fixed-step fourth-order integrator
-for the master equation, the measurement back-action superoperators, two-time
-correlation functions via quantum regression, the predicted current
-autocorrelation of a monitored system, and the diffusion-matrix
-characterization that identifies equivalent monitorings.
+for the master equation, the measurement back-action tables, two-time
+correlation functions via quantum regression, and, on the measured engine's
+back-action and mean-current rows, the predicted current autocorrelation of
+a monitored system and the diffusion-matrix characterization that identifies
+equivalent monitorings.
 
 Convention: the generator is scaled so that ``hbar * drho/dt = L rho``; all
 propagation routines integrate ``drho/dt``.
@@ -21,7 +22,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    InternalInconsistencyError,
     NoCompatibleTError,
     NonPositiveLagError,
     NotHermitianError,
@@ -271,17 +271,6 @@ def _purity(g: np.ndarray) -> np.ndarray:
     return np.square(g) @ _coordinate_weights(math.isqrt(g.shape[-1]))[1]
 
 
-def _backaction(w: np.ndarray, ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A x + x A^dag``, ``A = sum_j w_j a_j``, over weights (..., J) and matrices x."""
-    a = np.tensordot(w, ops, axes=([-1], [0]))
-    return a @ x + x @ a.conj().swapaxes(-1, -2)
-
-
-def _traceless(lin: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The nonlinear update ``lin - Tr[lin] x`` of a (stack of) linear back-actions."""
-    return lin - np.real(np.einsum("...ii->...", lin))[..., None, None] * x
-
-
 def _operator_stack(ops) -> np.ndarray:
     cs = np.asarray(ops, dtype=complex)
     return cs[None] if cs.ndim == 2 else cs
@@ -336,10 +325,11 @@ class _Engine:
         base = self.base
         hit = base._poly  # read once: threads may step one model at other h
         if hit[0] != h:  # callers step many times with one h
-            eye, a = _table_kit(self.dim)[0](self.dim**2), h * base.tables[0]
-            p = eye + a / 4.0
-            for j in (3.0, 2.0, 1.0):  # Horner form
-                p = eye + (a @ p) / j
+            with np.errstate(over="ignore", invalid="ignore"):  # its users name a non-finite state
+                eye, a = _table_kit(self.dim)[0](self.dim**2), h * base.tables[0]
+                p = eye + a / 4.0
+                for j in (3.0, 2.0, 1.0):  # Horner form
+                    p = eye + (a @ p) / j
             hit = base._poly = (h, p)
         return hit[1]
 
@@ -355,14 +345,25 @@ class _Engine:
         if hit[0] != h:
             n2, back, block = self.dim**2, self.tables[1], _table_kit(self.dim)[2]
             with np.errstate(over="ignore", invalid="ignore"):  # a step names a non-finite state
+                cur = self.currents
                 stacked = block([[self.poly(h)], [back / self.hbar]])
                 t = stacked @ _coordinate_weights(self.dim)[0]
-                cur = back[:, : self.dim].sum(axis=1) / self.hbar
-                means = self.rt.T @ cur.reshape(-1, n2)
                 heads = np.zeros((len(self.ops) + 2, len(t)))  # mean currents, cur . w, trace
-                heads[:-2, :n2], heads[-2, n2:], heads[-1] = means, cur, t
+                heads[:-2, :n2], heads[-2, n2:], heads[-1] = cur, cur[self.kept].ravel(), t
                 hit = self._sme = (h, block([[stacked.T], [heads]]))
         return hit[1]
+
+    @cached_property
+    def currents(self) -> np.ndarray:
+        """Rows (J, d^2) of the mean currents ``Tr(a_j rho + rho a_j^dag) / hbar`` on coordinates:
+        the trace of each kept op's back-action table, spread to all J ops by R^T."""
+        cur = self.tables[1][:, : self.dim].sum(axis=1) / self.hbar
+        return self.rt.T @ cur.reshape(len(self.kept), -1)
+
+    def backaction(self, g: np.ndarray) -> np.ndarray:
+        """Rows (J, d^2): the coordinates of ``(a_j rho + rho a_j^dag) / hbar`` at the state of
+        coordinates g, each kept op's table applied to g and spread to all J ops by R^T."""
+        return self.rt.T @ (np.kron(np.eye(len(self.kept)), g) @ self.tables[1]) / self.hbar
 
     def operand(self, g: np.ndarray) -> np.ndarray:
         """The columns g (d^2, n) with room below them for ``w (x) g``."""
@@ -386,24 +387,27 @@ class _Engine:
             tr -= cur_w
         return step, tr, cur
 
-    def apply(self, x: np.ndarray, table, times: int = 1) -> np.ndarray:
-        """``table`` applied ``times`` times to (a stack of) complex matrices x = H1 + i H2,
-        to the Hermitian H1 and H2 apart: the map is real-linear on each."""
-        g = _gather(np.stack([x, -1j * x]))
-        rows = list(g.reshape(-1, *g.shape[-2:]))  # 2-D products, as numpy's matmul takes a stack
-        for _ in range(times):
-            rows = [r @ table for r in rows]
-        h1, h2 = _scatter(np.stack(rows).reshape(g.shape))
-        return h1 + 1j * h2
+    def run(self, rows: np.ndarray, table, times: int = 1) -> np.ndarray:
+        """The 2-D rows (n, d^2) of coordinates times ``table``, ``times`` times: a 2-D product,
+        as numpy's matmul takes a stack.  A non-finite result raises ``StateInvalidError``."""
+        with np.errstate(over="ignore", invalid="ignore"):  # named below
+            for _ in range(times):
+                rows = rows @ table
+        if not np.isfinite(rows).all():
+            raise StateInvalidError(f"non-finite state after {times} step(s)")
+        return rows
 
-    def propagate(self, x: np.ndarray, span: float, dt: float) -> np.ndarray:
-        """(A stack of) complex matrices x carried over ``span`` in equal RK4 steps of about dt."""
+    def rk4(self, span: float, dt: float) -> tuple:
+        """(``poly(h)``, n): ``span`` in n equal RK4 steps h of about dt."""
         steps = max(1, int(round(span / check_dt(dt))))
-        return self.apply(x, self.poly(span / steps), steps)
+        return self.poly(span / steps), steps
 
-    def current(self, x: np.ndarray) -> np.ndarray:
-        """Mean current ``2 Re Tr(a_j x) / hbar`` along each op, shape (..., J)."""
-        return 2.0 * np.real(np.einsum("jab,...ba->...j", self.ops, x)) / self.hbar
+    def apply(self, x: np.ndarray, table, times: int = 1) -> np.ndarray:
+        """``run`` on (a stack of) complex matrices x = H1 + i H2, on the Hermitian H1 and H2
+        apart: the map is real-linear on each."""
+        g = _gather(np.stack([x, -1j * x]))
+        h1, h2 = _scatter(self.run(g.reshape(-1, g.shape[-1]), table, times).reshape(g.shape))
+        return h1 + 1j * h2
 
 
 def liouvillian_apply(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
@@ -423,7 +427,7 @@ def liouvillian_apply(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
 
 def rk4_step(model: LindbladModel, x: np.ndarray, dt: float) -> np.ndarray:
     """One fourth-order step of the master equation applied to an arbitrary matrix."""
-    return model.engine.propagate(np.asarray(x, dtype=complex), dt, dt)
+    return model.engine.apply(np.asarray(x, dtype=complex), *model.engine.rk4(dt, dt))
 
 
 def me_integrate(
@@ -620,7 +624,7 @@ def regression_correlation(
             raise DimensionMismatchError(f"{name} must be {n} x {n}, got {op.shape}")
     x = rho_t @ a
     if tau > 0.0:
-        x = model.engine.propagate(x, tau, dt)
+        x = model.engine.apply(x, *model.engine.rk4(tau, dt))
     return complex(np.trace(b @ x))
 
 
@@ -631,16 +635,18 @@ def predicted_autocorrelation(
     taus: np.ndarray,
     dt: float = 1e-3,
 ) -> np.ndarray:
-    """Predicted two-time current correlation matrices, scaled by hbar squared.
+    """Predicted two-time current correlation matrices, in current units.
 
     For each lag in the strictly increasing, strictly positive grid ``taus``,
-    returns the 2L x 2L real matrix whose (a, b) entry is the regression trace
-    pairing noise direction ``a`` at the earlier time with direction ``b`` a
-    lag tau later.  Dividing by hbar**2 gives the correlation of the measured
-    current itself; the singular equal-time term is never evaluated, which is
-    why zero lag is rejected.
+    returns the 2L x 2L real matrix whose (a, b) entry correlates the current
+    along noise direction ``a`` with the current along ``b`` a lag tau later,
+    ``Tr[(a_b + a_b^dag) e^(L tau)(a_a rho + rho a_a^dag)] / hbar^2``: the measured
+    engine's back-action rows of rho, stepped by the RK4 polynomial, read by its
+    mean-current rows, so no hbar^2 is formed.  The singular equal-time term is
+    never evaluated, which is why zero lag is rejected; a non-finite step raises
+    ``StateInvalidError``.
     """
-    xops = _measured_ops(model, mrep)
+    engine = _measured_engine(model, mrep)
     taus = np.asarray(taus, dtype=float).reshape(-1)
     if not np.isfinite(taus).all():
         raise ValidationError(f"lags must be finite, got {taus}")
@@ -648,20 +654,11 @@ def predicted_autocorrelation(
         raise NonPositiveLagError("all lags must be strictly positive")
     if np.any(np.diff(taus) <= 0.0):
         raise ValidationError("lags must be strictly increasing")
-    yops = xops + xops.conj().transpose(0, 2, 1)
-    x = _backaction(np.eye(len(xops)), xops, np.asarray(rho_t, dtype=complex))
-    out = np.empty((taus.size, yops.shape[0], yops.shape[0]))
-    prev = 0.0
-    for i, tau in enumerate(taus):
-        x = model.engine.propagate(x, tau - prev, dt)
-        corr = np.einsum("bij,aji->ab", yops, x)
-        imag = float(np.max(np.abs(corr.imag), initial=0.0))
-        if imag > max(1e-10, 1e-10 * float(np.max(np.abs(corr.real), initial=0.0))):
-            raise InternalInconsistencyError(
-                f"correlation matrix has imaginary part {imag:.3e}"
-            )
-        out[i] = corr.real
-        prev = tau
+    x = engine.backaction(_gather(np.asarray(rho_t, dtype=complex)))
+    out = np.empty((taus.size, len(x), len(x)))
+    for i, span in enumerate(np.diff(taus, prepend=0.0)):
+        x = engine.run(x, *engine.rk4(span, dt))
+        out[i] = x @ engine.currents.T
     return out
 
 
@@ -673,18 +670,19 @@ def diffusion_matrix(model: LindbladModel, mrep: MRep, rho: np.ndarray) -> np.nd
     """Diffusion matrix of the vectorized conditioned state.
 
     The state components are taken in the orthonormal Hermitian operator basis
-    ``hermitian_basis(d)``; the columns of the noise-coefficient matrix are the
-    back-action updates along each of the 2L noise directions over hbar, as in the
-    SME step: a step of length dt has covariance ``D dt`` at any scale.  Equal diffusion
-    matrices mean the two measurement matrices generate the same unravelling.
+    ``hermitian_basis(d)``, each a trace ``Tr(A B) = (g_A * p) @ g_B`` on coordinates; the
+    columns of the noise-coefficient matrix are the nonlinear back-action updates along each
+    of the 2L noise directions, the measured engine's rows as in the SME step: a step of
+    length dt has covariance ``D dt`` at any scale.  Equal diffusion matrices mean the two
+    measurement matrices generate the same unravelling.
     """
     rho = np.asarray(rho, dtype=complex)
     n = model.dim
     if rho.shape != (n, n):
         raise DimensionMismatchError(f"state must be {n} x {n}, got {rho.shape}")
-    xops = _measured_ops(model, mrep)
-    updates = _traceless(_backaction(np.eye(len(xops)), xops, rho), rho) / model.hbar
-    bmat = np.real(np.einsum("kij,aji->ka", hermitian_basis(n), updates))
+    engine, g = _measured_engine(model, mrep), _gather(rho)
+    updates = engine.backaction(g) - np.outer(engine.currents @ g, g)
+    bmat = (_gather(hermitian_basis(n)) * _coordinate_weights(n)[1]) @ updates.T
     return bmat @ bmat.T
 
 

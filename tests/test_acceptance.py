@@ -304,7 +304,6 @@ def test_criterion_10_autocorrelation():
     est = autocorrelation_estimate(ens, lag_steps, burn_in=burn)
     rho_tail = me_integrate(model, EXCITED, dt, burn)[-1]
     pred = predicted_autocorrelation(model, m, rho_tail, est.lag_times, dt=1e-3)
-    pred = pred / model.hbar**2
     z = np.abs(est.matrices - pred) / est.stderr
     assert float(np.max(z)) <= 3.0
     _report(

@@ -10,7 +10,7 @@ import pytest
 import diffmon
 from diffmon.cli import main
 from diffmon.serialize import load_model, load_rep, model_payload, rep_payload, RepFile
-from diffmon import OrthoMatrix, brep_o_to_mrep, heterodyne_mrep, homodyne_mrep
+from diffmon import LindbladModel, OrthoMatrix, brep_o_to_mrep, heterodyne_mrep, homodyne_mrep
 from diffmon.reps import random_mrep
 
 from conftest import SIGMA_M, SIGMA_X, decay_model, rng
@@ -251,6 +251,42 @@ def test_autocorr_writes_tables(het_file, model_file, tmp_path):
     est_lines = (out / "autocorr_estimated.csv").read_text().splitlines()
     assert est_lines[0] == "lag,row,col,value,stderr"
     assert len(est_lines) == 1 + 2 * 4
+
+
+def test_autocorr_at_huge_hbar_predicts_the_unit_hbar_table(tmp_path, capsys):
+    # The prediction came scaled by hbar**2 and was divided back with Python's **, which
+    # raised OverflowError past hbar = 1.34e154.  The README decay documents, with H scaled
+    # by hbar and c and M by sqrt(hbar), describe the same currents at every hbar.
+    tables = []
+    for hbar in (1.0, 1e200):
+        root, files = np.sqrt(hbar), {}
+        model = LindbladModel(0.5 * hbar * SIGMA_X, root * SIGMA_M[None], hbar=hbar)
+        payloads = {"model": model_payload(model),
+                    "rep": rep_payload(RepFile("mrep", heterodyne_mrep(1.0, hbar), hbar))}
+        for name, payload in payloads.items():
+            files[name] = tmp_path / f"{name}_{hbar:g}.json"
+            files[name].write_text(json.dumps(payload))
+        out = tmp_path / f"ac_{hbar:g}"
+        args = [
+            "autocorr", "--model", str(files["model"]), "--rep", str(files["rep"]),
+            "--dt", "0.01", "--steps", "40", "--ntraj", "4", "--seed", "3",
+            "--lags", "0.05,0.1", "--out", str(out),
+        ]
+        assert main(args) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        tables.append(np.loadtxt(out / "autocorr_predicted.csv", delimiter=",", skiprows=1))
+    assert np.isfinite(tables[1]).all()
+    assert np.max(np.abs(tables[1] - tables[0])) <= 1e-12 * np.max(np.abs(tables[0]))
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_check_refuses_a_seed_outside_64_bits(seed, tmp_path, capsys):
+    # The suite ran on such a seed and failed three rows on a ValidationError (exit 1).
+    out = tmp_path / "checks"
+    assert main(["check", "--seed", seed, "--out", str(out)]) == 4
+    want = "validation error: base_seed must fit in an unsigned 64-bit integer\n"
+    assert capsys.readouterr() == ("", want)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "autocorr"])

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,13 +25,11 @@ from diffmon.checks import liouvillian_superoperator
 from diffmon import dynamics
 from diffmon.dynamics import (
     _Engine,
-    _backaction,
     _gather,
     _measured_engine,
     _purity,
     _scatter,
     _trace,
-    _traceless,
     _uncertified,
     measurement_ops,
     rk4_step,
@@ -48,6 +47,7 @@ from conftest import (
     EXCITED,
     SIGMA_M,
     SIGMA_P,
+    SIGMA_X,
     SIGMA_Z,
     cavity_model,
     decay_model,
@@ -202,9 +202,19 @@ def test_integrators_reject_bad_dt(dt):
         regression_correlation(model, SIGMA_P, SIGMA_M, EXCITED, 0.5, dt=dt)
 
 
+def _backaction(model, ops, rho):
+    """The linear updates ``a_j rho + rho a_j^dag`` along ops and the nonlinear ones, which
+    subtract ``Tr[...] rho``: a measured engine's back-action and mean-current rows."""
+    engine = _Engine(model, ops, range(len(ops)), np.eye(len(ops)))  # along all ops
+    g = _gather(np.asarray(rho, dtype=complex))
+    lin = engine.backaction(g)
+    nonlin = lin - np.outer(engine.currents @ g, g)
+    return model.hbar * _scatter(lin), model.hbar * _scatter(nonlin)
+
+
 def test_backaction_vanishes_on_certain_outcome():
-    model_c = np.array([SIGMA_Z], dtype=complex)
-    out = _traceless(_backaction(np.array([1.0 + 0j]), model_c, EXCITED), EXCITED)
+    model = LindbladModel(hamiltonian=np.zeros((2, 2)), lindblads=SIGMA_Z[None])
+    _lin, out = _backaction(model, np.array([SIGMA_Z], dtype=complex), EXCITED)
     assert np.max(np.abs(out)) <= 1e-14
 
 
@@ -215,18 +225,20 @@ def test_backaction_pure_state_overlap_is_zero():
         rho = random_pure_state(gen, 3)
         cs = gen.normal(size=(2, 3, 3)) + 1j * gen.normal(size=(2, 3, 3))
         w = gen.normal(size=2) + 1j * gen.normal(size=2)
-        out = _traceless(_backaction(w, cs, rho), rho)
+        model = LindbladModel(hamiltonian=np.zeros((3, 3)), lindblads=cs)
+        out = _backaction(model, np.tensordot(w, cs, axes=1)[None], rho)[1][0]
         assert abs(np.trace(rho @ out)) <= 1e-12 * np.linalg.norm(out)
         assert abs(np.trace(out)) <= 1e-12 * max(1.0, np.linalg.norm(out))
 
 
 def test_backaction_linear_nonlinear_differ_by_trace_term():
+    # The mean-current rows read the trace of the back-action rows.
     gen = rng(54)
     rho = random_state(gen, 3)
     cs = gen.normal(size=(1, 3, 3)) + 1j * gen.normal(size=(1, 3, 3))
     w = np.array([0.7 - 0.2j])
-    lin = _backaction(w, cs, rho)
-    nonlin = _traceless(lin, rho)
+    model = LindbladModel(hamiltonian=np.zeros((3, 3)), lindblads=cs)
+    lin, nonlin = (x[0] for x in _backaction(model, np.tensordot(w, cs, axes=1)[None], rho))
     assert np.max(np.abs(lin - np.real(np.trace(lin)) * rho - nonlin)) <= 1e-14
 
 
@@ -589,19 +601,25 @@ def test_backaction_matches_inline_formula(dim):
     v = gen.normal(size=2) + 1j * gen.normal(size=2)
     a = v[0] * model.lindblads[0] + v[1] * model.lindblads[1]
     want = a @ rho + rho @ a.conj().T
-    got = _backaction(v, model.lindblads, rho)
+    got = _backaction(model, a[None], rho)[0][0]
     assert np.max(np.abs(got - want)) <= 1e-13
-    # The engine's per-direction back-action, contracted with real weights,
-    # for a stack of states.
+    # The engine's rows along the J ops of a measurement, contracted with real
+    # weights, for each of a stack of states.
     ops = measurement_ops(random_mrep(gen, 2), model.lindblads)
-    engine = _Engine(model, ops)
     rhos = np.stack([random_state(gen, dim) for _ in range(3)])
     w = gen.normal(size=(3, ops.shape[0]))
+    # A measured engine tabulates ops 0 and 1 of this one, and spreads them to ops 2 and 3.
+    spread = MRep(np.array([[0.6, 0.0, 0.3, 0.0], [0.0, 0.5, 0.0, -0.7]]))
+    measured = _measured_engine(model, spread)
+    assert list(measured.kept) == [0, 1]
     for k in range(3):
         e = np.tensordot(w[k], ops, axes=1)
         want = e @ rhos[k] + rhos[k] @ e.conj().T
-        assert np.max(np.abs(_backaction(w, engine.ops, rhos)[k] - want)) <= 1e-13
-        assert np.max(np.abs(_backaction(w[k], engine.ops, rhos[k]) - want)) <= 1e-13
+        got = np.tensordot(w[k], _backaction(model, ops, rhos[k])[0], axes=1)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        want = _backaction(model, measured.ops, rhos[k])[0]
+        got = _scatter(measured.backaction(_gather(rhos[k])))
+        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 @pytest.mark.parametrize("dim", ENGINE_DIMS)
@@ -719,8 +737,8 @@ def test_propagate_non_hermitian_matches_oracle(dim):
         want = taylor @ want
     want = want.T.reshape(x.shape)
     engine, scale = _Engine(model), np.max(np.abs(want))
-    assert np.max(np.abs(engine.propagate(x, 5e-2, 1e-2) - want)) <= 1e-13 * scale
-    assert np.max(np.abs(engine.propagate(x[1], 5e-2, 1e-2) - want[1])) <= 1e-13 * scale
+    assert np.max(np.abs(engine.apply(x, *engine.rk4(5e-2, 1e-2)) - want)) <= 1e-13 * scale
+    assert np.max(np.abs(engine.apply(x[1], *engine.rk4(5e-2, 1e-2)) - want[1])) <= 1e-13 * scale
 
 
 def test_model_builds_one_engine(monkeypatch):
@@ -741,7 +759,10 @@ def test_model_builds_one_engine(monkeypatch):
     me_integrate(model, EXCITED, 1e-2, 10)
     regression_correlation(model, SIGMA_P, SIGMA_M, EXCITED, 0.1, dt=1e-2)
     predicted_autocorrelation(model, homodyne_mrep(0.5), EXCITED, [0.1, 0.2], dt=1e-2)
-    assert built == [engine]
+    diffusion_matrix(model, homodyne_mrep(0.5), EXCITED)
+    # The model's engine, and the one measured engine that it keeps for the prediction
+    # and the diffusion matrix.
+    assert built == [engine, engine._measured[1]]
     assert model.engine is engine and model.engine.tables is tables
     # The cached engine cannot go stale: the model's arrays are read-only copies.
     with pytest.raises(ValueError):
@@ -750,3 +771,19 @@ def test_model_builds_one_engine(monkeypatch):
         model.hamiltonian[0, 0] = 1.0
     cs[0, 0, 0] = 1.0
     assert model.lindblads[0, 0, 0] == 0.0
+
+
+def test_propagation_names_a_non_finite_state():
+    # An RK4 step that overflows warned at the polynomial and returned all-NaN arrays;
+    # like me_integrate, every propagation now names the non-finite state.
+    model = LindbladModel(hamiltonian=1e300 * SIGMA_X, lindblads=SIGMA_M)
+    calls = [
+        lambda: rk4_step(model, EXCITED, 1e-3),
+        lambda: regression_correlation(model, SIGMA_P, SIGMA_M, EXCITED, 0.1),
+        lambda: predicted_autocorrelation(model, homodyne_mrep(1.0), EXCITED, [0.1, 0.2]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(StateInvalidError, match=r"^non-finite state after \d+ step"):
+                call()

@@ -10,7 +10,7 @@ DELETED = {
     "linalg": ("classify", "MatrixFlags"),
     "reps": ("mrep_trep", "custom_efficiency_mrep"),
     "errors": ("InvalidEfficientPartError",),
-    "dynamics": ("backaction_apply",),
+    "dynamics": ("backaction_apply", "_backaction", "_traceless"),
     "sme": ("Trajectory",),
 }
 
@@ -42,6 +42,7 @@ def test_deleted_names_are_gone():
             assert not hasattr(home, name), f"{module}.{name}"
     assert not hasattr(diffmon.Ensemble, "trajectory")
     assert not hasattr(diffmon.Ensemble, "trajectories")
+    assert not hasattr(diffmon.dynamics._Engine, "current")
 
 
 def test_deleted_fields_and_options_are_gone():

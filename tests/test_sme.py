@@ -38,7 +38,7 @@ from diffmon.errors import (
 )
 from diffmon.reps import random_brep, random_mrep, random_orthogonal
 from diffmon.noise import _STREAMS, NoiseSource, lattice_normals
-from diffmon.dynamics import _measured_engine
+from diffmon.dynamics import _gather, _measured_engine
 from diffmon.sme import MODES, _step_states
 
 from conftest import (
@@ -138,7 +138,7 @@ def test_linear_weighted_current_reproduces_true_mean():
     # Weighted ostensible current mean reproduces the true mean.
     weighted = (y_dt * tr[:, None] / dt).mean(axis=0)
     se_y = (y_dt * tr[:, None] / dt).std(axis=0, ddof=1) / np.sqrt(n)
-    truth = engine.current(PLUS)
+    truth = engine.currents @ _gather(PLUS)
     assert np.all(np.abs(weighted - truth) <= 3.0 * se_y + 10.0 * dt)
 
 
