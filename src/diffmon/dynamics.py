@@ -449,7 +449,7 @@ def me_integrate(
         raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
     g = np.empty((steps + 1, model.dim**2))
     g[0] = _gather(np.asarray(rho0, dtype=complex))
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state is named below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # named below
         p = model.engine.poly(dt)
         for m in range(steps):
             x = g[m] @ p
@@ -467,51 +467,59 @@ def me_integrate(
     return out
 
 
-def _uncertified(g: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the states (coordinates g, purity p) that purity cannot show to be >= -tol/2.
+def _certified_depth(tol: float) -> float:
+    """Depth c = tol - m, m = min(tol/2, 1e-9 (1 + tol)), down to which the bounds certify:
+    a state above -c has ``rho + tol I >= m I``, m far above the rounding of the bounds and of
+    a Cholesky factorization of ``rho + tol I``.  tol = inf (no monitoring) stays inf."""
+    return tol - min(0.5 * tol, 1e-9 * (1.0 + tol)) if tol < math.inf else tol
 
-    By Cauchy-Schwarz on the other d - 1 eigenvalues, a Hermitian state of
-    trace t has ``lambda_min >= (t - sqrt((d - 1)(d p - t^2))) / d``, exact
-    for d = 2.  A state above -tol/2 has ``rho + tol I >= tol/2 I``; a NaN
-    purity is never certified.
+
+def _uncertified(g: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the states (coordinates g, purity p) that purity cannot show to be >= -c.
+
+    c is ``_certified_depth(tol)``.  By Cauchy-Schwarz on the other d - 1 eigenvalues, a
+    Hermitian state of trace t has ``lambda_min >= (t - sqrt((d - 1)(d p - t^2))) / d``,
+    exact for d = 2.  A NaN purity is never certified.
     """
     d, t = math.isqrt(g.shape[-1]), _trace(g)
-    # The bound is >= -tol/2 exactly when s = t + d tol/2 >= 0 and
+    # The bound is >= -c exactly when s = t + d c >= 0 and
     # (d - 1)(d p - t^2) <= s^2, which needs no square root.
-    s = t + 0.5 * d * tol
+    s = t + d * _certified_depth(tol)
     return ~(((d - 1) * (d * p - t * t) <= s * s) & (s >= 0.0))
 
 
 def _purity_ceiling(d: int, tol: float) -> float:
     """Purity under which every trace-one state of dimension d passes ``_uncertified``.
 
-    At t = 1 the bound's test is ``p <= (1 + (1 + d tol/2)^2 / (d - 1)) / d``; the
-    ceiling sits 1e-12 below it, far above the rounding of the test and of t.  A product,
-    not ``**``, squares: it overflows to inf, where ``**`` raises.
+    At t = 1 the bound's test is ``p <= (1 + (1 + d c)^2 / (d - 1)) / d``; the ceiling sits
+    1e-12 below it, far above the rounding of the test and of t.  A product, not ``**``,
+    squares: it overflows to inf, where ``**`` raises.
     """
-    s = 1.0 + 0.5 * d * tol
+    s = 1.0 + d * _certified_depth(tol)
     return (1.0 + s * s / max(d - 1, 1)) / d * (1.0 - 1e-12)
 
 
 def _gershgorin_certified(g: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the states (coordinates g) that Gershgorin's circles show to be >= -tol/2.
+    """Mask of the states (coordinates g) that Gershgorin's circles show to be >= -c.
 
-    Every eigenvalue lies within ``sum_{j != i} |x_ij|`` of some x_ii.  The test compares and
-    never subtracts, so it certifies no state with a NaN or inf and raises no warning.
+    c is ``_certified_depth(tol)``.  Every eigenvalue lies within ``sum_{j != i} |x_ij|`` of
+    some x_ii.  The test compares and never subtracts, so it certifies no state with a NaN
+    or inf and raises no warning.
     """
     n = math.isqrt(g.shape[-1])
     k, c = n * (n + 1) // 2, g.T  # c: coordinates down, contiguous rows for an engine's columns
     with np.errstate(invalid="ignore", over="ignore"):  # an inf times a zero weight is NaN
         r = _coordinate_weights(n)[2].T @ np.hypot(c[n:k], c[k:])
-    return ((c[:n] + 0.5 * tol >= r) & (c[:n] < np.inf)).all(axis=0)
+    return ((c[:n] + _certified_depth(tol) >= r) & (c[:n] < np.inf)).all(axis=0)
 
 
 def _first_negative_state(g: np.ndarray, p: np.ndarray, tol: float) -> tuple | None:
     """(index, least eigenvalue) of the first state (coordinates g, purity p) below -tol, or None.
 
-    Only states no bound certifies are factorized: rho + tol I has a Cholesky factor exactly
-    when no eigenvalue is below -tol; eigenvalues only name a failing state.  The bounds read
-    g in place, so the transpose of an engine's columns (d^2, n) is never gathered.
+    Only states no bound certifies at ``-_certified_depth(tol)`` are factorized: rho + tol I
+    has a Cholesky factor exactly when no eigenvalue is below -tol, and passes it on every
+    certified state; eigenvalues only name a failing state.  The bounds read g in place, so
+    the transpose of an engine's columns (d^2, n) is never gathered.
     """
     bad = _uncertified(g, p, tol)
     if g.shape[-1] > 4:  # at d = 2 the purity bound is exact
@@ -644,9 +652,16 @@ def predicted_autocorrelation(
     engine's back-action rows of rho, stepped by the RK4 polynomial, read by its
     mean-current rows, so no hbar^2 is formed.  The singular equal-time term is
     never evaluated, which is why zero lag is rejected; a non-finite step raises
-    ``StateInvalidError``.
+    ``StateInvalidError``.  rho_t must be d x d and Hermitian within ``DEFAULT_TOL``.
     """
-    engine = _measured_engine(model, mrep)
+    engine, rho_t, n = _measured_engine(model, mrep), np.asarray(rho_t, dtype=complex), model.dim
+    if rho_t.shape != (n, n):
+        raise DimensionMismatchError(f"state must be {n} x {n}, got {rho_t.shape}")
+    norm = frobenius(rho_t)
+    with _overflow_guard(norm):  # huge finite entries overflow the difference
+        skew = frobenius(rho_t - rho_t.conj().T)
+    if skew > DEFAULT_TOL * max(1.0, norm):
+        raise NotHermitianError("state is not Hermitian within tolerance")
     taus = np.asarray(taus, dtype=float).reshape(-1)
     if not np.isfinite(taus).all():
         raise ValidationError(f"lags must be finite, got {taus}")
@@ -654,7 +669,7 @@ def predicted_autocorrelation(
         raise NonPositiveLagError("all lags must be strictly positive")
     if np.any(np.diff(taus) <= 0.0):
         raise ValidationError("lags must be strictly increasing")
-    x = engine.backaction(_gather(np.asarray(rho_t, dtype=complex)))
+    x = engine.backaction(_gather(rho_t))
     out = np.empty((taus.size, len(x), len(x)))
     for i, span in enumerate(np.diff(taus, prepend=0.0)):
         x = engine.run(x, *engine.rk4(span, dt))

@@ -173,17 +173,22 @@ def sme_step_linear(
     return out, np.log(tr / tr_in)
 
 
+def _snapshot_stride(steps: int, stride: int | None) -> int:
+    """The given stride, or about fifty snapshots; past steps it is steps, the same grid."""
+    return min(stride or max(1, steps // 50), steps)
+
+
 def _snapshot_steps(steps: int, stride: int | None) -> np.ndarray:
-    grid = np.arange(0, steps + 1, stride or max(1, steps // 50))
-    return grid if grid[-1] == steps else np.append(grid, steps)
+    """The snapshot grid: every ``_snapshot_stride`` steps from 0, and the last step."""
+    return np.append(np.arange(0, steps, _snapshot_stride(steps, stride)), steps)
 
 
-def _check_trace(tr: np.ndarray, linear: bool, step: int) -> None:
-    """Raise on the first non-finite, or in linear mode non-positive, trace of a step."""
+def _check_trace(tr: np.ndarray, step: int) -> None:
+    """Raise on the first non-finite, then the first non-positive, trace of a step."""
     if not np.isfinite(tr).all():
         bad = int(np.argmax(~np.isfinite(tr)))
         raise StateInvalidError(f"trajectory {bad}, step {step}: non-finite trace {tr[bad]}")
-    if linear and np.any(tr <= 0.0):
+    if np.any(tr <= 0.0):
         bad = int(np.argmax(tr <= 0.0))
         raise StateInvalidError(f"trajectory {bad}, step {step}: non-positive trace {tr[bad]:.3e}")
 
@@ -231,19 +236,20 @@ def simulate_ensemble(
     if pos_tol is None:
         pos_tol = _auto_positivity_tol(engine, dt)
 
-    snap_steps = _snapshot_steps(steps, config.snapshot_stride)
     # Bytes of the records: currents and noise per step, purity and (linear
-    # mode) log-weights per grid point, and the snapshots.
+    # mode) log-weights per grid point, and the snapshots, counted before the grid is made.
     per_traj = steps * noise_dim * (1 + config.store_dw) + (steps + 1) * (
         linear + config.store_purity
     )
-    need, limit = n * (8 * per_traj + 16 * snap_steps.size * dim**2), _physical_memory()
+    n_snap = -(-steps // _snapshot_stride(steps, config.snapshot_stride)) + 1
+    need, limit = n * (8 * per_traj + 16 * n_snap * dim**2), _physical_memory()
     if need > limit:
         raise ValidationError(
             f"the run's records need {need / 2**30:.3g} GiB, more than the"
             f" {limit / 2**30:.3g} GiB of physical memory"
         )
     try:
+        snap_steps = _snapshot_steps(steps, config.snapshot_stride)
         currents = np.empty((n, steps, noise_dim))
         noise = np.empty((n, steps, noise_dim)) if config.store_dw else None
         pur = np.empty((n, steps + 1)) if config.store_purity else None
@@ -282,8 +288,8 @@ def simulate_ensemble(
         for i in range(block):
             m = start + i + 1
             out, tr, cur = engine.sme_step(x, w_block[i], dt, linear)
-            if not (math.isfinite(tr.sum()) and (not linear or tr.min() > 0.0)):
-                _check_trace(tr, linear, m)
+            if not (math.isfinite(tr.sum()) and tr.min() > 0.0):  # a state to divide by tr
+                _check_trace(tr, m)
             if linear:
                 lw += np.log(tr)
                 if lw.min() < config.log_weight_floor:

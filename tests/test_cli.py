@@ -536,6 +536,44 @@ def test_simulate_beyond_memory_exits_4(het_file, model_file, tmp_path, capsys):
     assert not (tmp_path / "big").exists()
 
 
+@pytest.mark.parametrize("mode", ["nonlinear", "linear"])
+def test_simulate_with_a_stride_past_int64_runs_the_stride_of_steps(
+    het_file, model_file, tmp_path, mode
+):
+    # A stride of 2^63 made np.arange return an object grid, and the convergence report
+    # ended in an IndexError traceback (exit 1).  A stride past --steps gives the grid
+    # [0, steps], the same run as --snapshot-stride 2 at --steps 2.
+    outs = {}
+    for stride in (2**63, 2):
+        outs[stride] = tmp_path / str(stride)
+        argv = [
+            "simulate", "--model", str(model_file), "--rep", str(het_file), "--dt", "1e-3",
+            "--steps", "2", "--ntraj", "2", "--mode", mode,
+            "--snapshot-stride", str(stride), "--out", str(outs[stride]),
+        ]
+        assert main(argv) == 0
+    names = sorted(p.name for p in outs[2].iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in outs[2**63].iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (outs[2**63] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+    config = diffmon.SimulationConfig(dt=1e-3, steps=2, n_traj=2, seed=0, snapshot_stride=2**63)
+    grid = diffmon.simulate_ensemble(decay_model(), heterodyne_mrep(1.0), np.eye(2) / 2, config)
+    assert grid.snapshot_steps.dtype.kind == "i" and grid.snapshot_steps.tolist() == [0, 2]
+
+
+def test_simulate_sizes_the_snapshot_grid_before_making_it(het_file, model_file, tmp_path, capsys):
+    # At stride 1 the grid of 10^12 steps (7.3 TiB) was made before the memory check, and its
+    # allocation failed with a MemoryError traceback; the check now counts it first.
+    args = [
+        "simulate", "--model", str(model_file), "--rep", str(het_file), "--dt", "0.001",
+        "--steps", str(10**12), "--ntraj", "2", "--snapshot-stride", "1",
+        "--out", str(tmp_path / "big"),
+    ]
+    assert main(args) == 4
+    assert "of physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "big").exists()
+
+
 def test_import_loads_no_scipy():
     # scipy.special alone took about 0.3 s of every command's start-up; only
     # `diffmon check` needs scipy, and imports it when it runs.

@@ -6,15 +6,18 @@ that diffmon does not name in its own message fails the run too.
 
 import contextlib
 import copy
+import io
 import json
 import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import HealthCheck, example, given, settings
+import pytest
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from diffmon import brep_to_mrep, heterodyne_mrep
+from diffmon.checks import CHECKS
 from diffmon.cli import main
 from diffmon.serialize import RepFile, model_payload, rep_payload
 from diffmon.reps import mrep_to_trep, mrep_to_urep, random_brep
@@ -161,3 +164,87 @@ def test_mutated_model_documents(doc):
             "--steps", "2", "--ntraj", "2", "--out", tmp,
         ]
         assert main(argv) in ALLOWED
+
+
+# Run options: every documented exit code, never a traceback.
+EXIT_CODES = {0, 1, 2, 3, 4, 5}  # the README's exit-code table
+ODD = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e300", str(-(2**63))] + [
+    str(2**k + j) for k in (63, 64) for j in (-1, 0, 1)
+]
+
+
+def _value(valid, odd=ODD):
+    """A valid value five times in six, else an odd one."""
+    return st.one_of(*[valid] * 5, st.sampled_from(odd))
+
+
+# Counts come from 1-20 or from sizes the physical-memory check refuses before allocating.
+COUNT = _value(st.integers(1, 20).map(str), ODD + [str(10**12)])
+OPTIONS = {
+    "--dt": _value(st.sampled_from(["0.01", "0.05", "1e-3"])),
+    "--steps": COUNT,
+    "--ntraj": COUNT,
+    "--seed": _value(st.integers(0, 3).map(str)),
+    "--snapshot-stride": _value(st.none() | st.integers(1, 20).map(str)),
+    "--lags": st.lists(_value(st.sampled_from(["0.01", "0.05", "0.1"])), min_size=1, max_size=2)
+    .map(",".join),
+    "--burn-in": _value(st.none() | st.integers(0, 20).map(str)),
+}
+COMMAND_OPTIONS = {
+    "simulate": [o for o in OPTIONS if o not in ("--lags", "--burn-in")],
+    "autocorr": list(OPTIONS),
+    "check": ["--seed"],
+}
+# Fast seeded rows of the self-check suite (the whole suite takes 0.6 s a run).
+FAST_CHECKS = [
+    row for row in CHECKS
+    if row[0] in ("stats.initial_state", "sme.ensemble_replay", "stats.estimator_determinism")
+]
+
+
+@st.composite
+def run_options(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    values = {o: draw(OPTIONS[o]) for o in COMMAND_OPTIONS[command]}
+    return command, {o: v for o, v in values.items() if v is not None}
+
+
+def _valid_seed(value: str) -> bool:
+    return value.isdigit() and int(value) < 2**64
+
+
+@settings(FUZZ, max_examples=120)
+@given(run_options())
+# A stride past int64 made an object snapshot grid and an IndexError traceback.
+@example(("simulate", {"--dt": "1e-3", "--steps": "2", "--ntraj": "2",
+                       "--snapshot-stride": str(2**63)}))
+# The grid of 10^12 steps at stride 1 was made before the memory check: a MemoryError.
+@example(("simulate", {"--dt": "1e-3", "--steps": str(10**12), "--ntraj": "2",
+                       "--snapshot-stride": "1"}))
+# A nonlinear trace of exactly 0 was divided by, with a warning.
+@example(("simulate", {"--dt": str(2**63 - 1), "--steps": "1", "--ntraj": "1"}))
+# The success path of autocorr.
+@example(("autocorr", {"--dt": "0.05", "--steps": "20", "--ntraj": "3", "--lags": "0.05,0.1"}))
+def test_run_options(case):
+    command, options = case
+    err = io.StringIO()
+    with _written(MODEL_DOC) as (model, tmp), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rep = Path(tmp) / "rep.json"
+        rep.write_text(json.dumps(REP_DOCS[0]))
+        argv = [command, "--out", str(Path(tmp) / "out")]
+        if command != "check":
+            argv += ["--model", model, "--rep", str(rep)]
+        for option, value in options.items():
+            argv.append(f"{option}={value}")  # "=" keeps a leading minus a value
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("diffmon.checks.CHECKS", FAST_CHECKS)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a value it cannot parse
+                code = exc.code
+    event(f"{command} exits {code}")
+    assert code in EXIT_CODES
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert command == "check" and _valid_seed(options.get("--seed", "0"))

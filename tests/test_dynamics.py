@@ -37,6 +37,7 @@ from diffmon.dynamics import (
 from diffmon.errors import (
     DimensionMismatchError,
     NonPositiveLagError,
+    NotHermitianError,
     StateInvalidError,
     ValidationError,
 )
@@ -347,6 +348,24 @@ def test_lags_must_be_finite(tau):
         predicted_autocorrelation(model, homodyne_mrep(1.0), EXCITED, [0.1, tau])
     with pytest.raises(ValidationError, match=f"^lag must be finite, got {tau}$"):
         regression_correlation(model, SIGMA_P, SIGMA_M, EXCITED, tau)
+
+
+def test_predicted_autocorrelation_checks_the_state_shape():
+    # A 3 x 3 state on a d = 2 model ended in a bare numpy ValueError.
+    with pytest.raises(DimensionMismatchError, match=r"^state must be 2 x 2, got \(3, 3\)$"):
+        predicted_autocorrelation(decay_model(), homodyne_mrep(1.0), np.eye(3) / 3, [0.1])
+
+
+def test_predicted_autocorrelation_checks_the_state_is_hermitian():
+    # A non-Hermitian state was read by its Hermitian part without a word.  The tolerance
+    # is relative above a unit norm, and huge entries raise no overflow warning.
+    model, m = decay_model(rabi=1.0), homodyne_mrep(1.0)
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for rho in (EXCITED + 1e-6 * skew, 1e200 * (EXCITED + 1e-6 * skew)):
+        with pytest.raises(NotHermitianError, match="^state is not Hermitian within tolerance$"):
+            predicted_autocorrelation(model, m, rho, [0.1])
+    within = predicted_autocorrelation(model, m, EXCITED + 1e-12 * skew, [0.1])
+    assert np.max(np.abs(within - predicted_autocorrelation(model, m, EXCITED, [0.1]))) < 1e-10
 
 
 @pytest.mark.parametrize("steps", [2.5, np.inf, np.nan, True, False, -1, "3", None])

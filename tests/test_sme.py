@@ -655,6 +655,16 @@ def test_ensemble_names_non_finite_trace(mode):
             simulate_ensemble(model, heterodyne_mrep(0.8), EXCITED, config)
 
 
+def test_nonlinear_ensemble_names_a_zero_trace():
+    # A step of 2^63 cancels the driven qubit's trace to exactly 0.  The nonlinear runner
+    # divided by it with a warning and recorded inf purities; the integrator warned too.
+    model, config = decay_model(rabi=1.0), SimulationConfig(dt=2.0**63, steps=1, n_traj=1, seed=0)
+    with pytest.raises(StateInvalidError, match=r"^trajectory 0, step 1: non-positive trace 0\.000e\+00$"):
+        simulate_ensemble(model, heterodyne_mrep(1.0), PLUS, config)
+    with pytest.raises(StateInvalidError, match="^non-finite state at step 1$"):
+        me_integrate(model, PLUS, 2.0**63, 1)
+
+
 def test_huge_positivity_tolerance_runs():
     # The purity ceiling squared 1 + d tol / 2 with **, which raised an OverflowError
     # past tol = 1e154; a product overflows to inf, and no state is screened out.
@@ -804,19 +814,19 @@ def test_purity_bound_in_squared_form_keeps_the_sign_of_the_trace():
 @pytest.mark.parametrize("tol", (1e-3, 0.5))
 @pytest.mark.parametrize("dim", (3, 8, 16))
 def test_gershgorin_tier_certifies_only_states_above_half_tol(dim, tol):
-    # Every state the tier drops from the Cholesky batch has lambda_min >= -tol/2,
-    # no state with a NaN or infinite coordinate is dropped, and no input warns
-    # (the suite turns RuntimeWarnings into errors).
-    from diffmon.dynamics import _gather, _gershgorin_certified
+    # Every state the tier drops from the Cholesky batch has lambda_min >= -c, the certified
+    # depth tol - min(tol/2, 1e-9 (1 + tol)), no state with a NaN or infinite coordinate is
+    # dropped, and no input warns (the suite turns RuntimeWarnings into errors).
+    from diffmon.dynamics import _certified_depth, _gather, _gershgorin_certified
 
     gen = rng(300 + dim)
-    half = 0.5 * tol
+    level = _certified_depth(tol)
     # Diagonal states in a permuted basis, where Gershgorin's bound is lambda_min itself.
     edge = []
-    for lam in (-half * (1.0 - 1e-9), -half * (1.0 + 1e-9), 0.0, -2.0 * half):
+    for lam in (-level * (1.0 - 1e-9), -level * (1.0 + 1e-9), 0.0, -tol):
         vals = np.concatenate([[lam], (1.0 - lam) * gen.dirichlet(np.ones(dim - 1))])
         edge.append(np.diag(gen.permutation(vals)).astype(complex))
-    lams = np.array([-2.0, -1.0 - 1e-9, -1.0 + 1e-9, -0.5, 0.0]) * half
+    lams = np.array([-2.0, -1.0 - 1e-9, -1.0 + 1e-9, -0.5, 0.0]) * level
     rho = np.concatenate([
         np.stack([random_state(gen, dim) for _ in range(10)]),
         np.stack([random_pure_state(gen, dim) for _ in range(10)]),
@@ -828,8 +838,8 @@ def test_gershgorin_tier_certifies_only_states_above_half_tol(dim, tol):
     g = _gather(rho)
     certified = _gershgorin_certified(g, tol)
     wmin = np.linalg.eigvalsh(rho)[:, 0]
-    assert np.all(wmin[certified] >= -half)
-    assert certified[-5:].tolist() == [True, False, True, False, 1.0 / dim <= half]
+    assert np.all(wmin[certified] >= -level)
+    assert certified[-5:].tolist() == [True, False, True, False, 1.0 / dim <= level]
     assert certified.any()
 
     # One bad coordinate, on the diagonal or off it, in an otherwise certified state.
@@ -847,6 +857,49 @@ def test_gershgorin_tier_certifies_only_states_above_half_tol(dim, tol):
     assert _gershgorin_certified(huge, tol).tolist() == [True, False, False]
 
 
+def _first_negative_by_brute_force(g, tol):
+    """The monitor's decision with no bound: Cholesky of rho + tol I on every state, and
+    ``eigvalsh`` to name the first state below -tol once the factorization fails."""
+    states = dynamics._scatter(g)
+    try:
+        np.linalg.cholesky(states + tol * np.eye(states.shape[-1]))
+        return None
+    except np.linalg.LinAlgError:
+        wmin = np.linalg.eigvalsh(states)[:, 0]
+    bad = np.flatnonzero(wmin < -tol)
+    return (int(bad[0]), float(wmin[bad[0]])) if bad.size else None
+
+
+@pytest.mark.parametrize("tol", (0.0, 1e-12, 1e-6, 0.06, 1.176, 20.8, 1e6))
+@pytest.mark.parametrize("dim", (2, 3, 8, 16))
+def test_certified_depth_changes_no_monitor_decision(dim, tol):
+    # The bounds certify down to -(tol - m), m = min(tol/2, 1e-9 (1 + tol)).  Least
+    # eigenvalues 1e-12 and 1e-7 (relative) on either side of -tol, of that depth and of
+    # -tol/2, in random and in permuted diagonal bases (where Gershgorin is exact): each
+    # state alone and shuffled stacks get the brute-force decision and name.
+    from diffmon.dynamics import _certified_depth, _first_negative_state, _purity
+
+    gen = rng(1500 + dim + int(1e3 * tol) % 997)
+    lams = [
+        -level + sign * eps * (1.0 + level)
+        for level in (tol, _certified_depth(tol), 0.5 * tol)
+        for eps in (1e-12, 1e-7)
+        for sign in (1.0, -1.0)
+    ]
+    rho = _states_with_min_eigenvalue(gen, dim, lams)
+    diag = [np.concatenate([[lam], (1.0 - lam) * gen.dirichlet(np.ones(dim - 1))]) for lam in lams]
+    rho = np.concatenate([rho, np.stack([np.diag(gen.permutation(v)) for v in diag])])
+    g = _gather(rho)
+    stacks = [[k] for k in range(len(g))] + [gen.permutation(len(g)) for _ in range(10)]
+    named = 0
+    for idx in stacks:
+        cols = np.ascontiguousarray(g[idx].T)  # the engine's layout
+        want = _first_negative_by_brute_force(g[idx], tol)
+        assert _first_negative_state(cols.T, _purity(g[idx]), tol) == want
+        named += want is not None
+    assert 0 < named < len(stacks)
+
+
 def _bench_cavity(dim=8):
     """The benchmark's d = 8 case: damped Kerr cavity, homodyne eta 0.7, coherent start, nbar 1."""
     a = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
@@ -858,9 +911,9 @@ def _bench_cavity(dim=8):
 
 
 def test_cavity_monitor_factorizes_no_state(monkeypatch):
-    # At d = 8 the automatic tolerance is about 1.18 and the purity bound certifies
-    # no near-pure state, so each of the 80 steps reaches the exact monitor, where
-    # the Gershgorin bound must keep all 50 states out of the Cholesky batch.
+    # At d = 8 the automatic tolerance is about 1.18.  Certified down to
+    # -(tol - 1e-9 (1 + tol)), the purity ceiling is 2.06 and clears every state at every
+    # step: the exact monitor is never called and nothing is factorized.
     from diffmon import sme
 
     model, mrep, rho0 = _bench_cavity()
@@ -878,7 +931,9 @@ def test_cavity_monitor_factorizes_no_state(monkeypatch):
     monkeypatch.setattr(sme, "_first_negative_state", counted_monitor)
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     simulate_ensemble(model, mrep, rho0, SimulationConfig(dt=1e-3, steps=80, n_traj=50, seed=1))
-    assert monitored == [50] * 80
+    tol = sme._auto_positivity_tol(_measured_engine(model, mrep), 1e-3)
+    assert dynamics._purity_ceiling(8, tol) > 2.0  # a trace-one state's purity is at most 1
+    assert monitored == []
     assert factorized == []
 
 
@@ -1188,7 +1243,7 @@ def _gershgorin_rows(g, tol):
     k = n * (n + 1) // 2
     with np.errstate(invalid="ignore", over="ignore"):
         r = np.hypot(g[:, n:k], g[:, k:]) @ dynamics._coordinate_weights(n)[2]
-    return ((g[:, :n] + 0.5 * tol >= r) & (g[:, :n] < np.inf)).all(axis=-1)
+    return ((g[:, :n] + dynamics._certified_depth(tol) >= r) & (g[:, :n] < np.inf)).all(axis=-1)
 
 
 @pytest.mark.parametrize("tol", (1e-3, 0.5))
@@ -1200,9 +1255,9 @@ def test_monitor_on_the_column_layout_certifies_as_on_gathered_rows(monkeypatch,
     from diffmon.dynamics import _first_negative_state, _gather, _purity, _uncertified
 
     gen = rng(1200 + dim + int(10 * tol))
-    half = 0.5 * tol
+    level = dynamics._certified_depth(tol)
     edge = []
-    for lam in (-half * (1.0 - 1e-9), -half * (1.0 + 1e-9), -tol * (1.0 - 1e-9), -2.0 * tol):
+    for lam in (-level * (1.0 - 1e-9), -level * (1.0 + 1e-9), -tol * (1.0 - 1e-9), -2.0 * tol):
         vals = np.concatenate([[lam], (1.0 - lam) * gen.dirichlet(np.ones(dim - 1))])
         edge.append(np.diag(gen.permutation(vals)).astype(complex))
     lams = np.array([-2.0, -1.0 - 1e-9, -1.0 + 1e-9, -0.5, 0.0]) * tol
