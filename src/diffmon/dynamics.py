@@ -369,19 +369,28 @@ class _Engine:
         """The columns g (d^2, n) with room below them for ``w (x) g``."""
         return np.concatenate([g, np.empty((len(self.kept) * len(g), *g[0].shape))])
 
-    def sme_step(self, x: np.ndarray, w: np.ndarray, h: float, linear: bool = True):
+    def sme_step(self, x: np.ndarray, w: np.ndarray, h: float, linear: bool = True, out=None):
         """One Ito step of the columns ``g = x[:d^2]`` of an ``operand`` along increments w (r, n),
         ``R^T`` of the increments along the J ops.
 
-        Returns (output, its trace, mean current), views of ``sme_table(h) @ [g ; w (x) g]``.
+        Returns (output, its trace, mean current), views of ``sme_table(h) @ [g ; w (x) g]``,
+        written into ``out`` (d^2 + J + 2, n) when given.  A CSR product allocates: then only
+        the rows below the output go to ``out``, and the output stays in the product.
         The linear output is the RK4 step plus ``sum_j w_j (a_j rho + rho a_j^dag) / hbar``;
         the nonlinear one subtracts ``(cur . w) g`` and its trace ``cur . w``, the trace
         this adds to a unit-trace g.
         """
         n2, r, g = self.dim**2, len(self.kept), x[: self.dim**2]
         np.multiply(w[:, None], g, out=x[n2:].reshape(r, *g.shape))
-        out = self.sme_table(h) @ x
-        step, cur, cur_w, tr = out[:n2], out[n2:-2], out[-2], out[-1]
+        table = self.sme_table(h)
+        if out is None:
+            out = prod = table @ x
+        elif isinstance(table, np.ndarray):
+            prod = np.matmul(table, x, out=out)
+        else:  # a CSR product allocates
+            prod = table @ x
+            out[n2:] = prod[n2:]
+        step, cur, cur_w, tr = prod[:n2], out[n2:-2], out[-2], out[-1]
         if not linear:
             step -= cur_w * g
             tr -= cur_w
@@ -449,11 +458,17 @@ def me_integrate(
         raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
     g = np.empty((steps + 1, model.dim**2))
     g[0] = _gather(np.asarray(rho0, dtype=complex))
+    t = _coordinate_weights(model.dim)[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # named below
         p = model.engine.poly(dt)
+        dense = isinstance(p, np.ndarray)
         for m in range(steps):
-            x = g[m] @ p
-            g[m + 1] = x / _trace(x)
+            x = g[m + 1]
+            if dense:
+                np.matmul(g[m], p, out=x)
+            else:  # a CSR product allocates
+                x[...] = g[m] @ p
+            x /= x @ t
     finite = np.isfinite(g).all(axis=1)
     if not finite.all():
         raise StateInvalidError(f"non-finite state at step {int(np.argmin(finite))}")

@@ -49,6 +49,10 @@ from .reps import BRep, MRep, _check_hbar, validate_brep
 
 MODES = ("nonlinear", "linear")
 
+# Bytes of step products in one window of the ensemble loop: enough steps to share its
+# checks and records at narrow ensembles, few enough to stay in cache at wide ones.
+_WINDOW_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -124,7 +128,8 @@ class Ensemble:
 def _step_states(engine: _Engine, rho, w, dt: float, linear: bool):
     """One step of states (..., d, d) along increments (..., 2L): (states, pre-norm trace, current).
 
-    Nonlinear states are renormalized by their summed trace: rho need not have unit trace.
+    Nonlinear states are renormalized by their summed trace: rho need not have unit trace, and
+    a non-finite or non-positive summed trace raises ``StateInvalidError``.
     """
     rho, w, dt = np.asarray(rho, dtype=complex), np.asarray(w, dtype=float), check_dt(dt)
     lead, j = rho.shape[:-2], len(engine.ops)
@@ -133,11 +138,15 @@ def _step_states(engine: _Engine, rho, w, dt: float, linear: bool):
     if w.shape != (*lead, j):
         raise DimensionMismatchError(f"increments must have shape {(*lead, j)}, got {w.shape}")
     g = _gather(rho).reshape(-1, engine.dim**2).T
-    w = engine.rt @ w.reshape(-1, j).T
-    out, tr, cur = engine.sme_step(engine.operand(g), w, dt, linear)
-    if not linear:
-        tr = _trace(out.T)
-        out = out / tr
+    with np.errstate(all="ignore"):  # a non-finite step shows in its trace
+        w = engine.rt @ w.reshape(-1, j).T
+        out, tr, cur = engine.sme_step(engine.operand(g), w, dt, linear)
+        if not linear:
+            tr = _trace(out.T)
+            if not (np.isfinite(tr) & (tr > 0.0)).all():
+                tr = tr.reshape(lead)
+                raise StateInvalidError(f"updated trace {tr} is not finite and positive")
+            out = out / tr
     return _scatter(out.T.reshape(*lead, -1)), tr.reshape(lead), cur.T.reshape(*lead, -1)
 
 
@@ -168,8 +177,8 @@ def sme_step_linear(
     tr_in = np.real(np.trace(rho_bar, axis1=-2, axis2=-1))
     if np.any(tr_in <= 0.0):
         raise StateInvalidError(f"input trace {tr_in} is not positive")
-    if np.any(tr <= 0.0):
-        raise StateInvalidError(f"updated trace {tr} is not positive")
+    if not (np.isfinite(tr) & (tr > 0.0)).all():
+        raise StateInvalidError(f"updated trace {tr} is not finite and positive")
     return out, np.log(tr / tr_in)
 
 
@@ -191,6 +200,12 @@ def _check_trace(tr: np.ndarray, step: int) -> None:
     if np.any(tr <= 0.0):
         bad = int(np.argmax(tr <= 0.0))
         raise StateInvalidError(f"trajectory {bad}, step {step}: non-positive trace {tr[bad]:.3e}")
+
+
+def _first_row(mask: np.ndarray) -> int:
+    """The first row of a 2-D mask with a true entry, or the number of rows."""
+    rows = mask.any(axis=1)
+    return int(np.argmax(rows)) if rows.any() else len(rows)
 
 
 def _monitor(g: np.ndarray, p: np.ndarray, tol: float, step: int) -> None:
@@ -223,6 +238,16 @@ def simulate_ensemble(
     The k-th trajectory consumes the stream keyed by (seed, k); the output is a
     deterministic function of the configuration alone, independent of
     ``block_steps`` (an internal batching knob).
+
+    Noise is drawn per block of ``block_steps`` steps.  Each step runs only its algebra:
+    the ``w (x) g`` operand, the table product into a window buffer, the nonlinear
+    correction and the division into the state, written once, atop the next step's operand
+    in the window.  Once per window of steps, a few calls over the window check the traces,
+    accumulate the linear log-weights, take the purities, screen them for the positivity
+    monitor and write the records.  A failing step is named as a step-by-step run names it:
+    the earliest step, and within it the trace, then the weight floor, then positivity.  A
+    window holds about ``_WINDOW_BYTES`` of step products, so it stays in cache at any
+    ensemble width.
     """
     if not (is_integer(block_steps) and block_steps >= 1):
         raise ValidationError(f"block_steps must be a positive integer, got {block_steps!r}")
@@ -261,63 +286,91 @@ def simulate_ensemble(
         raise ValidationError(
             f"cannot allocate the run's records ({need / 2**30:.3g} GiB)"
         ) from exc
-    snap_pos = {int(s): i for i, s in enumerate(snap_steps)}
 
-    # States are columns, trajectories along the contiguous axis, atop the step operand.
+    # States are columns, trajectories along the contiguous axis.
     rho0 = np.asarray(rho0, dtype=complex)
-    x = engine.operand(np.broadcast_to(_gather(rho0)[:, None], (dim**2, n)))
-    g, sq = x[: dim**2], np.empty((dim**2, n))
-    pw = _coordinate_weights(dim)[1]
+    n2, pw = dim**2, _coordinate_weights(dim)[1]
+    g0 = np.broadcast_to(_gather(rho0)[:, None], (n2, n))
     if pur is not None:
-        pur[:, 0] = pw @ np.square(g)
-    snap_g[0] = g.T
+        pur[:, 0] = pw @ np.square(g0)
+    snap_g[0] = g0.T
     # States have unit trace, so one purity ceiling screens them for the exact monitor.
-    p_max, lw, monitored = _purity_ceiling(dim, pos_tol), np.zeros(n), math.isfinite(pos_tol)
+    p_max, monitored = _purity_ceiling(dim, pos_tol), math.isfinite(pos_tol)
+    floor = config.log_weight_floor
+    # A window keeps each step's product and, atop the operand of the next step, its state:
+    # the checks and records then take a few calls per window of steps, not per step.
+    rows, r = n2 + noise_dim + 2, len(engine.kept)
+    window = max(1, min(block_steps, steps, _WINDOW_BYTES // (8 * rows * n)))
+    lwin = np.zeros((window + 1, n))  # row 0: the log-weights before the window
+    snap_at, snap_next = snap_steps.tolist(), 1
 
-    for start in range(0, steps, block_steps):
-        block = min(block_steps, steps - start)
-        # Time-major (step, J, trajectory): lattice integers, then mean currents.
-        # The map is elementwise, so these are exactly each stream's draw_block.
-        cur_block = lattice_streams(config.seed, 0, start, np.empty((block, noise_dim, n)))
-        dw_block = lattice_normals(cur_block)
-        dw_block *= np.sqrt(dt)
-        # The increments along the back-action's r directions, R^T dw, go into the first r
-        # rows of the block: step i reads its row before its mean currents overwrite it.
-        w_block = np.matmul(engine.rt, dw_block, out=cur_block[:, : len(engine.kept)])
-        p_block, lw_block = np.empty((2, block, n))
-        for i in range(block):
-            m = start + i + 1
-            out, tr, cur = engine.sme_step(x, w_block[i], dt, linear)
-            if not (math.isfinite(tr.sum()) and tr.min() > 0.0):  # a state to divide by tr
-                _check_trace(tr, m)
-            if linear:
-                lw += np.log(tr)
-                if lw.min() < config.log_weight_floor:
-                    bad = int(np.argmax(lw < config.log_weight_floor))
+    with np.errstate(all="ignore"):  # a failing step is named after its window
+        for start in range(0, steps, block_steps):
+            block = min(block_steps, steps - start)
+            # Time-major (step, J, trajectory): lattice integers, then mean currents.
+            # The map is elementwise, so these are exactly each stream's draw_block.
+            cur_block = lattice_streams(config.seed, 0, start, np.empty((block, noise_dim, n)))
+            dw_block = lattice_normals(cur_block)
+            dw_block *= np.sqrt(dt)
+            # The increments along the back-action's r directions, R^T dw, go into the first r
+            # rows of the block: a window reads its rows before its mean currents overwrite them.
+            w_block = np.matmul(engine.rt, dw_block, out=cur_block[:, :r])
+            if not start:  # made after the first draw, whose temporaries are then gone
+                win, sq = np.empty((window, rows, n)), np.empty((window, n2, n))
+                pwin, ops = np.empty((window, n)), np.empty((window, (1 + r) * n2, n))
+                x = ops[-1]  # step i reads the operand x of step i - 1 and writes ops[i]
+                x[:n2] = g0
+            for first in range(0, block, window):
+                span = min(window, block - first)
+                for i in range(span):
+                    step, tr, _cur = engine.sme_step(x, w_block[first + i], dt, linear, out=win[i])
+                    x = ops[i]
+                    np.divide(step, tr, out=x[:n2])
+                m0 = start + first + 1  # the step of the window's first row
+                states, tr, p, lw = ops[:span, :n2], win[:span, -1], pwin[:span], lwin[: span + 1]
+                # The first step with a bad trace, and (linear mode) the first under the floor.
+                bad_tr = under = span
+                if not (math.isfinite(tr.sum()) and tr.min() > 0.0):
+                    bad_tr = _first_row(~(np.isfinite(tr) & (tr > 0.0)))
+                if linear:
+                    np.log(tr, out=lw[1:])
+                    np.add.accumulate(lw, axis=0, out=lw)  # lw += log(tr), step by step
+                    if not lw[1:].min() >= floor:
+                        under = _first_row(lw[1:] < floor)
+                # A step checks its trace, then its weights, then positivity: the monitor reads
+                # the steps before the first failing one, in order.
+                np.matmul(pw, np.square(states, out=sq[:span]), out=p)
+                ok = min(bad_tr, under)
+                if monitored and ok and not p[:ok].max() <= p_max:
+                    for i in np.flatnonzero(~(p[:ok].max(axis=1) <= p_max)):
+                        _monitor(states[i].T, p[i], pos_tol, m0 + i)
+                if bad_tr < span and bad_tr <= under:
+                    _check_trace(tr[bad_tr], m0 + bad_tr)
+                if under < span:
+                    bad = int(np.argmax(lw[under + 1] < floor))
                     raise WeightUnderflowError(
-                        f"trajectory {bad}, step {m}: log-weight {lw[bad]:.1f} below floor"
+                        f"trajectory {bad}, step {m0 + under}: log-weight"
+                        f" {lw[under + 1, bad]:.1f} below floor"
                     )
-                lw_block[i] = lw
-            cur_block[i] = 0.0 if linear else cur
-            np.divide(out, tr, out=g)
-            np.matmul(pw, np.square(g, out=sq), out=p_block[i])
-            if not p_block[i].max() <= p_max and monitored:
-                _monitor(g.T, p_block[i], pos_tol, m)
-            if m in snap_pos:
-                snap_g[snap_pos[m]] = g.T
-        # The current increment is the mean current times dt plus the noise.
-        cur_block *= dt
-        cur_block += dw_block
-        cur_block /= dt
-        stop = start + block
-        currents[:, start:stop] = cur_block.transpose(2, 0, 1)
-        if noise is not None:
-            noise[:, start:stop] = dw_block.transpose(2, 0, 1)
-        if pur is not None:
-            pur[:, start + 1 : stop + 1] = p_block.T
-        if linear:
-            logw[:, start + 1 : stop + 1] = lw_block.T
-    del cur_block, dw_block, w_block, p_block, lw_block  # freed before the snapshots are made
+                cur_block[first : first + span] = 0.0 if linear else win[:span, n2:-2]
+                if pur is not None:
+                    pur[:, m0 : m0 + span] = p.T
+                if linear:
+                    logw[:, m0 : m0 + span] = lw[1:].T
+                    lwin[0] = lw[span]
+                while snap_next < len(snap_at) and snap_at[snap_next] < m0 + span:
+                    snap_g[snap_next] = states[snap_at[snap_next] - m0].T
+                    snap_next += 1
+            # The current increment is the mean current times dt plus the noise.
+            cur_block *= dt
+            cur_block += dw_block
+            cur_block /= dt
+            stop = start + block
+            currents[:, start:stop] = cur_block.transpose(2, 0, 1)
+            if noise is not None:
+                noise[:, start:stop] = dw_block.transpose(2, 0, 1)
+    # Freed before the snapshots are made, views of the window too.
+    del cur_block, dw_block, w_block, win, sq, ops, x, step, tr, _cur, states
     snaps = _scatter(snap_g)
     snaps[0] = rho0
 

@@ -2,6 +2,9 @@ import hashlib
 import re
 import sys
 import threading
+import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from diffmon import (
     sme_step_linear,
     sme_step_nonlinear,
 )
-from diffmon import dynamics
+from diffmon import dynamics, sme
 from diffmon.dynamics import rk4_step
 from diffmon.errors import (
     DiffmonError,
@@ -37,7 +40,7 @@ from diffmon.errors import (
     WeightUnderflowError,
 )
 from diffmon.reps import random_brep, random_mrep, random_orthogonal
-from diffmon.noise import _STREAMS, NoiseSource, lattice_normals
+from diffmon.noise import _STREAMS, NoiseSource, lattice_normals, lattice_streams
 from diffmon.dynamics import _gather, _measured_engine
 from diffmon.sme import MODES, _step_states
 
@@ -1102,6 +1105,140 @@ def test_ensemble_names_positivity_loss_mid_block(monkeypatch):
     )
     assert cls is StateInvalidError
     assert message == f"trajectory 4, step 100: min eigenvalue {lam:.3e} below -{tol:.3e}"
+
+
+def test_ensemble_names_the_first_failing_step_across_check_kinds(monkeypatch):
+    # The ensemble checks a window of steps at once, but names the step the per-step
+    # order names: positivity lost at step 100 before a non-finite trace at 103, the trace
+    # at 100 before positivity lost at 103, and within one step the trace first.
+    model, m, dt, tol = decay_model(), heterodyne_mrep(0.8), 1e-3, 1e-3
+    kick, blow_up = np.array([40.0, 0.0]), [np.inf, 0.0]
+    rho = me_integrate(model, EXCITED, dt, 99)[-1]
+    lam = np.linalg.eigvalsh(sme_step_nonlinear(model, m, rho, kick * np.sqrt(dt), dt)[0])[0]
+    positivity = f"trajectory 4, step 100: min eigenvalue {lam:.3e} below -{tol:.3e}"
+    trace = "trajectory 2, step 100: non-finite trace nan"
+
+    def failure(kicks):
+        return _scripted_failure(monkeypatch, kicks, model, m, EXCITED, positivity_tol=tol)
+
+    assert failure({(4, 103): kick})[1].startswith("trajectory 4, step 103: min eigenvalue")
+    assert failure({(2, 103): blow_up})[1] == "trajectory 2, step 103: non-finite trace nan"
+    assert failure({(4, 100): kick, (2, 103): blow_up}) == (StateInvalidError, positivity)
+    assert failure({(2, 100): blow_up, (4, 103): kick}) == (StateInvalidError, trace)
+    assert failure({(4, 100): kick, (2, 100): blow_up}) == (StateInvalidError, trace)
+
+
+def test_ensemble_names_the_earlier_of_weight_floor_and_trace(monkeypatch):
+    # A weight under the floor at step 100 is named before a non-finite trace at 102, and a
+    # non-positive trace at step 100 before the weight under the floor at that step.
+    model, m = decay_model(), homodyne_mrep(1.0)
+    low, negative = (_kick_for_trace(model, m, PLUS, 100, t) for t in (2e-3, -0.5))
+    floor = f"trajectory 1, step 100: log-weight {np.log(2e-3):.1f} below floor"
+
+    def failure(kicks):
+        return _scripted_failure(
+            monkeypatch, kicks, model, m, PLUS, mode="linear", log_weight_floor=-5.0
+        )
+
+    assert failure({(1, 100): low, (3, 102): [np.inf, 0.0]}) == (WeightUnderflowError, floor)
+    assert failure({(1, 100): low, (3, 100): negative}) == (
+        StateInvalidError, "trajectory 3, step 100: non-positive trace -5.000e-01"
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_ensemble_steps_past_a_failure_without_warnings(monkeypatch, mode):
+    # The window steps on after a state goes non-finite at step 100, through NaN states to
+    # step 150; with RuntimeWarning an error, the run still ends in the named error.
+    monkeypatch.setattr("diffmon.sme.lattice_streams", _scripted_noise({(2, 100): [np.inf, 0.0]}))
+    monkeypatch.setattr("diffmon.sme.lattice_normals", np.array)
+    config = SimulationConfig(dt=1e-3, steps=150, n_traj=5, seed=0, mode=mode)
+    message = r"^trajectory 2, step 100: non-finite trace nan$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(StateInvalidError, match=message):
+            simulate_ensemble(decay_model(rabi=1.0), heterodyne_mrep(0.8), EXCITED, config)
+
+
+def test_single_steps_name_a_bad_updated_trace():
+    # A step of 2^63 cancels the summed trace to 0: the nonlinear step divided by it with
+    # a RuntimeWarning, and an infinite increment gave the linear step a NaN log-weight.
+    model = decay_model(rabi=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(StateInvalidError, match=r"^updated trace 0\.0 is not finite and"):
+            sme_step_nonlinear(model, heterodyne_mrep(1.0), PLUS, np.zeros(2), 2.0**63)
+        with pytest.raises(StateInvalidError, match=r"^updated trace nan is not finite and"):
+            sme_step_linear(model, heterodyne_mrep(0.8), PLUS, np.array([np.inf, 0.0]), 1e-3)
+
+
+def _stepwise_records(model, m, rho0, config) -> dict:
+    """The records of ``simulate_ensemble``, with one ``_Engine.sme_step`` per step and
+    every record made at its step, from the whole run's noise drawn at once."""
+    engine, n, dt, steps = _measured_engine(model, m), config.n_traj, config.dt, config.steps
+    linear, pw = config.mode == "linear", dynamics._coordinate_weights(model.dim)[1]
+    dw = lattice_normals(lattice_streams(config.seed, 0, 0, np.empty((steps, len(engine.ops), n))))
+    dw *= np.sqrt(dt)
+    x = engine.operand(np.repeat(_gather(rho0)[:, None], n, axis=1))
+    g = x[: model.dim**2]
+    states, pur, logw, cur = [g.T.copy()], [pw @ np.square(g)], [np.zeros(n)], []
+    for i in range(steps):
+        out, tr, mean = engine.sme_step(x, engine.rt @ dw[i], dt, linear)
+        assert np.isfinite(tr).all() and (tr > 0.0).all()
+        logw.append(logw[-1] + np.log(tr) if linear else logw[-1])
+        cur.append(((np.zeros_like(mean) if linear else mean) * dt + dw[i]) / dt)
+        np.divide(out, tr, out=g)
+        pur.append(pw @ np.square(g))
+        states.append(g.T.copy())
+    grid = sme._snapshot_steps(steps, config.snapshot_stride)
+    snaps = dynamics._scatter(np.stack(states)[grid])
+    snaps[0] = rho0
+    return {
+        "currents": np.stack(cur).transpose(2, 0, 1), "noise": dw.transpose(2, 0, 1),
+        "purity": np.stack(pur).T, "log_weight": np.stack(logw).T,
+        "snapshot_steps": grid, "snapshots": snaps,
+    }
+
+
+@pytest.mark.parametrize("block_steps", (1, 7, 256))
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "dim, n_traj, steps", [(2, 1, 300), (2, 30, 300), (2, 500, 40), (16, 3, 60)]
+)
+def test_windowed_ensemble_matches_a_stepwise_reference(dim, n_traj, steps, mode, block_steps):
+    # Checks and records run once per window of steps (136 steps at n = 30, 8 at n = 500,
+    # 42 at the d = 16 CSR cavity), on the same bits a step-by-step run gives.
+    if dim == 2:
+        model, m, rho0 = decay_model(rabi=1.0), heterodyne_mrep(0.8), EXCITED
+    else:
+        model, m, rho0 = cavity_model(dim), heterodyne_mrep(0.8), random_state(rng(600), dim)
+        assert _measured_engine(model, m).sme_table(1e-3).format == "csr"
+    config = SimulationConfig(
+        dt=1e-3, steps=steps, n_traj=n_traj, seed=61, mode=mode, snapshot_stride=13
+    )
+    ens = simulate_ensemble(model, m, rho0, config, block_steps=block_steps)
+    want = _stepwise_records(model, m, rho0, config)
+    for name, value in want.items():
+        assert np.array_equal(getattr(ens, name), value), name
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_ensemble_scratch_memory_stays_bounded(mode):
+    # Beyond its records, a run at the benchmark's qubit shape holds the noise block, its
+    # draw's temporaries, the snapshot coordinates and the window: 1.92 MB in either mode.
+    config = SimulationConfig(dt=1e-3, steps=100, n_traj=500, seed=1, mode=mode)
+    model, m = decay_model(), heterodyne_mrep(0.8)
+    simulate_ensemble(model, m, EXCITED, replace(config, steps=2, n_traj=2))  # builds the tables
+    tracemalloc.start()
+    try:
+        ens = simulate_ensemble(model, m, EXCITED, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    records = [ens.times, ens.currents, ens.noise, ens.purity, ens.snapshot_steps, ens.snapshots]
+    if mode == "linear":  # a nonlinear run's log-weights are a view of one zero
+        records.append(ens.log_weight)
+    assert peak - sum(a.nbytes for a in records) < 2 * 2**20
 
 
 @pytest.mark.parametrize("dim", (2, 3, 8))
