@@ -253,12 +253,10 @@ def _coordinate_table(n: int, maps: list, scale: float = 1.0):
 
 @lru_cache(maxsize=None)
 def _coordinate_weights(n: int) -> tuple:
-    """Weights on coordinates g: ``Tr x = g @ t``, ``Tr x^2 = g^2 @ p``, and the row sums
-    ``sum_{j != i} |x_ij|`` are ``|x_jk| @ r`` over the pairs j < k."""
+    """Weights on coordinates g: ``Tr x = g @ t`` and ``Tr x^2 = g^2 @ p``."""
     t, p = np.zeros(n * n), np.full(n * n, 2.0)
     t[:n] = p[:n] = 1.0
-    r = sum(1.0 * (ij[:, None] == np.arange(n)) for ij in np.triu_indices(n, 1))
-    return _frozen(t, p, r)
+    return _frozen(t, p)
 
 
 def _trace(g: np.ndarray) -> np.ndarray:
@@ -483,63 +481,35 @@ def me_integrate(
 
 
 def _certified_depth(tol: float) -> float:
-    """Depth c = tol - m, m = min(tol/2, 1e-9 (1 + tol)), down to which the bounds certify:
-    a state above -c has ``rho + tol I >= m I``, m far above the rounding of the bounds and of
+    """Depth c = tol - m, m = min(tol/2, 1e-9 (1 + tol)), down to which the ceiling certifies:
+    a state above -c has ``rho + tol I >= m I``, m far above the rounding of the ceiling and of
     a Cholesky factorization of ``rho + tol I``.  tol = inf (no monitoring) stays inf."""
     return tol - min(0.5 * tol, 1e-9 * (1.0 + tol)) if tol < math.inf else tol
 
 
-def _uncertified(g: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the states (coordinates g, purity p) that purity cannot show to be >= -c.
+def _purity_ceiling(d: int, tol: float) -> float:
+    """Purity under which no unit-trace state of dimension d has an eigenvalue below -c.
 
     c is ``_certified_depth(tol)``.  By Cauchy-Schwarz on the other d - 1 eigenvalues, a
-    Hermitian state of trace t has ``lambda_min >= (t - sqrt((d - 1)(d p - t^2))) / d``,
-    exact for d = 2.  A NaN purity is never certified.
+    unit-trace Hermitian state of purity p has
+    ``lambda_min >= (1 - sqrt((d - 1)(d p - 1))) / d``, exact for d = 2, which is >= -c
+    exactly when ``p <= (1 + (1 + d c)^2 / (d - 1)) / d``.  The ceiling sits 1e-12 below
+    that, far above the rounding of p and of the trace.  A Python float product squares: it
+    overflows to inf, where ``**`` raises and a numpy float warns.
     """
-    d, t = math.isqrt(g.shape[-1]), _trace(g)
-    # The bound is >= -c exactly when s = t + d c >= 0 and
-    # (d - 1)(d p - t^2) <= s^2, which needs no square root.
-    s = t + d * _certified_depth(tol)
-    return ~(((d - 1) * (d * p - t * t) <= s * s) & (s >= 0.0))
-
-
-def _purity_ceiling(d: int, tol: float) -> float:
-    """Purity under which every trace-one state of dimension d passes ``_uncertified``.
-
-    At t = 1 the bound's test is ``p <= (1 + (1 + d c)^2 / (d - 1)) / d``; the ceiling sits
-    1e-12 below it, far above the rounding of the test and of t.  A product, not ``**``,
-    squares: it overflows to inf, where ``**`` raises.
-    """
-    s = 1.0 + d * _certified_depth(tol)
+    s = 1.0 + d * _certified_depth(float(tol))
     return (1.0 + s * s / max(d - 1, 1)) / d * (1.0 - 1e-12)
 
 
-def _gershgorin_certified(g: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the states (coordinates g) that Gershgorin's circles show to be >= -c.
-
-    c is ``_certified_depth(tol)``.  Every eigenvalue lies within ``sum_{j != i} |x_ij|`` of
-    some x_ii.  The test compares and never subtracts, so it certifies no state with a NaN
-    or inf and raises no warning.
-    """
-    n = math.isqrt(g.shape[-1])
-    k, c = n * (n + 1) // 2, g.T  # c: coordinates down, contiguous rows for an engine's columns
-    with np.errstate(invalid="ignore", over="ignore"):  # an inf times a zero weight is NaN
-        r = _coordinate_weights(n)[2].T @ np.hypot(c[n:k], c[k:])
-    return ((c[:n] + _certified_depth(tol) >= r) & (c[:n] < np.inf)).all(axis=0)
-
-
 def _first_negative_state(g: np.ndarray, p: np.ndarray, tol: float) -> tuple | None:
-    """(index, least eigenvalue) of the first state (coordinates g, purity p) below -tol, or None.
+    """(index, least eigenvalue) of the first unit-trace state (coordinates g, purity p)
+    below -tol, or None.
 
-    Only states no bound certifies at ``-_certified_depth(tol)`` are factorized: rho + tol I
-    has a Cholesky factor exactly when no eigenvalue is below -tol, and passes it on every
-    certified state; eigenvalues only name a failing state.  The bounds read g in place, so
-    the transpose of an engine's columns (d^2, n) is never gathered.
+    Only the states above ``_purity_ceiling``, or of NaN purity, are factorized: rho + tol I
+    has a Cholesky factor exactly when no eigenvalue is below -tol, and has one for every
+    state under the ceiling; eigenvalues only name a failing state.
     """
-    bad = _uncertified(g, p, tol)
-    if g.shape[-1] > 4:  # at d = 2 the purity bound is exact
-        bad &= ~_gershgorin_certified(g, tol)
-    idx = np.flatnonzero(bad)
+    idx = np.flatnonzero(~(p <= _purity_ceiling(math.isqrt(g.shape[-1]), tol)))
     if not idx.size:
         return None
     states = _scatter(g[idx])

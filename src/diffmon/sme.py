@@ -192,29 +192,26 @@ def _snapshot_steps(steps: int, stride: int | None) -> np.ndarray:
     return np.append(np.arange(0, steps, _snapshot_stride(steps, stride)), steps)
 
 
-def _check_trace(tr: np.ndarray, step: int) -> None:
-    """Raise on the first non-finite, then the first non-positive, trace of a step."""
+def _check_trace(tr: np.ndarray, p: np.ndarray, step: int) -> None:
+    """Raise on the first non-finite, then the first non-positive, trace of a step, then on
+    its first normalized state of non-finite purity (traces tr, purities p)."""
     if not np.isfinite(tr).all():
         bad = int(np.argmax(~np.isfinite(tr)))
         raise StateInvalidError(f"trajectory {bad}, step {step}: non-finite trace {tr[bad]}")
     if np.any(tr <= 0.0):
         bad = int(np.argmax(tr <= 0.0))
         raise StateInvalidError(f"trajectory {bad}, step {step}: non-positive trace {tr[bad]:.3e}")
+    if not np.isfinite(p).all():
+        bad = int(np.argmax(~np.isfinite(p)))
+        raise StateInvalidError(
+            f"trajectory {bad}, step {step}: normalized state of non-finite purity {p[bad]}"
+        )
 
 
 def _first_row(mask: np.ndarray) -> int:
     """The first row of a 2-D mask with a true entry, or the number of rows."""
     rows = mask.any(axis=1)
     return int(np.argmax(rows)) if rows.any() else len(rows)
-
-
-def _monitor(g: np.ndarray, p: np.ndarray, tol: float, step: int) -> None:
-    """Raise unless every state (coordinates g, purity p) has no eigenvalue below -tol."""
-    bad = _first_negative_state(g, p, tol)
-    if bad is not None:
-        raise StateInvalidError(
-            f"trajectory {bad[0]}, step {step}: min eigenvalue {bad[1]:.3e} below -{tol:.3e}"
-        )
 
 
 def _auto_positivity_tol(engine: _Engine, dt: float) -> float:
@@ -294,7 +291,7 @@ def simulate_ensemble(
     if pur is not None:
         pur[:, 0] = pw @ np.square(g0)
     snap_g[0] = g0.T
-    # States have unit trace, so one purity ceiling screens them for the exact monitor.
+    # States have unit trace, so one purity ceiling screens the steps for the exact monitor.
     p_max, monitored = _purity_ceiling(dim, pos_tol), math.isfinite(pos_tol)
     floor = config.log_weight_floor
     # A window keeps each step's product and, atop the operand of the next step, its state:
@@ -328,24 +325,29 @@ def simulate_ensemble(
                     np.divide(step, tr, out=x[:n2])
                 m0 = start + first + 1  # the step of the window's first row
                 states, tr, p, lw = ops[:span, :n2], win[:span, -1], pwin[:span], lwin[: span + 1]
-                # The first step with a bad trace, and (linear mode) the first under the floor.
+                np.matmul(pw, np.square(states, out=sq[:span]), out=p)
+                # The first step with a bad trace or a non-finite normalized state, and (linear
+                # mode) the first under the floor.
                 bad_tr = under = span
-                if not (math.isfinite(tr.sum()) and tr.min() > 0.0):
-                    bad_tr = _first_row(~(np.isfinite(tr) & (tr > 0.0)))
+                if not (math.isfinite(tr.sum() + p.sum()) and tr.min() > 0.0):
+                    bad_tr = _first_row(~(np.isfinite(tr) & (tr > 0.0) & np.isfinite(p)))
                 if linear:
                     np.log(tr, out=lw[1:])
                     np.add.accumulate(lw, axis=0, out=lw)  # lw += log(tr), step by step
                     if not lw[1:].min() >= floor:
                         under = _first_row(lw[1:] < floor)
                 # A step checks its trace, then its weights, then positivity: the monitor reads
-                # the steps before the first failing one, in order.
-                np.matmul(pw, np.square(states, out=sq[:span]), out=p)
+                # the steps before the first failing one, in order, and never a non-finite state.
                 ok = min(bad_tr, under)
                 if monitored and ok and not p[:ok].max() <= p_max:
                     for i in np.flatnonzero(~(p[:ok].max(axis=1) <= p_max)):
-                        _monitor(states[i].T, p[i], pos_tol, m0 + i)
+                        if (bad := _first_negative_state(states[i].T, p[i], pos_tol)) is not None:
+                            raise StateInvalidError(
+                                f"trajectory {bad[0]}, step {m0 + i}: min eigenvalue"
+                                f" {bad[1]:.3e} below -{pos_tol:.3e}"
+                            )
                 if bad_tr < span and bad_tr <= under:
-                    _check_trace(tr[bad_tr], m0 + bad_tr)
+                    _check_trace(tr[bad_tr], p[bad_tr], m0 + bad_tr)
                 if under < span:
                     bad = int(np.argmax(lw[under + 1] < floor))
                     raise WeightUnderflowError(

@@ -342,6 +342,24 @@ def test_run_commands_name_huge_lindblad_entries(
     assert capsys.readouterr().err.strip() == message
 
 
+@pytest.mark.parametrize("command", ["simulate", "autocorr"])
+@pytest.mark.parametrize("dt", ["1e74", "1e76"])
+def test_run_commands_name_a_non_finite_normalized_state(command, dt, tmp_path, capsys):
+    # A d = 4 Kerr cavity's normalized coordinates overflow while its traces stay finite and
+    # positive: eigvalsh did not converge on them, a LinAlgError traceback (exit 1).
+    a = np.diag(np.sqrt(np.arange(1.0, 4.0)), k=1)
+    model, rep = tmp_path / "cavity.json", tmp_path / "rep.json"
+    model.write_text(json.dumps(model_payload(LindbladModel(0.3 * (a.T @ a) ** 2, a))))
+    rep.write_text(json.dumps(rep_payload(RepFile("mrep", heterodyne_mrep(0.8), 1.0))))
+    args = [
+        command, "--model", str(model), "--rep", str(rep), "--dt", dt, "--steps", "3",
+        "--ntraj", "3", "--seed", "1", "--out", str(tmp_path / "out"),
+    ]
+    assert main(args + (["--lags", dt] if command == "autocorr" else [])) == 4
+    message = "error: trajectory 0, step 2: normalized state of non-finite purity inf"
+    assert capsys.readouterr().err.strip() == message
+
+
 def test_autocorr_rejects_bad_lags(het_file, model_file, tmp_path, capsys):
     # -1 and 0 used to run with a one-step lag; nan, inf and 1e300 ended in a traceback
     # (exit 1).  A lag past the run's 0.5 time units has no pairs to estimate.  A lag off

@@ -12,11 +12,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from diffmon import brep_to_mrep, heterodyne_mrep
+from diffmon import LindbladModel, brep_to_mrep, heterodyne_mrep
 from diffmon.checks import CHECKS
 from diffmon.cli import main
 from diffmon.serialize import RepFile, model_payload, rep_payload
@@ -38,6 +39,11 @@ REP_DOCS = [
     rep_payload(RepFile("brep", random_brep(rng(81), 1), 1.0)),
 ]
 MODEL_DOC = model_payload(decay_model(rabi=1.0))
+_A4 = np.diag(np.sqrt(np.arange(1.0, 4.0)), k=1)  # a d = 4 Kerr cavity reaches the d > 2 monitor
+RUN_MODELS = {
+    "decay": MODEL_DOC,
+    "cavity": model_payload(LindbladModel(hamiltonian=0.3 * (_A4.T @ _A4) ** 2, lindblads=_A4)),
+}
 
 FUZZ = settings(
     max_examples=150,
@@ -206,7 +212,8 @@ FAST_CHECKS = [
 def run_options(draw):
     command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
     values = {o: draw(OPTIONS[o]) for o in COMMAND_OPTIONS[command]}
-    return command, {o: v for o, v in values.items() if v is not None}
+    model = draw(st.sampled_from(sorted(RUN_MODELS)))
+    return command, {o: v for o, v in values.items() if v is not None}, model
 
 
 def _valid_seed(value: str) -> bool:
@@ -217,18 +224,21 @@ def _valid_seed(value: str) -> bool:
 @given(run_options())
 # A stride past int64 made an object snapshot grid and an IndexError traceback.
 @example(("simulate", {"--dt": "1e-3", "--steps": "2", "--ntraj": "2",
-                       "--snapshot-stride": str(2**63)}))
+                       "--snapshot-stride": str(2**63)}, "decay"))
 # The grid of 10^12 steps at stride 1 was made before the memory check: a MemoryError.
 @example(("simulate", {"--dt": "1e-3", "--steps": str(10**12), "--ntraj": "2",
-                       "--snapshot-stride": "1"}))
+                       "--snapshot-stride": "1"}, "decay"))
 # A nonlinear trace of exactly 0 was divided by, with a warning.
-@example(("simulate", {"--dt": str(2**63 - 1), "--steps": "1", "--ntraj": "1"}))
+@example(("simulate", {"--dt": str(2**63 - 1), "--steps": "1", "--ntraj": "1"}, "decay"))
 # The success path of autocorr.
-@example(("autocorr", {"--dt": "0.05", "--steps": "20", "--ntraj": "3", "--lags": "0.05,0.1"}))
+@example(("autocorr", {"--dt": "0.05", "--steps": "20", "--ntraj": "3", "--lags": "0.05,0.1"},
+          "decay"))
+# Normalized coordinates that overflow under a finite trace: a LinAlgError traceback.
+@example(("simulate", {"--dt": "1e74", "--steps": "3", "--ntraj": "3", "--seed": "1"}, "cavity"))
 def test_run_options(case):
-    command, options = case
+    command, options, model_name = case
     err = io.StringIO()
-    with _written(MODEL_DOC) as (model, tmp), contextlib.redirect_stderr(err), \
+    with _written(RUN_MODELS[model_name]) as (model, tmp), contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         rep = Path(tmp) / "rep.json"
         rep.write_text(json.dumps(REP_DOCS[0]))
@@ -243,7 +253,7 @@ def test_run_options(case):
                 code = main(argv)
             except SystemExit as exc:  # argparse refuses a value it cannot parse
                 code = exc.code
-    event(f"{command} exits {code}")
+    event(f"{command} on {model_name} exits {code}")
     assert code in EXIT_CODES
     assert "Traceback" not in err.getvalue()
     if code == 1:

@@ -30,7 +30,6 @@ from diffmon.dynamics import (
     _purity,
     _scatter,
     _trace,
-    _uncertified,
     measurement_ops,
     rk4_step,
 )
@@ -119,7 +118,7 @@ def test_me_integrate_reports_positivity_loss():
 
 def test_me_integrate_names_first_negative_step():
     # Same step and text as an eigenvalue test after every step.  At d = 3
-    # the purity screen certifies some of the states before the failure and
+    # the purity ceiling clears some of the states before the failure and
     # leaves others to the factorization.
     a3 = np.diag([1.0, np.sqrt(2.0)], k=1).astype(complex)
     cases = [
@@ -137,8 +136,8 @@ def test_me_integrate_names_first_negative_step():
             if wmin < -1e-6:
                 break
         g = _gather(np.stack(states))
-        certified = ~_uncertified(g, _purity(g), 1e-6)
-        assert model.dim == 2 or (certified.any() and not certified[:-1].all())
+        cleared = _purity(g) <= dynamics._purity_ceiling(model.dim, 1e-6)
+        assert model.dim == 2 or (cleared.any() and not cleared[:-1].all())
         message = f"positivity lost at step {m}: min eigenvalue {wmin:.3e}"
         with pytest.raises(StateInvalidError) as info:
             me_integrate(model, rho0, dt=dt, steps=50)

@@ -494,23 +494,21 @@ def test_ensemble_rejects_bad_block_steps(block_steps):
     simulate_ensemble(model, m, EXCITED, config, block_steps=np.int64(3))
 
 
-def _check_positivity(rho, tol, step):
-    """The ensemble's positivity monitor on a stack of Hermitian matrices."""
-    from diffmon.dynamics import _gather, _purity
-    from diffmon.sme import _monitor
+def _first_negative(rho, tol):
+    """The ensemble's positivity monitor on a stack of unit-trace Hermitian matrices."""
+    from diffmon.dynamics import _first_negative_state, _purity
 
-    _monitor(g := _gather(rho), _purity(g), tol, step)
+    return _first_negative_state(g := _gather(rho), _purity(g), tol)
 
 
 def test_positivity_monitor_names_trajectory_and_step():
     gen = rng(63)
     rho = np.stack([random_pure_state(gen, 3) for _ in range(5)])
-    _check_positivity(rho, 1e-9, 1)
-    rho[3] = rho[3] - 2e-3 * np.eye(3)
-    rho[4] = rho[4] - 2e-3 * np.eye(3)
-    _check_positivity(rho, 3e-3, 2)
-    with pytest.raises(StateInvalidError, match="trajectory 3, step 7: min eigenvalue -2.000e-03"):
-        _check_positivity(rho, 1e-3, 7)
+    assert _first_negative(rho, 1e-9) is None
+    rho[3:] = _states_with_min_eigenvalue(gen, 3, [-2e-3, -2e-3])
+    assert _first_negative(rho, 3e-3) is None
+    k, wmin = _first_negative(rho, 1e-3)
+    assert (k, f"{wmin:.3e}") == (3, "-2.000e-03")
 
 
 def test_ensemble_rejects_records_beyond_memory(monkeypatch):
@@ -668,12 +666,32 @@ def test_nonlinear_ensemble_names_a_zero_trace():
         me_integrate(model, PLUS, 2.0**63, 1)
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("dt", (1e74, 1e76))
+def test_ensemble_names_a_non_finite_normalized_state(dt, mode):
+    # A d = 4 cavity's traces stay finite and positive while its normalized coordinates
+    # overflow: their inf purities reached eigvalsh, which raised a LinAlgError.  The state
+    # is named where its step checks its trace, with positivity monitored or not.
+    model = _bench_cavity(4)[0]
+    for tol in (None, np.inf):
+        config = SimulationConfig(dt=dt, steps=3, n_traj=3, seed=1, mode=mode, positivity_tol=tol)
+        message = "^trajectory 0, step 2: normalized state of non-finite purity inf$"
+        with pytest.raises(StateInvalidError, match=message):
+            simulate_ensemble(model, heterodyne_mrep(0.8), np.eye(4) / 4, config)
+
+
 def test_huge_positivity_tolerance_runs():
     # The purity ceiling squared 1 + d tol / 2 with **, which raised an OverflowError
-    # past tol = 1e154; a product overflows to inf, and no state is screened out.
-    assert dynamics._purity_ceiling(2, 1e300) == np.inf
-    config = SimulationConfig(dt=1e-3, steps=3, n_traj=2, seed=1, positivity_tol=1e300)
-    simulate_ensemble(decay_model(), heterodyne_mrep(0.8), EXCITED, config)
+    # past tol = 1e154; a product overflows to inf, and no state is screened out.  A numpy
+    # float tolerance, as a numpy float dt makes, overflowed there with a RuntimeWarning.
+    for tol in (1e300, np.float64(1e300)):
+        assert dynamics._purity_ceiling(2, tol) == np.inf
+        config = SimulationConfig(dt=1e-3, steps=3, n_traj=2, seed=1, positivity_tol=tol)
+        simulate_ensemble(decay_model(), heterodyne_mrep(0.8), EXCITED, config)
+    for dt in (3.2e152, np.float64(3.2e152)):
+        config = SimulationConfig(dt=dt, steps=3, n_traj=3, seed=1)
+        with pytest.raises(StateInvalidError, match="^trajectory 0, step 1: non-finite trace nan$"):
+            simulate_ensemble(decay_model(), heterodyne_mrep(0.8), EXCITED, config)
 
 
 def test_model_with_overflowing_rates_is_refused():
@@ -763,12 +781,12 @@ def _states_with_min_eigenvalue(gen, dim, lams):
 
 @pytest.mark.parametrize("dim", (2, 3, 8, 16))
 def test_positivity_monitor_matches_eigenvalue_reference(dim):
-    from diffmon.dynamics import _gather, _purity, _uncertified
+    from diffmon.dynamics import _purity, _purity_ceiling
 
     tol = 1e-3
     gen = rng(64 + dim)
-    # Smallest eigenvalues straddling -tol, and mixed states the purity bound
-    # certifies (at d = 2 the bound is the smallest eigenvalue itself).
+    # Smallest eigenvalues straddling -tol, and mixed states the purity ceiling
+    # clears (at d = 2 it bounds the smallest eigenvalue exactly).
     lams = np.array([-2.0, -1.01, -0.99, -0.6, -0.4, 0.0]) * tol
     mixed = np.full(dim, 1.0 / dim) * np.eye(dim) + 1e-3 * np.diag(np.linspace(-1.0, 1.0, dim))
     for trial in range(30):
@@ -777,87 +795,42 @@ def test_positivity_monitor_matches_eigenvalue_reference(dim):
         if trial % 3 == 0:  # only the last trajectory may fail
             rho[:-1] = _states_with_min_eigenvalue(gen, dim, [0.0] * (n - 1))
         rho[gen.integers(n - 1)] = mixed
-        g = _gather(rho)
-        mask = _uncertified(g, _purity(g), tol)
-        assert not mask.all()
+        assert not (_purity(_gather(rho)) > _purity_ceiling(dim, tol)).all()
         wmin = np.linalg.eigvalsh(rho)[:, 0]
         bad = np.flatnonzero(wmin < -tol)
         if bad.size == 0:
-            _check_positivity(rho, tol, 5)
+            assert _first_negative(rho, tol) is None
             continue
-        k = int(bad[0])
-        message = f"trajectory {k}, step 5: min eigenvalue {wmin[k]:.3e} below -{tol:.3e}"
-        with pytest.raises(StateInvalidError) as info:
-            _check_positivity(rho, tol, 5)
-        assert str(info.value) == message
+        k, got = _first_negative(rho, tol)
+        assert (k, f"{got:.3e}") == (bad[0], f"{wmin[k]:.3e}")
 
 
-def test_purity_bound_never_certifies_nan():
-    from diffmon.dynamics import _gather, _purity, _uncertified
+def _factorized(monkeypatch, g, p, tol):
+    """The states (rows) that ``_first_negative_state`` hands to the factorization, or None."""
 
-    rho = np.stack([np.eye(3, dtype=complex) / 3.0] * 2)
-    g = _gather(rho)
-    assert not _uncertified(g, _purity(g), 1e-3).any()
+    class Batch(Exception):
+        pass
+
+    def batch(states):
+        raise Batch(states.copy())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_scatter", batch)
+        try:
+            dynamics._first_negative_state(g, p, tol)
+        except Batch as exc:
+            return exc.args[0]
+    return None
+
+
+def test_purity_bound_never_certifies_nan(monkeypatch):
+    # A NaN coordinate makes a NaN purity, which the ceiling does not clear.
+    from diffmon.dynamics import _purity
+
+    g = _gather(np.stack([np.eye(3, dtype=complex) / 3.0] * 2))
+    assert _factorized(monkeypatch, g, _purity(g), 1e-3) is None
     g[1, 4] = np.nan  # an off-diagonal coordinate
-    assert _uncertified(g, _purity(g), 1e-3).tolist() == [False, True]
-
-
-def test_purity_bound_in_squared_form_keeps_the_sign_of_the_trace():
-    # -I/d has the purity of a maximally mixed state, but the bound it gives
-    # is -2/d; squaring t + d tol/2 alone would certify it.
-    from diffmon.dynamics import _gather, _purity, _uncertified
-
-    rho = np.stack([np.eye(2, dtype=complex) / 2.0, -np.eye(2, dtype=complex) / 2.0])
-    g = _gather(rho)
-    assert _uncertified(g, _purity(g), 1e-3).tolist() == [False, True]
-    with pytest.raises(StateInvalidError, match="trajectory 1, step 3"):
-        _check_positivity(rho, 1e-3, 3)
-
-
-@pytest.mark.parametrize("tol", (1e-3, 0.5))
-@pytest.mark.parametrize("dim", (3, 8, 16))
-def test_gershgorin_tier_certifies_only_states_above_half_tol(dim, tol):
-    # Every state the tier drops from the Cholesky batch has lambda_min >= -c, the certified
-    # depth tol - min(tol/2, 1e-9 (1 + tol)), no state with a NaN or infinite coordinate is
-    # dropped, and no input warns (the suite turns RuntimeWarnings into errors).
-    from diffmon.dynamics import _certified_depth, _gather, _gershgorin_certified
-
-    gen = rng(300 + dim)
-    level = _certified_depth(tol)
-    # Diagonal states in a permuted basis, where Gershgorin's bound is lambda_min itself.
-    edge = []
-    for lam in (-level * (1.0 - 1e-9), -level * (1.0 + 1e-9), 0.0, -tol):
-        vals = np.concatenate([[lam], (1.0 - lam) * gen.dirichlet(np.ones(dim - 1))])
-        edge.append(np.diag(gen.permutation(vals)).astype(complex))
-    lams = np.array([-2.0, -1.0 - 1e-9, -1.0 + 1e-9, -0.5, 0.0]) * level
-    rho = np.concatenate([
-        np.stack([random_state(gen, dim) for _ in range(10)]),
-        np.stack([random_pure_state(gen, dim) for _ in range(10)]),
-        np.stack([dim * (random_state(gen, dim) + np.eye(dim)) / (2 * dim) for _ in range(10)]),
-        _states_with_min_eigenvalue(gen, dim, gen.choice(lams, size=10)),
-        np.stack(edge),
-        -np.eye(dim, dtype=complex)[None] / dim,
-    ])
-    g = _gather(rho)
-    certified = _gershgorin_certified(g, tol)
-    wmin = np.linalg.eigvalsh(rho)[:, 0]
-    assert np.all(wmin[certified] >= -level)
-    assert certified[-5:].tolist() == [True, False, True, False, 1.0 / dim <= level]
-    assert certified.any()
-
-    # One bad coordinate, on the diagonal or off it, in an otherwise certified state.
-    good = g[np.flatnonzero(certified)[0]]
-    diag_k, re_k, im_k = 1, dim + 1, g.shape[-1] - 1
-    bad = []
-    for k in (diag_k, re_k, im_k):
-        for value in (np.nan, np.inf, -np.inf):
-            bad.append(good.copy())
-            bad[-1][k] = value
-    assert not _gershgorin_certified(np.array(bad), tol).any()
-    # A huge diagonal entry leaves the other rows' bounds; a huge off-diagonal one sinks two.
-    huge = np.array([good] * 3)
-    huge[0, diag_k], huge[1, re_k], huge[2, im_k] = 1e200, 1e200, -1e200
-    assert _gershgorin_certified(huge, tol).tolist() == [True, False, False]
+    assert np.array_equal(_factorized(monkeypatch, g, _purity(g), 1e-3), g[1:], equal_nan=True)
 
 
 def _first_negative_by_brute_force(g, tol):
@@ -940,10 +913,12 @@ def test_cavity_monitor_factorizes_no_state(monkeypatch):
     assert factorized == []
 
 
-def test_cavity_positivity_abort_names_the_eigenvalue_reference():
-    # A tolerance far below the Ito step's dip forces an abort at d = 8; the message
-    # names the first trajectory and step whose smallest eigenvalue is below -tol.
-    model, mrep, rho0 = _bench_cavity()
+@pytest.mark.parametrize("dim", (3, 6, 8))
+def test_cavity_positivity_abort_names_the_eigenvalue_reference(dim):
+    # A tolerance far below the Ito step's dip forces an abort; the message names the first
+    # trajectory and step whose smallest eigenvalue is below -tol.  At d = 6 a Gershgorin
+    # tier used to clear every state the purity ceiling left to the factorization.
+    model, mrep, rho0 = _bench_cavity(dim)
     tol = 1e-6
     config = SimulationConfig(dt=1e-3, steps=80, n_traj=50, seed=1, positivity_tol=tol)
     with pytest.raises(StateInvalidError) as info:
@@ -1244,26 +1219,25 @@ def test_ensemble_scratch_memory_stays_bounded(mode):
 @pytest.mark.parametrize("dim", (2, 3, 8))
 @pytest.mark.parametrize("tol", (0.0, 1e-6, 0.06, 1.0))
 def test_purity_ceiling_passes_only_certified_states(dim, tol):
-    # Trace-one states with purities straddling the ceiling, normalized as the
-    # ensemble normalizes them: every one the ceiling passes, the exact bound
-    # certifies, and the ceiling gives up almost nothing.
-    from diffmon.dynamics import _gather, _purity, _purity_ceiling, _trace, _uncertified
+    # Unit-trace states whose spectrum makes the purity bound exact (the other d - 1
+    # eigenvalues equal), normalized as the ensemble normalizes them, with least eigenvalues
+    # 1e-9 to 1e-3 (relative) on either side of the certified depth -c: the ceiling clears
+    # exactly those above it, and eigvalsh finds every cleared state at or above -c.
+    from diffmon.dynamics import _certified_depth, _purity, _purity_ceiling, _scatter, _trace
 
     gen = rng(900 + 10 * dim + int(100 * tol))
-    p_max = _purity_ceiling(dim, tol)
-    rel = np.concatenate([np.arange(-300, 301) * 1e-14, gen.uniform(-1e-9, 1e-9, 400)])
-    x = gen.normal(size=(rel.size, dim, dim)) + 1j * gen.normal(size=(rel.size, dim, dim))
-    x = x + x.conj().transpose(0, 2, 1)
-    x -= np.trace(x, axis1=1, axis2=2)[:, None, None].real / dim * np.eye(dim)
-    x /= np.sqrt(np.real(np.einsum("nab,nba->n", x, x)))[:, None, None]
-    scale = np.sqrt(p_max * (1.0 + rel) - 1.0 / dim)
-    g = _gather(np.eye(dim) / dim + scale[:, None, None] * x)
+    level = _certified_depth(tol)
+    eps = np.concatenate([[1e-9, 1e-7, 1e-3], 10.0 ** gen.uniform(-9, -3, 50)])
+    eps = np.concatenate([eps, -eps])
+    rho = []
+    for lam in -level + eps * (1.0 + level):
+        q, _ = np.linalg.qr(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))
+        rho.append((q * np.append(lam, np.full(dim - 1, (1.0 - lam) / (dim - 1)))) @ q.conj().T)
+    g = _gather(np.stack(rho))
     g /= _trace(g)[:, None]
-    p = _purity(g)
-    passed = p <= p_max
-    assert 0 < passed.sum() < p.size
-    assert not _uncertified(g[passed], p[passed], tol).any()
-    assert _uncertified(g[rel > 2e-12], p[rel > 2e-12], tol).all()
+    cleared = _purity(g) <= _purity_ceiling(dim, tol)
+    assert cleared.tolist() == (eps > 0).tolist()
+    assert np.all(np.linalg.eigvalsh(_scatter(g[cleared]))[:, 0] >= -level)
 
 
 # ---------------------------------------------------------------------------
@@ -1374,22 +1348,13 @@ def test_homodyne_single_steps_build_one_backaction_op(monkeypatch):
     assert built == [1, 1]  # one generator, one along the measured op
 
 
-def _gershgorin_rows(g, tol):
-    """The Gershgorin tier on a gathered row copy (n, d^2), as the monitor read it before."""
-    n = int(np.sqrt(g.shape[-1]))
-    k = n * (n + 1) // 2
-    with np.errstate(invalid="ignore", over="ignore"):
-        r = np.hypot(g[:, n:k], g[:, k:]) @ dynamics._coordinate_weights(n)[2]
-    return ((g[:, :n] + dynamics._certified_depth(tol) >= r) & (g[:, :n] < np.inf)).all(axis=-1)
-
-
 @pytest.mark.parametrize("tol", (1e-3, 0.5))
 @pytest.mark.parametrize("dim", (3, 8))
 def test_monitor_on_the_column_layout_certifies_as_on_gathered_rows(monkeypatch, dim, tol):
-    # The ensemble hands the monitor the transpose of its (d^2, n) columns.  The bounds read it
-    # in place; they must send the same states to the Cholesky tier as the purity bound and
-    # the Gershgorin tier on a gathered row copy of the states they do not certify.
-    from diffmon.dynamics import _first_negative_state, _gather, _purity, _uncertified
+    # The ensemble hands the monitor the transpose of its (d^2, n) columns.  On it, as on a
+    # gathered row copy, the monitor factorizes exactly the states above the purity ceiling,
+    # NaN purities included.
+    from diffmon.dynamics import _purity, _purity_ceiling
 
     gen = rng(1200 + dim + int(10 * tol))
     level = dynamics._certified_depth(tol)
@@ -1409,22 +1374,9 @@ def test_monitor_on_the_column_layout_certifies_as_on_gathered_rows(monkeypatch,
     for i, value in enumerate((np.nan, np.inf, -np.inf, np.nan, 1e200, -1e200)):
         rows[20 + i, gen.integers(dim * dim)] = value  # some of the mixed states
     cols = np.ascontiguousarray(rows.T)  # the engine's layout
-    with np.errstate(over="ignore", invalid="ignore"):  # the purity tier of a huge entry
+    with np.errstate(over="ignore", invalid="ignore"):  # the purity of a huge entry
         p = _purity(rows)
-        idx = np.flatnonzero(_uncertified(rows, p, tol))
-    # Before: the purity bound, then Gershgorin on a gathered copy of the uncertified rows.
-    want = idx[~_gershgorin_rows(rows[idx], tol)]
-    assert 0 < want.size < idx.size < len(rows)
-    assert np.array_equal(dynamics._gershgorin_certified(cols.T, tol), _gershgorin_rows(rows, tol))
-    assert np.array_equal(dynamics._gershgorin_certified(rows, tol), _gershgorin_rows(rows, tol))
-
-    class Batch(Exception):
-        pass
-
-    def batch(g):
-        raise Batch(g.copy())
-
-    monkeypatch.setattr(dynamics, "_scatter", batch)
-    with pytest.raises(Batch) as info, np.errstate(over="ignore", invalid="ignore"):
-        _first_negative_state(cols.T, p, tol)
-    assert np.array_equal(info.value.args[0], rows[want], equal_nan=True)
+    want = rows[~(p <= _purity_ceiling(dim, tol))]
+    assert 6 <= len(want) < len(rows)
+    for g in (cols.T, rows):
+        assert np.array_equal(_factorized(monkeypatch, g, p, tol), want, equal_nan=True)
