@@ -43,23 +43,15 @@ class LindbladModel:
     hbar: float = 1.0
 
     def __post_init__(self):
-        ham = np.array(self.hamiltonian, dtype=complex)
-        if ham.ndim != 2 or ham.shape[0] != ham.shape[1]:
-            raise DimensionMismatchError(f"hamiltonian must be square, got {ham.shape}")
-        n = ham.shape[0]
-        cs = _operator_stack(self.lindblads).copy()
-        if cs.ndim != 3 or cs.shape[0] < 1 or cs.shape[1:] != (n, n):
+        ham = _operator(self.hamiltonian, None, "hamiltonian")
+        n = len(ham)
+        cs = _operator_stack(self.lindblads)
+        cs = _operator(cs, n, "coupling operators", hermitian=False, stack=True)
+        if cs.ndim != 3 or not len(cs):
             raise DimensionMismatchError(
                 f"expected at least one {n} x {n} coupling operator, got shape {cs.shape}"
             )
-        if not (np.all(np.isfinite(ham)) and np.all(np.isfinite(cs))):
-            raise ValidationError("hamiltonian and coupling operators must have finite entries")
-        norm = frobenius(ham)
-        with _overflow_guard(norm):
-            skew = frobenius(ham - ham.conj().T)
-        if skew > DEFAULT_TOL * max(1.0, norm):
-            raise NotHermitianError("hamiltonian is not Hermitian within tolerance")
-        ham, cs = _frozen(ham, cs)  # read-only: the cached engine must never go stale
+        ham, cs = _frozen(ham.copy(), cs.copy())  # read-only: the cached engine must never go stale
         object.__setattr__(self, "hamiltonian", ham)
         object.__setattr__(self, "lindblads", cs)
         object.__setattr__(self, "hbar", _check_hbar(self.hbar))
@@ -78,24 +70,35 @@ class LindbladModel:
         return self.lindblads.shape[0]
 
 
-def _square(x) -> np.ndarray:
-    """x as an array, once it is one square matrix."""
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise DimensionMismatchError(f"state must be a square matrix, got {x.shape}")
+def _operator(x, n: int | None, what: str, hermitian=True, tol=DEFAULT_TOL, stack=False):
+    """x as a complex array, once it is one n x n matrix (any square one for n None, a stack
+    (..., n, n) with ``stack``) of finite entries, Hermitian within ``tol max(1, |x|)`` when
+    ``hermitian``: the one check of every state and operator an entry point takes.
+
+    Raises ``DimensionMismatchError``, ``ValidationError`` or ``NotHermitianError``.
+    """
+    x = np.asarray(x, dtype=complex)
+    square = x.ndim >= 2 and x.shape[-1] == x.shape[-2] if n is None else x.shape[-2:] == (n, n)
+    if not square or x.ndim > 2 and not stack:
+        shape = "a square matrix" if n is None else f"{n} x {n}"
+        raise DimensionMismatchError(f"{what} must be {shape}, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValidationError(f"non-finite entry in the {what}")
+    if hermitian:
+        norm = frobenius(x)
+        with _overflow_guard(norm):  # huge finite entries overflow the difference
+            skew = frobenius(x - x.conj().swapaxes(-1, -2))
+        if skew > tol * max(1.0, norm):
+            verb = "are" if stack else "is"
+            raise NotHermitianError(f"{what} {verb} not Hermitian within tolerance")
     return x
 
 
 def check_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
     """Raise unless rho is Hermitian, unit trace, and PSD within tolerance."""
-    rho = np.asarray(_square(rho), dtype=complex)
-    if not np.all(np.isfinite(rho)):
-        raise ValidationError("state has a non-finite entry")
-    norm = frobenius(rho)
-    with _overflow_guard(norm):  # huge finite entries overflow the difference and the trace
-        skew, tr = frobenius(rho - rho.conj().T), complex(np.trace(rho))
-    if skew > tol * max(1.0, norm):
-        raise NotHermitianError("state is not Hermitian within tolerance")
+    rho = _operator(rho, None, "state", tol=tol)
+    with np.errstate(over="ignore"):  # huge finite entries overflow the trace
+        tr = complex(np.trace(rho))
     if abs(tr - 1.0) > max(tol, 1e-12):
         raise ValidationError(f"state trace is {tr}, expected 1")
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
@@ -105,16 +108,14 @@ def check_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
 
 def purity(rho: np.ndarray) -> float:
     """Tr(rho^2) of one state, the real part for a matrix that is not Hermitian."""
-    rho = _square(rho)
+    rho = _operator(rho, None, "state", hermitian=False)
     return float(np.real(np.einsum("ij,ji->", rho, rho)))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the sum of absolute eigenvalues of the (Hermitian) difference of two states."""
-    a, b = _square(a), _square(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"states of shapes {a.shape} and {b.shape} differ in size")
-    d = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
+    a = _operator(a, None, "state", hermitian=False)
+    d = a - _operator(b, len(a), "state", hermitian=False)
     d = (d + d.conj().T) / 2.0
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(d))))
 
@@ -163,6 +164,15 @@ def _physical_memory() -> float:
         return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     except (AttributeError, ValueError, OSError):
         return np.inf
+
+
+def _check_memory(need: float, what: str) -> None:
+    """Refuse ``need`` bytes of ``what`` beyond the machine's physical memory."""
+    if need > (limit := _physical_memory()):
+        raise ValidationError(
+            f"{what} need {need / 2**30:.3g} GiB, more than the"
+            f" {limit / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _frozen(*arrays: np.ndarray) -> tuple:
@@ -229,11 +239,7 @@ def _coordinate_table(n: int, maps: list, scale: float = 1.0):
     # Checked before any is built: a table has at most d^4 entries and four per Kronecker
     # entry, each held twice (again in P_h or the step table), 16 bytes with CSR's index.
     nnz = [sum(np.count_nonzero(a) * np.count_nonzero(b) for a, b in t) for t in maps]
-    if (need := 16 * sum(min(n**4, 4 * e) for e in nnz)) > (limit := _physical_memory()):
-        raise ValidationError(
-            f"the model's tables need {need / 2**30:.3g} GiB, more than the"
-            f" {limit / 2**30:.3g} GiB of physical memory"
-        )
+    _check_memory(16 * sum(min(n**4, 4 * e) for e in nnz), "the model's tables")
     kron, block = _table_kit(n)[1:]
     slot, mirror, sign, _, _ = _coordinate_slots(n)
     p, q = slot // 2, mirror // 2
@@ -423,18 +429,14 @@ def liouvillian_apply(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     Accepts a single matrix or a stack; the same linear map is applied to any
     operator, which is what the regression machinery relies on.
     """
-    rho = np.asarray(rho, dtype=complex)
-    n = model.dim
-    if rho.shape[-2:] != (n, n):
-        raise DimensionMismatchError(
-            f"state shape {rho.shape} does not match dimension {n}"
-        )
+    rho = _operator(rho, model.dim, "state", hermitian=False, stack=True)
     return model.engine.apply(rho, model.engine.tables[0])
 
 
 def rk4_step(model: LindbladModel, x: np.ndarray, dt: float) -> np.ndarray:
-    """One fourth-order step of the master equation applied to an arbitrary matrix."""
-    return model.engine.apply(np.asarray(x, dtype=complex), *model.engine.rk4(dt, dt))
+    """One fourth-order step of the master equation applied to an arbitrary matrix, or a stack."""
+    x = _operator(x, model.dim, "operator", hermitian=False, stack=True)
+    return model.engine.apply(x, *model.engine.rk4(dt, dt))
 
 
 def me_integrate(
@@ -450,12 +452,12 @@ def me_integrate(
     the fixed threshold -1e-6, raises ``StateInvalidError`` rather than being
     silently repaired.
     """
-    check_density_matrix(rho0)
+    check_density_matrix(rho0 := _operator(rho0, model.dim, "state"))
     dt = check_dt(dt)
     if not (is_integer(steps) and steps >= 0):
         raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
     g = np.empty((steps + 1, model.dim**2))
-    g[0] = _gather(np.asarray(rho0, dtype=complex))
+    g[0] = _gather(rho0)
     t = _coordinate_weights(model.dim)[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # named below
         p = model.engine.poly(dt)
@@ -610,11 +612,10 @@ def regression_correlation(
         raise ValidationError(f"lag must be finite, got {tau}")
     if tau < 0.0:
         raise NonPositiveLagError("regression requires tau >= 0")
-    a, b, rho_t = (np.asarray(op, dtype=complex) for op in (a, b, rho_t))
-    n = model.dim
-    for name, op in (("a", a), ("b", b), ("rho_t", rho_t)):
-        if op.shape != (n, n):
-            raise DimensionMismatchError(f"{name} must be {n} x {n}, got {op.shape}")
+    a, b, rho_t = (
+        _operator(op, model.dim, name, hermitian=False)
+        for op, name in ((a, "a"), (b, "b"), (rho_t, "rho_t"))
+    )
     x = rho_t @ a
     if tau > 0.0:
         x = model.engine.apply(x, *model.engine.rk4(tau, dt))
@@ -639,14 +640,7 @@ def predicted_autocorrelation(
     never evaluated, which is why zero lag is rejected; a non-finite step raises
     ``StateInvalidError``.  rho_t must be d x d and Hermitian within ``DEFAULT_TOL``.
     """
-    engine, rho_t, n = _measured_engine(model, mrep), np.asarray(rho_t, dtype=complex), model.dim
-    if rho_t.shape != (n, n):
-        raise DimensionMismatchError(f"state must be {n} x {n}, got {rho_t.shape}")
-    norm = frobenius(rho_t)
-    with _overflow_guard(norm):  # huge finite entries overflow the difference
-        skew = frobenius(rho_t - rho_t.conj().T)
-    if skew > DEFAULT_TOL * max(1.0, norm):
-        raise NotHermitianError("state is not Hermitian within tolerance")
+    engine, rho_t = _measured_engine(model, mrep), _operator(rho_t, model.dim, "state")
     taus = np.asarray(taus, dtype=float).reshape(-1)
     if not np.isfinite(taus).all():
         raise ValidationError(f"lags must be finite, got {taus}")
@@ -674,16 +668,18 @@ def diffusion_matrix(model: LindbladModel, mrep: MRep, rho: np.ndarray) -> np.nd
     columns of the noise-coefficient matrix are the nonlinear back-action updates along each
     of the 2L noise directions, the measured engine's rows as in the SME step: a step of
     length dt has covariance ``D dt`` at any scale.  Equal diffusion matrices mean the two
-    measurement matrices generate the same unravelling.
+    measurement matrices generate the same unravelling.  rho must be d x d and Hermitian.
     """
-    rho = np.asarray(rho, dtype=complex)
     n = model.dim
-    if rho.shape != (n, n):
-        raise DimensionMismatchError(f"state must be {n} x {n}, got {rho.shape}")
+    rho = _operator(rho, n, "state")
     engine, g = _measured_engine(model, mrep), _gather(rho)
-    updates = engine.backaction(g) - np.outer(engine.currents @ g, g)
-    bmat = (_gather(hermitian_basis(n)) * _coordinate_weights(n)[1]) @ updates.T
-    return bmat @ bmat.T
+    with np.errstate(over="ignore", invalid="ignore"):  # quadratic in rho: huge entries overflow
+        updates = engine.backaction(g) - np.outer(engine.currents @ g, g)
+        bmat = (_gather(hermitian_basis(n)) * _coordinate_weights(n)[1]) @ updates.T
+        out = bmat @ bmat.T
+    if not np.isfinite(out).all():
+        raise ValidationError("the state's diffusion matrix is not finite")
+    return out
 
 
 def urep_current_mean(
@@ -700,13 +696,9 @@ def urep_current_mean(
     current through the pseudoinverse of a compatible stacked measurement
     matrix (the positive root of hbar times the unravelling matrix unless one
     is supplied).  The result equals the mean current of the measurement
-    matrix built from that same factor.
+    matrix built from that same factor.  rho must be d x d and Hermitian within tol.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (model.dim, model.dim):
-        raise DimensionMismatchError(
-            f"state must be {model.dim} x {model.dim}, got {rho.shape}"
-        )
+    rho = _operator(rho, model.dim, "state", tol=tol)
     if model.channels != urep.channels:
         raise DimensionMismatchError(
             f"model has {model.channels} channels, unravelling matrix {urep.channels}"

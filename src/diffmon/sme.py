@@ -21,12 +21,13 @@ import numpy as np
 from .dynamics import (
     LindbladModel,
     _coordinate_weights,
+    _check_memory,
     _Engine,
     _first_negative_state,
     _gather,
     _measured_engine,
     _measured_ops,
-    _physical_memory,
+    _operator,
     _purity_ceiling,
     _scatter,
     _trace,
@@ -128,13 +129,12 @@ class Ensemble:
 def _step_states(engine: _Engine, rho, w, dt: float, linear: bool):
     """One step of states (..., d, d) along increments (..., 2L): (states, pre-norm trace, current).
 
-    Nonlinear states are renormalized by their summed trace: rho need not have unit trace, and
-    a non-finite or non-positive summed trace raises ``StateInvalidError``.
+    The states must be Hermitian, and need not have unit trace.  A non-finite or non-positive
+    updated trace raises ``StateInvalidError``; nonlinear states are renormalized by theirs.
     """
-    rho, w, dt = np.asarray(rho, dtype=complex), np.asarray(w, dtype=float), check_dt(dt)
+    rho = _operator(rho, engine.dim, "states", stack=True)
+    w, dt = np.asarray(w, dtype=float), check_dt(dt)
     lead, j = rho.shape[:-2], len(engine.ops)
-    if rho.shape[-2:] != (engine.dim, engine.dim):
-        raise DimensionMismatchError(f"states must be {engine.dim} x {engine.dim}, got {rho.shape}")
     if w.shape != (*lead, j):
         raise DimensionMismatchError(f"increments must have shape {(*lead, j)}, got {w.shape}")
     g = _gather(rho).reshape(-1, engine.dim**2).T
@@ -143,10 +143,9 @@ def _step_states(engine: _Engine, rho, w, dt: float, linear: bool):
         out, tr, cur = engine.sme_step(engine.operand(g), w, dt, linear)
         if not linear:
             tr = _trace(out.T)
-            if not (np.isfinite(tr) & (tr > 0.0)).all():
-                tr = tr.reshape(lead)
-                raise StateInvalidError(f"updated trace {tr} is not finite and positive")
             out = out / tr
+    if not (np.isfinite(tr) & (tr > 0.0)).all():
+        raise StateInvalidError(f"updated trace {tr.reshape(lead)} is not finite and positive")
     return _scatter(out.T.reshape(*lead, -1)), tr.reshape(lead), cur.T.reshape(*lead, -1)
 
 
@@ -173,12 +172,12 @@ def sme_step_linear(
     component).  Returns the unnormalized updated matrix and the log-weight
     increment log Tr[out] - log Tr[in], per state for a stack as in ``sme_step_nonlinear``.
     """
-    out, tr, _cur = _step_states(_measured_engine(model, mrep), rho_bar, y_dt, dt, linear=True)
+    engine = _measured_engine(model, mrep)
+    rho_bar = _operator(rho_bar, engine.dim, "states", stack=True)
     tr_in = np.real(np.trace(rho_bar, axis1=-2, axis2=-1))
     if np.any(tr_in <= 0.0):
         raise StateInvalidError(f"input trace {tr_in} is not positive")
-    if not (np.isfinite(tr) & (tr > 0.0)).all():
-        raise StateInvalidError(f"updated trace {tr} is not finite and positive")
+    out, tr, _cur = _step_states(engine, rho_bar, y_dt, dt, linear=True)
     return out, np.log(tr / tr_in)
 
 
@@ -248,7 +247,7 @@ def simulate_ensemble(
     """
     if not (is_integer(block_steps) and block_steps >= 1):
         raise ValidationError(f"block_steps must be a positive integer, got {block_steps!r}")
-    check_density_matrix(rho0)
+    check_density_matrix(rho0 := _operator(rho0, model.dim, "state"))
     engine = _measured_engine(model, mrep)
     n, steps, dt = config.n_traj, config.steps, config.dt
     linear = config.mode == "linear"
@@ -264,12 +263,7 @@ def simulate_ensemble(
         linear + config.store_purity
     )
     n_snap = -(-steps // _snapshot_stride(steps, config.snapshot_stride)) + 1
-    need, limit = n * (8 * per_traj + 16 * n_snap * dim**2), _physical_memory()
-    if need > limit:
-        raise ValidationError(
-            f"the run's records need {need / 2**30:.3g} GiB, more than the"
-            f" {limit / 2**30:.3g} GiB of physical memory"
-        )
+    _check_memory(need := n * (8 * per_traj + 16 * n_snap * dim**2), "the run's records")
     try:
         snap_steps = _snapshot_steps(steps, config.snapshot_stride)
         currents = np.empty((n, steps, noise_dim))
@@ -285,7 +279,6 @@ def simulate_ensemble(
         ) from exc
 
     # States are columns, trajectories along the contiguous axis.
-    rho0 = np.asarray(rho0, dtype=complex)
     n2, pw = dim**2, _coordinate_weights(dim)[1]
     g0 = np.broadcast_to(_gather(rho0)[:, None], (n2, n))
     if pur is not None:
@@ -393,12 +386,16 @@ def simulate_ensemble(
 
 
 def lindblad_covariance(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    """Covariance matrix of the coupling operators in the given state (PSD, Hermitian)."""
-    rho = np.asarray(rho, dtype=complex)
+    """Covariance matrix (PSD, Hermitian) of the coupling operators in a d x d Hermitian state."""
+    rho = _operator(rho, model.dim, "state")
     cs = model.lindblads
     cbar = np.einsum("kab,ba->k", cs, rho)
     second = np.einsum("jba,kbc,ca->jk", cs.conj(), cs, rho)
-    return second - np.outer(cbar.conj(), cbar)
+    with np.errstate(over="ignore", invalid="ignore"):  # quadratic in rho: huge entries overflow
+        out = second - np.outer(cbar.conj(), cbar)
+    if not np.isfinite(out).all():
+        raise ValidationError("the state's coupling covariance is not finite")
+    return out
 
 
 def purity_increment_predicted(
@@ -408,9 +405,9 @@ def purity_increment_predicted(
 
     Vanishes exactly for unit-efficiency monitoring and is otherwise negative,
     proportional to the trace of the coupling covariance against the
-    efficiency deficit.
+    efficiency deficit.  rho must be d x d and Hermitian within tol.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _operator(rho, model.dim, "state", tol=tol)
     p = purity(rho)
     if p < 1.0 - max(tol, 1e-12):
         raise NotPureError(f"state purity {p} is below 1")

@@ -45,8 +45,11 @@ def _snapshot_weights(ensemble: Ensemble, step: int) -> np.ndarray:
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
+    """(sum w)^2 / sum w^2 of finite weights with a non-zero sum."""
     w = np.asarray(weights, dtype=float)
-    return float(np.sum(w) ** 2 / np.sum(w**2))
+    if not (np.isfinite(w).all() and (total := np.sum(w)) != 0.0):
+        raise InsufficientDataError("an effective sample size needs finite weights of non-zero sum")
+    return float(total**2 / np.sum(w**2))
 
 
 def ensemble_mean_state(ensemble: Ensemble, t_index: int) -> np.ndarray:
@@ -232,6 +235,10 @@ def linear_nonlinear_consistency(
     is flagged.
     """
     threshold = 4.0
+    if config.n_traj < 2:
+        raise InsufficientDataError(
+            f"a standard error needs at least 2 trajectories, got {config.n_traj}"
+        )
     if observables is None:
         from .dynamics import hermitian_basis
 
@@ -252,7 +259,7 @@ def linear_nonlinear_consistency(
         nl_vals = np.real(np.einsum("ab,nba->n", op, nl_states))
         li_vals = np.real(np.einsum("ab,nba->n", op, li_states))
         nl_mean = float(nl_vals.mean())
-        nl_err = float(nl_vals.std(ddof=1) / np.sqrt(nl_vals.size)) if nl_vals.size > 1 else np.inf
+        nl_err = float(nl_vals.std(ddof=1) / np.sqrt(nl_vals.size))
         li_mean, li_err = _weighted_stats(li_vals, li_weights)
         dev = abs(nl_mean - li_mean)
         comb = float(np.hypot(nl_err, li_err))

@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import diffmon
 from diffmon import (
     LindbladModel,
     MRep,
@@ -34,6 +37,7 @@ from diffmon.dynamics import (
     rk4_step,
 )
 from diffmon.errors import (
+    DiffmonError,
     DimensionMismatchError,
     NonPositiveLagError,
     NotHermitianError,
@@ -182,7 +186,7 @@ def test_purity_and_trace_distance_take_one_state():
         dynamics.purity(np.stack([a, a]))
     with pytest.raises(DimensionMismatchError, match="square matrix"):
         dynamics.trace_distance(np.stack([a, b]), np.stack([b, a]))
-    with pytest.raises(DimensionMismatchError, match="differ in size"):
+    with pytest.raises(DimensionMismatchError, match=r"^state must be 2 x 2, got \(3, 3\)$"):
         dynamics.trace_distance(a, np.eye(3))
 
 
@@ -805,3 +809,113 @@ def test_propagation_names_a_non_finite_state():
         for call in calls:
             with pytest.raises(StateInvalidError, match=r"^non-finite state after \d+ step"):
                 call()
+
+
+def _entry_points() -> dict:
+    """Every public entry point that takes a state or operator, as a call on it, and whether
+    it requires a Hermitian input: a state's, or a Hamiltonian's."""
+    model, m = decay_model(rabi=1.0), heterodyne_mrep(0.8)
+    config = diffmon.SimulationConfig(dt=1e-3, steps=2, n_traj=2, seed=1)
+    return {
+        "LindbladModel": (lambda x: LindbladModel(x, SIGMA_M), True),
+        "check_density_matrix": (diffmon.check_density_matrix, True),
+        "purity": (diffmon.purity, False),
+        "trace_distance": (lambda x: diffmon.trace_distance(EXCITED, x), False),
+        "liouvillian_apply": (lambda x: liouvillian_apply(model, x), False),
+        "rk4_step": (lambda x: rk4_step(model, x, 1e-3), False),
+        "me_integrate": (lambda x: me_integrate(model, x, 1e-3, 2), True),
+        "regression_correlation": (
+            lambda x: regression_correlation(model, SIGMA_P, SIGMA_M, x, 0.1), False
+        ),
+        "predicted_autocorrelation": (
+            lambda x: predicted_autocorrelation(model, m, x, [0.1]), True
+        ),
+        "diffusion_matrix": (lambda x: diffusion_matrix(model, m, x), True),
+        "urep_current_mean": (lambda x: urep_current_mean(model, mrep_to_urep(m), x), True),
+        "simulate_ensemble": (lambda x: diffmon.simulate_ensemble(model, m, x, config), True),
+        "linear_nonlinear_consistency": (
+            lambda x: diffmon.linear_nonlinear_consistency(model, m, x, config), True
+        ),
+        "lindblad_covariance": (lambda x: diffmon.lindblad_covariance(model, x), True),
+        "purity_increment_predicted": (
+            lambda x: diffmon.purity_increment_predicted(model, m, x), True
+        ),
+        "sme_step_nonlinear": (
+            lambda x: diffmon.sme_step_nonlinear(model, m, x, np.zeros(2), 1e-3), True
+        ),
+        "sme_step_linear": (
+            lambda x: diffmon.sme_step_linear(model, m, x, np.zeros(2), 1e-3), True
+        ),
+    }
+
+
+ENTRY_POINTS = sorted(_entry_points())
+_SKEW = np.array([[0.5, 0.3 + 0.2j], [0.1j, 0.5]])
+BAD_INPUTS = {
+    "3 x 3": (np.eye(3) / 3.0, DimensionMismatchError),
+    "1-D": (np.array([0.5, 0.5]), DimensionMismatchError),
+    "NaN entry": (np.array([[np.nan, 0.0], [0.0, 1.0]]), ValidationError),
+    "inf entry": (np.array([[1.0, 0.0], [0.0, np.inf]]), ValidationError),
+    "non-Hermitian": (_SKEW, NotHermitianError),
+    "non-Hermitian x 1e200": (1e200 * _SKEW, NotHermitianError),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [
+        (entry, bad)
+        for entry, (_, hermitian) in sorted(_entry_points().items())
+        for bad, (_, error) in BAD_INPUTS.items()
+        if hermitian or error is not NotHermitianError  # the others take any operator
+    ],
+)
+def test_entry_points_name_a_bad_state(entry, bad):
+    # At the parent a 3 x 3 state ended in a bare numpy ValueError from rk4_step,
+    # me_integrate, simulate_ensemble, lindblad_covariance and purity_increment_predicted;
+    # a NaN entry gave purity, diffusion_matrix, urep_current_mean, lindblad_covariance and
+    # purity_increment_predicted a NaN and trace_distance a 0.0; and diffusion_matrix,
+    # urep_current_mean and purity_increment_predicted read a non-Hermitian state by its
+    # Hermitian part.  One check now names each.
+    x, error = BAD_INPUTS[bad]
+    if bad == "3 x 3" and entry in ("check_density_matrix", "purity"):
+        x = np.ones((2, 3)) / 2.0  # no model fixes the dimension: any square matrix is one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            _entry_points()[entry][0](x)
+    assert type(info.value) is error
+
+
+_ENTRY = st.sampled_from([0.0, 0.5, 1.0, -1.0, 1e200, -1e200, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _operators(draw):
+    """Arrays of the model's 2 x 2 shape, a stack of it, or of 0-3 axes of 0-3 entries each;
+    entries from _ENTRY, with an imaginary part or not, made Hermitian or not."""
+    any_shape = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+    shape = draw(st.one_of(st.just((2, 2)), st.just((3, 2, 2)), any_shape))
+    size = int(np.prod(shape))
+    x = np.array(draw(st.lists(_ENTRY, min_size=size, max_size=size))).reshape(shape)
+    if draw(st.booleans()):
+        x = x.astype(complex)
+        x.imag = np.reshape(draw(st.lists(_ENTRY, min_size=size, max_size=size)), shape)
+    if x.ndim >= 2 and x.shape[-1] == x.shape[-2] and draw(st.booleans()):
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN: one more draw
+            x = (x + x.conj().swapaxes(-1, -2)) / 2.0  # Hermitian, unless an entry is NaN
+    return x
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(ENTRY_POINTS), _operators())
+def test_entry_points_never_end_in_a_numpy_error(entry, x):
+    # Any shape, and entries that are NaN, infinite, huge or skew: an entry point returns
+    # or raises a named error, never a bare numpy exception or an overflow warning.
+    call = _entry_points()[entry][0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(x)
+        except DiffmonError:
+            pass

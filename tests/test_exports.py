@@ -10,7 +10,7 @@ DELETED = {
     "linalg": ("classify", "MatrixFlags"),
     "reps": ("mrep_trep", "custom_efficiency_mrep"),
     "errors": ("InvalidEfficientPartError",),
-    "dynamics": ("backaction_apply", "_backaction", "_traceless"),
+    "dynamics": ("backaction_apply", "_backaction", "_traceless", "_square"),
     "sme": ("Trajectory",),
 }
 

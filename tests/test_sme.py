@@ -524,7 +524,7 @@ def test_ensemble_rejects_records_beyond_memory(monkeypatch):
 def test_ensemble_allocation_failure_is_validation_error(monkeypatch):
     # Past the estimate, an allocation the address space cannot hold still
     # ends in the same error, not a MemoryError.
-    monkeypatch.setattr("diffmon.sme._physical_memory", lambda: np.inf)
+    monkeypatch.setattr("diffmon.dynamics._physical_memory", lambda: np.inf)
     config = SimulationConfig(dt=1e-3, steps=10**8, n_traj=10**8, seed=1)
     with pytest.raises(ValidationError, match="cannot allocate"):
         simulate_ensemble(decay_model(), heterodyne_mrep(0.8), EXCITED, config)
@@ -618,7 +618,7 @@ def test_memory_estimate_counts_log_weights_in_linear_mode_only(monkeypatch):
     # 7 snapshots of 2 x 2 states.
     n, steps = 3, 6
     need = n * (8 * (steps * 2 * 2 + (steps + 1)) + 16 * (steps + 1) * 4)
-    monkeypatch.setattr("diffmon.sme._physical_memory", lambda: float(need))
+    monkeypatch.setattr("diffmon.dynamics._physical_memory", lambda: float(need))
     common = dict(dt=5e-3, steps=steps, n_traj=n, seed=16, snapshot_stride=1)
     model, m = decay_model(rabi=1.0), heterodyne_mrep(0.8)
     simulate_ensemble(model, m, EXCITED, SimulationConfig(**common))

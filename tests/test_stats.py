@@ -20,6 +20,7 @@ from diffmon.errors import (
     NoSnapshotsError,
     ValidationError,
 )
+from diffmon.stats import effective_sample_size
 
 from conftest import EXCITED, SIGMA_Z, decay_model
 
@@ -187,6 +188,25 @@ def test_consistency_without_measurement_is_exact():
     assert report.passed
     for row in report.comparisons:
         assert row.deviation <= 1e-12
+
+
+def test_consistency_needs_two_trajectories():
+    # One trajectory set the nonlinear standard errors to inf, so no observable could be
+    # flagged and the report passed.
+    config = SimulationConfig(dt=5e-3, steps=10, n_traj=1, seed=13)
+    message = "^a standard error needs at least 2 trajectories, got 1$"
+    with pytest.raises(InsufficientDataError, match=message):
+        linear_nonlinear_consistency(decay_model(rabi=1.0), homodyne_mrep(0.8), EXCITED, config)
+
+
+@pytest.mark.parametrize(
+    "weights", [np.zeros(3), np.zeros(0), [1.0, np.nan], [np.inf, 1.0], [1.0, -1.0]]
+)
+def test_effective_sample_size_needs_finite_weights_of_non_zero_sum(weights):
+    # Zero and empty weights divided 0 by 0 with a RuntimeWarning.
+    with pytest.raises(InsufficientDataError, match="finite weights of non-zero sum"):
+        effective_sample_size(weights)
+    assert effective_sample_size([1.0, 1.0, 0.0]) == 2.0
 
 
 def test_consistency_homodyne_qubit():
