@@ -67,14 +67,14 @@ def _load_initial_state(path: str | None, dim: int) -> np.ndarray:
     return rho
 
 
-def _simulation_config(args, mode: str | None = None) -> SimulationConfig:
+def _simulation_config(args, **fields) -> SimulationConfig:
     return SimulationConfig(
         dt=args.dt,
         steps=args.steps,
         n_traj=args.ntraj,
         seed=args.seed,
-        mode=mode if mode is not None else args.mode,
         snapshot_stride=args.snapshot_stride,
+        **fields,
     )
 
 
@@ -143,7 +143,7 @@ def _write_run_manifest(args, outdir: Path, inputs: dict, outputs: list, **confi
 
 def _cmd_simulate(args) -> int:
     model, mrep, rho0, inputs = _load_run(args)
-    config = _simulation_config(args)
+    config = _simulation_config(args, mode=args.mode)
     ensemble = simulate_ensemble(model, mrep, rho0, config)
     outdir = _outdir(args.out)
     outputs = [write_trajectory_csv(outdir / "trajectories.csv", ensemble)]
@@ -162,7 +162,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_autocorr(args) -> int:
     if args.ntraj < 2:  # one trajectory gives no standard error to compare against
         raise ValidationError(f"autocorr needs --ntraj of at least 2, got {args.ntraj}")
-    config = _simulation_config(args, mode="nonlinear")
+    # The estimate reads the currents alone: no noise or purity record is kept.
+    config = _simulation_config(args, mode="nonlinear", store_dw=False, store_purity=False)
     try:
         lag_times = [float(v) for v in args.lags.split(",") if v.strip()]
     except ValueError as exc:

@@ -109,7 +109,11 @@ def check_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
 def purity(rho: np.ndarray) -> float:
     """Tr(rho^2) of one state, the real part for a matrix that is not Hermitian."""
     rho = _operator(rho, None, "state", hermitian=False)
-    return float(np.real(np.einsum("ij,ji->", rho, rho)))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or inf - inf
+        p = float(np.real(np.einsum("ij,ji->", rho, rho)))
+    if not math.isfinite(p):
+        raise ValidationError("the state's purity is not finite")
+    return p
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -616,10 +620,17 @@ def regression_correlation(
         _operator(op, model.dim, name, hermitian=False)
         for op, name in ((a, "a"), (b, "b"), (rho_t, "rho_t"))
     )
-    x = rho_t @ a
+    with np.errstate(over="ignore", invalid="ignore"):  # huge operators overflow: named below
+        x = rho_t @ a
+    if not np.isfinite(x).all():
+        raise ValidationError("the product rho_t @ a is not finite")
     if tau > 0.0:
         x = model.engine.apply(x, *model.engine.rk4(tau, dt))
-    return complex(np.trace(b @ x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = complex(np.trace(b @ x))
+    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+        raise ValidationError("the regression correlation is not finite")
+    return out
 
 
 def predicted_autocorrelation(

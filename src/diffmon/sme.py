@@ -53,6 +53,8 @@ MODES = ("nonlinear", "linear")
 # Bytes of step products in one window of the ensemble loop: enough steps to share its
 # checks and records at narrow ensembles, few enough to stay in cache at wide ones.
 _WINDOW_BYTES = 1 << 18
+# A linear-mode log-weight under this floor aborts the run: its weight is near exp(-700).
+_LOG_WEIGHT_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,6 @@ class SimulationConfig:
     store_dw: bool = True
     store_purity: bool = True
     positivity_tol: float | None = None
-    log_weight_floor: float = -700.0
 
     def __post_init__(self):
         check_dt(self.dt)
@@ -96,8 +97,6 @@ class SimulationConfig:
                 f"positivity_tol must be non-negative (inf disables monitoring), got"
                 f" {self.positivity_tol}"
             )
-        if np.isnan(self.log_weight_floor):
-            raise ValidationError("log_weight_floor must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -191,9 +190,10 @@ def _snapshot_steps(steps: int, stride: int | None) -> np.ndarray:
     return np.append(np.arange(0, steps, _snapshot_stride(steps, stride)), steps)
 
 
-def _check_trace(tr: np.ndarray, p: np.ndarray, step: int) -> None:
-    """Raise on the first non-finite, then the first non-positive, trace of a step, then on
-    its first normalized state of non-finite purity (traces tr, purities p)."""
+def _check_step(step: int, tr, p, lw, g, tol: float) -> None:
+    """Raise the first failure of one ensemble step, in the order a step checks: a non-finite,
+    then a non-positive trace, a normalized state of non-finite purity, a log-weight under the
+    floor, a state below -tol (traces tr, purities p, log-weights lw, state columns g)."""
     if not np.isfinite(tr).all():
         bad = int(np.argmax(~np.isfinite(tr)))
         raise StateInvalidError(f"trajectory {bad}, step {step}: non-finite trace {tr[bad]}")
@@ -205,12 +205,15 @@ def _check_trace(tr: np.ndarray, p: np.ndarray, step: int) -> None:
         raise StateInvalidError(
             f"trajectory {bad}, step {step}: normalized state of non-finite purity {p[bad]}"
         )
-
-
-def _first_row(mask: np.ndarray) -> int:
-    """The first row of a 2-D mask with a true entry, or the number of rows."""
-    rows = mask.any(axis=1)
-    return int(np.argmax(rows)) if rows.any() else len(rows)
+    if np.any(lw < _LOG_WEIGHT_FLOOR):
+        bad = int(np.argmax(lw < _LOG_WEIGHT_FLOOR))
+        raise WeightUnderflowError(
+            f"trajectory {bad}, step {step}: log-weight {lw[bad]:.1f} below floor"
+        )
+    if (bad := _first_negative_state(g.T, p, tol)) is not None:
+        raise StateInvalidError(
+            f"trajectory {bad[0]}, step {step}: min eigenvalue {bad[1]:.3e} below -{tol:.3e}"
+        )
 
 
 def _auto_positivity_tol(engine: _Engine, dt: float) -> float:
@@ -238,12 +241,12 @@ def simulate_ensemble(
     Noise is drawn per block of ``block_steps`` steps.  Each step runs only its algebra:
     the ``w (x) g`` operand, the table product into a window buffer, the nonlinear
     correction and the division into the state, written once, atop the next step's operand
-    in the window.  Once per window of steps, a few calls over the window check the traces,
-    accumulate the linear log-weights, take the purities, screen them for the positivity
-    monitor and write the records.  A failing step is named as a step-by-step run names it:
-    the earliest step, and within it the trace, then the weight floor, then positivity.  A
-    window holds about ``_WINDOW_BYTES`` of step products, so it stays in cache at any
-    ensemble width.
+    in the window.  Once per window of steps, a few calls over the window take the purities,
+    accumulate the linear log-weights, screen the traces, weights and purities, and write the
+    records.  Only a window that fails its screen is checked step by step, in order, so a
+    failing step is named as a step-by-step run names it: the earliest step, and within it
+    the trace, then the weight floor, then positivity.  A window holds about
+    ``_WINDOW_BYTES`` of step products, so it stays in cache at any ensemble width.
     """
     if not (is_integer(block_steps) and block_steps >= 1):
         raise ValidationError(f"block_steps must be a positive integer, got {block_steps!r}")
@@ -284,9 +287,9 @@ def simulate_ensemble(
     if pur is not None:
         pur[:, 0] = pw @ np.square(g0)
     snap_g[0] = g0.T
-    # States have unit trace, so one purity ceiling screens the steps for the exact monitor.
-    p_max, monitored = _purity_ceiling(dim, pos_tol), math.isfinite(pos_tol)
-    floor = config.log_weight_floor
+    # States have unit trace, so one purity ceiling screens the steps for the exact monitor;
+    # with monitoring off (tol = inf) it is inf.
+    p_max = _purity_ceiling(dim, pos_tol)
     # A window keeps each step's product and, atop the operand of the next step, its state:
     # the checks and records then take a few calls per window of steps, not per step.
     rows, r = n2 + noise_dim + 2, len(engine.kept)
@@ -319,34 +322,15 @@ def simulate_ensemble(
                 m0 = start + first + 1  # the step of the window's first row
                 states, tr, p, lw = ops[:span, :n2], win[:span, -1], pwin[:span], lwin[: span + 1]
                 np.matmul(pw, np.square(states, out=sq[:span]), out=p)
-                # The first step with a bad trace or a non-finite normalized state, and (linear
-                # mode) the first under the floor.
-                bad_tr = under = span
-                if not (math.isfinite(tr.sum() + p.sum()) and tr.min() > 0.0):
-                    bad_tr = _first_row(~(np.isfinite(tr) & (tr > 0.0) & np.isfinite(p)))
                 if linear:
                     np.log(tr, out=lw[1:])
                     np.add.accumulate(lw, axis=0, out=lw)  # lw += log(tr), step by step
-                    if not lw[1:].min() >= floor:
-                        under = _first_row(lw[1:] < floor)
-                # A step checks its trace, then its weights, then positivity: the monitor reads
-                # the steps before the first failing one, in order, and never a non-finite state.
-                ok = min(bad_tr, under)
-                if monitored and ok and not p[:ok].max() <= p_max:
-                    for i in np.flatnonzero(~(p[:ok].max(axis=1) <= p_max)):
-                        if (bad := _first_negative_state(states[i].T, p[i], pos_tol)) is not None:
-                            raise StateInvalidError(
-                                f"trajectory {bad[0]}, step {m0 + i}: min eigenvalue"
-                                f" {bad[1]:.3e} below -{pos_tol:.3e}"
-                            )
-                if bad_tr < span and bad_tr <= under:
-                    _check_trace(tr[bad_tr], p[bad_tr], m0 + bad_tr)
-                if under < span:
-                    bad = int(np.argmax(lw[under + 1] < floor))
-                    raise WeightUnderflowError(
-                        f"trajectory {bad}, step {m0 + under}: log-weight"
-                        f" {lw[under + 1, bad]:.1f} below floor"
-                    )
+                if not (
+                    math.isfinite(tr.sum() + p.sum()) and tr.min() > 0.0 and p.max() <= p_max
+                    and (not linear or lw[1:].min() >= _LOG_WEIGHT_FLOOR)
+                ):
+                    for i in range(span):
+                        _check_step(m0 + i, tr[i], p[i], lw[i + 1], states[i], pos_tol)
                 cur_block[first : first + span] = 0.0 if linear else win[:span, n2:-2]
                 if pur is not None:
                     pur[:, m0 : m0 + span] = p.T

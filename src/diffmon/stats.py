@@ -47,9 +47,11 @@ def _snapshot_weights(ensemble: Ensemble, step: int) -> np.ndarray:
 def effective_sample_size(weights: np.ndarray) -> float:
     """(sum w)^2 / sum w^2 of finite weights with a non-zero sum."""
     w = np.asarray(weights, dtype=float)
-    if not (np.isfinite(w).all() and (total := np.sum(w)) != 0.0):
-        raise InsufficientDataError("an effective sample size needs finite weights of non-zero sum")
-    return float(total**2 / np.sum(w**2))
+    if np.isfinite(w).all() and (peak := np.max(np.abs(w), initial=0.0)) > 0.0:
+        w = w / peak  # the squares of huge weights overflow
+        if (total := np.sum(w)) != 0.0:
+            return float(total**2 / np.sum(w**2))
+    raise InsufficientDataError("an effective sample size needs finite weights of non-zero sum")
 
 
 def ensemble_mean_state(ensemble: Ensemble, t_index: int) -> np.ndarray:

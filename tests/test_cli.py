@@ -253,6 +253,29 @@ def test_autocorr_writes_tables(het_file, model_file, tmp_path):
     assert len(est_lines) == 1 + 2 * 4
 
 
+def test_autocorr_keeps_no_noise_or_purity_record(het_file, model_file, tmp_path, monkeypatch):
+    # The estimate reads the currents alone, but the run also stored the noise increments
+    # and purities: 5 floats per trajectory-step at J = 2 where 2 are read.
+    from diffmon import cli
+
+    run, ensembles = cli.simulate_ensemble, []
+
+    def recorded(*args, **kwargs):
+        ensembles.append(run(*args, **kwargs))
+        return ensembles[-1]
+
+    monkeypatch.setattr(cli, "simulate_ensemble", recorded)
+    args = [
+        "autocorr", "--model", str(model_file), "--rep", str(het_file),
+        "--dt", "0.01", "--steps", "100", "--ntraj", "4", "--seed", "3",
+        "--lags", "0.05", "--out", str(tmp_path / "ac"),
+    ]
+    assert main(args) == 0
+    (ens,) = ensembles
+    assert ens.noise is None and ens.purity is None
+    assert ens.currents.shape == (4, 100, 2)
+
+
 def test_autocorr_at_huge_hbar_predicts_the_unit_hbar_table(tmp_path, capsys):
     # The prediction came scaled by hbar**2 and was divided back with Python's **, which
     # raised OverflowError past hbar = 1.34e154.  The README decay documents, with H scaled

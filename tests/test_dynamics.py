@@ -811,6 +811,27 @@ def test_propagation_names_a_non_finite_state():
                 call()
 
 
+_HUGE = 1e200 * np.eye(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model: diffmon.purity([[1e200 + 1e200j, 0.0], [0.0, 0.0]]),
+        lambda model: regression_correlation(model, 1e200 * SIGMA_P, SIGMA_M, _HUGE, 0.1),
+        lambda model: regression_correlation(model, SIGMA_P, 1e200 * SIGMA_M, _HUGE, 0.0),
+    ],
+    ids=["purity", "regression-rho-a", "regression-b-x"],
+)
+def test_overflowing_products_are_named(call):
+    # purity returned NaN with no warning (its complex product forms inf - inf), and
+    # regression_correlation warned "overflow encountered in matmul" at rho_t @ a and b @ x.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="is not finite$"):
+            call(decay_model(rabi=1.0))
+
+
 def _entry_points() -> dict:
     """Every public entry point that takes a state or operator, as a call on it, and whether
     it requires a Hermitian input: a state's, or a Hamiltonian's."""
@@ -911,11 +932,15 @@ def _operators(draw):
 @given(st.sampled_from(ENTRY_POINTS), _operators())
 def test_entry_points_never_end_in_a_numpy_error(entry, x):
     # Any shape, and entries that are NaN, infinite, huge or skew: an entry point returns
-    # or raises a named error, never a bare numpy exception or an overflow warning.
+    # finite numbers or raises a named error, never a bare numpy exception, an overflow
+    # warning or a silent NaN.
     call = _entry_points()[entry][0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            call(x)
+            out = call(x)
         except DiffmonError:
-            pass
+            return
+    for value in out if isinstance(out, tuple) else (out,):
+        if isinstance(value, (np.ndarray, float, complex)):
+            assert np.isfinite(value).all(), (entry, value)

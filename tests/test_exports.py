@@ -11,7 +11,7 @@ DELETED = {
     "reps": ("mrep_trep", "custom_efficiency_mrep"),
     "errors": ("InvalidEfficientPartError",),
     "dynamics": ("backaction_apply", "_backaction", "_traceless", "_square"),
-    "sme": ("Trajectory",),
+    "sme": ("Trajectory", "_first_row", "_check_trace"),
 }
 
 
@@ -60,6 +60,7 @@ def test_deleted_fields_and_options_are_gone():
         (diffmon.linear_nonlinear_consistency, "threshold"),
         (checks._decay_model, "gamma"),
         (checks._decay_model, "hbar"),
+        (diffmon.SimulationConfig, "log_weight_floor"),
     ]
     # A sweep's registered check wraps its generator of defects, which took the samples.
     sweeps = [inspect.getclosurevars(check).nonlocals.get("defects") for _, check in checks.CHECKS]

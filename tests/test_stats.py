@@ -209,6 +209,13 @@ def test_effective_sample_size_needs_finite_weights_of_non_zero_sum(weights):
     assert effective_sample_size([1.0, 1.0, 0.0]) == 2.0
 
 
+@pytest.mark.parametrize("weights, ess", [([1e200, 1.0], 1.0), ([1e308, 1e308, 0.0], 2.0)])
+def test_effective_sample_size_of_huge_weights(weights, ess):
+    # Squaring and summing the raw weights overflowed with a RuntimeWarning; they are
+    # divided by the largest first.
+    assert effective_sample_size(weights) == ess
+
+
 def test_consistency_homodyne_qubit():
     model = decay_model(rabi=1.0)
     m = homodyne_mrep(0.8)
