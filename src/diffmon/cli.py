@@ -73,7 +73,6 @@ def _simulation_config(args, **fields) -> SimulationConfig:
         steps=args.steps,
         n_traj=args.ntraj,
         seed=args.seed,
-        snapshot_stride=args.snapshot_stride,
         **fields,
     )
 
@@ -108,10 +107,7 @@ def _cmd_factorize(args) -> int:
     brep_path = write_rep(outdir / f"{stem}_brep.json", RepFile("brep", brep, mrep.hbar))
     o_path = write_json(
         outdir / f"{stem}_postprocessing.json",
-        {
-            "matrix": [[float(v) for v in row] for row in ortho.matrix],
-            "det_sign": int(ortho.det_sign),
-        },
+        {"matrix": [[float(v) for v in row] for row in ortho.matrix], "det_sign": ortho.det_sign},
     )
     print(
         f"eta={float(brep.eta[0]):.12g} theta={float(brep.theta[0]):.12g}"
@@ -143,7 +139,7 @@ def _write_run_manifest(args, outdir: Path, inputs: dict, outputs: list, **confi
 
 def _cmd_simulate(args) -> int:
     model, mrep, rho0, inputs = _load_run(args)
-    config = _simulation_config(args, mode=args.mode)
+    config = _simulation_config(args, mode=args.mode, snapshot_stride=args.snapshot_stride)
     ensemble = simulate_ensemble(model, mrep, rho0, config)
     outdir = _outdir(args.out)
     outputs = [write_trajectory_csv(outdir / "trajectories.csv", ensemble)]
@@ -162,8 +158,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_autocorr(args) -> int:
     if args.ntraj < 2:  # one trajectory gives no standard error to compare against
         raise ValidationError(f"autocorr needs --ntraj of at least 2, got {args.ntraj}")
-    # The estimate reads the currents alone: no noise or purity record is kept.
-    config = _simulation_config(args, mode="nonlinear", store_dw=False, store_purity=False)
+    # The estimate reads the currents alone: no noise or purity record is kept, and of the
+    # snapshots only the grid [0, steps] that every run stores.
+    config = _simulation_config(
+        args, mode="nonlinear", snapshot_stride=args.steps, store_dw=False, store_purity=False
+    )
     try:
         lag_times = [float(v) for v in args.lags.split(",") if v.strip()]
     except ValueError as exc:
@@ -265,8 +264,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--steps", type=int, required=True, help="number of steps")
     parser.add_argument("--ntraj", type=int, required=True, help="number of trajectories")
     parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    parser.add_argument("--snapshot-stride", type=int, default=None,
-                        help="steps between stored state snapshots (default: about 50 total)")
     parser.add_argument("--out", default=".", help="output directory (default: current)")
 
 
@@ -302,6 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a conditioned trajectory ensemble")
     _add_run_options(p)
+    p.add_argument("--snapshot-stride", type=int, default=None,
+                   help="steps between stored state snapshots (default: about 50 total)")
     p.add_argument("--mode", choices=("nonlinear", "linear"), default="nonlinear")
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)

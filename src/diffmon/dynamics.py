@@ -465,13 +465,9 @@ def me_integrate(
     t = _coordinate_weights(model.dim)[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # named below
         p = model.engine.poly(dt)
-        dense = isinstance(p, np.ndarray)
         for m in range(steps):
             x = g[m + 1]
-            if dense:
-                np.matmul(g[m], p, out=x)
-            else:  # a CSR product allocates
-                x[...] = g[m] @ p
+            x[...] = g[m] @ p  # a dense or a CSR table
             x /= x @ t
     finite = np.isfinite(g).all(axis=1)
     if not finite.all():

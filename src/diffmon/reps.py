@@ -218,10 +218,10 @@ def validate_brep(brep: BRep, tol: float = DEFAULT_TOL) -> None:
 
 @dataclass(frozen=True)
 class OrthoMatrix:
-    """Orthogonal post-processing matrix applied to the current vector."""
+    """Orthogonal post-processing of the current vector, and the sign of its determinant."""
 
     matrix: np.ndarray
-    det_sign: int = field(default=0)
+    det_sign: int = field(init=False)
 
     def __post_init__(self):
         o = np.array(self.matrix, dtype=float)
@@ -232,13 +232,7 @@ class OrthoMatrix:
         # Hadamard's inequality bounds |det o| by |o|^n, without overflow here.
         with _overflow_guard(math.prod([norm] * o.shape[0])):
             det = float(np.linalg.det(o))
-        sign = 1 if det > 0 else -1
-        if self.det_sign == 0:
-            object.__setattr__(self, "det_sign", sign)
-        elif self.det_sign != sign:
-            raise ValidationError(
-                f"det_sign {self.det_sign} contradicts det = {det:.3e}"
-            )
+        object.__setattr__(self, "det_sign", 1 if det > 0 else -1)
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         _check_unitary(self.matrix, tol, "matrix is not orthogonal")
@@ -369,13 +363,17 @@ def trep_to_urep(trep: TRep, tol: float = DEFAULT_TOL) -> URep:
     far inside the tolerance ``tol max(1, |U|)``.
     """
     u = trep.matrix @ trep.matrix.T / trep.hbar  # (j, k) and (k, j) sum the same products
+    return _gram_urep(u, tol, trep.hbar, "derived unravelling matrix")
+
+
+def _gram_urep(u: np.ndarray, tol: float, hbar: float, what: str) -> URep:
+    """The URep of a Gram product u, once it passes ``_check_urep`` without the eigenvalue
+    check; a failure is an ``InternalInconsistencyError`` naming ``what``."""
     try:
         _check_urep(u, tol, spectrum=False)
     except ValidationError as exc:
-        raise InternalInconsistencyError(
-            f"derived unravelling matrix fails validation: {exc}"
-        ) from exc
-    return URep(u, hbar=trep.hbar)
+        raise InternalInconsistencyError(f"{what} fails validation: {exc}") from exc
+    return URep(u, hbar=hbar)
 
 
 def mrep_to_urep(mrep: MRep, tol: float = DEFAULT_TOL) -> URep:
@@ -450,14 +448,8 @@ def brep_to_urep(brep: BRep, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> URe
     rs = np.concatenate([z, 1j * z], axis=1)  # real part [S_r, -S_i] D, imaginary [S_i, S_r] D
     split = np.sqrt(_clamp01(np.concatenate([brep.theta, 1.0 - brep.theta])))
     wd = np.concatenate([rs.real, rs.imag]) * split[:, None]
-    u = wd.T @ wd
-    try:
-        _check_urep(u, max(tol, 1e-12), spectrum=False)
-    except ValidationError as exc:
-        raise InternalInconsistencyError(
-            f"unravelling matrix derived from the block realization fails validation: {exc}"
-        ) from exc
-    return URep(u, hbar=hbar)
+    what = "unravelling matrix derived from the block realization"
+    return _gram_urep(wd.T @ wd, max(tol, 1e-12), hbar, what)
 
 
 def brep_o_to_mrep(
@@ -590,10 +582,10 @@ def mrep_to_brep_o(mrep: MRep, tol: float = DEFAULT_TOL):
     cut = 1e-12 * scale
     if abs(m2) <= cut:
         brep = BRep([eta], [[np.exp(-1j * np.angle(m1))]], [1.0])
-        return brep, OrthoMatrix(np.eye(2), 1)
+        return brep, OrthoMatrix(np.eye(2))
     if abs(m1) <= cut:
         brep = BRep([eta], [[np.exp(-1j * np.angle(m2))]], [1.0])
-        return brep, OrthoMatrix(_rotation(np.pi / 2.0), 1)
+        return brep, OrthoMatrix(_rotation(np.pi / 2.0))
     alpha1 = float(np.angle(m1))
     alpha2 = float(np.angle(m2))
     delta = alpha1 - alpha2
@@ -624,7 +616,7 @@ def mrep_to_brep_o(mrep: MRep, tol: float = DEFAULT_TOL):
     brep = BRep([eta], [[np.exp(-1j * phase)]], [theta])
     rot = _rotation(phi)
     o = rot if det_sign == 1 else rot @ np.diag([1.0, -1.0])
-    return brep, OrthoMatrix(o, det_sign)
+    return brep, OrthoMatrix(o)
 
 
 # ---------------------------------------------------------------------------

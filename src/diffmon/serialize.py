@@ -387,9 +387,14 @@ def _csv_slots(v: np.ndarray) -> np.ndarray:
 
 
 def write_json(path, payload: dict) -> Path:
+    """Write ``payload`` as JSON, refusing (``ValidationError``) a NaN or an infinity."""
     path = Path(path)
     try:
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"cannot write {path}: a value is not finite") from exc
+    try:
+        path.write_text(text + "\n", encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path

@@ -45,7 +45,7 @@ from .errors import (
     is_integer,
 )
 from .linalg import DEFAULT_TOL, frobenius, positive_sqrt
-from .noise import lattice_normals, lattice_streams
+from .noise import _check_streams, lattice_normals, lattice_streams
 from .reps import BRep, MRep, _check_hbar, validate_brep
 
 MODES = ("nonlinear", "linear")
@@ -59,7 +59,7 @@ _LOG_WEIGHT_FLOOR = -700.0
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Knobs of an ensemble run; all randomness flows from ``seed``.
+    """Knobs of an ensemble run; all randomness flows from ``seed``, an unsigned 64-bit integer.
 
     ``snapshot_stride=None`` stores about fifty evenly spaced snapshots; the
     initial and final states are always included.  ``positivity_tol=None``
@@ -88,6 +88,7 @@ class SimulationConfig:
             raise ValidationError(f"steps must be at least 1, got {self.steps}")
         if self.n_traj < 1:
             raise ValidationError(f"n_traj must be at least 1, got {self.n_traj}")
+        _check_streams(self.seed, 0, self.n_traj)  # before any record is allocated
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.snapshot_stride is not None and self.snapshot_stride < 1:

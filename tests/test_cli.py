@@ -124,12 +124,12 @@ def test_factorize_roundtrip(tmp_path, capsys):
     assert main(["factorize", str(src), "--out", str(out)]) == 0
     brep_file = load_rep(out / "m_brep.json")
     o_data = json.loads((out / "m_postprocessing.json").read_text())
-    ortho = OrthoMatrix(np.array(o_data["matrix"]), o_data["det_sign"])
+    ortho = OrthoMatrix(np.array(o_data["matrix"]))
     rec = brep_o_to_mrep(brep_file.rep, ortho, hbar=brep_file.hbar)
     want = np.array(m_payload["matrix"])
     want = want[..., 0] + 1j * want[..., 1]
     assert np.max(np.abs(rec.matrix - want)) <= 1e-8
-    assert o_data["det_sign"] == -1
+    assert o_data["det_sign"] == ortho.det_sign == -1
 
 
 def test_factorize_rejects_brep_input(tmp_path):
@@ -255,7 +255,8 @@ def test_autocorr_writes_tables(het_file, model_file, tmp_path):
 
 def test_autocorr_keeps_no_noise_or_purity_record(het_file, model_file, tmp_path, monkeypatch):
     # The estimate reads the currents alone, but the run also stored the noise increments
-    # and purities: 5 floats per trajectory-step at J = 2 where 2 are read.
+    # and purities: 5 floats per trajectory-step at J = 2 where 2 are read; and about fifty
+    # state snapshots, none of them read.
     from diffmon import cli
 
     run, ensembles = cli.simulate_ensemble, []
@@ -274,6 +275,19 @@ def test_autocorr_keeps_no_noise_or_purity_record(het_file, model_file, tmp_path
     (ens,) = ensembles
     assert ens.noise is None and ens.purity is None
     assert ens.currents.shape == (4, 100, 2)
+    assert ens.snapshot_steps.tolist() == [0, 100]  # the grid every run stores
+
+
+def test_snapshot_stride_is_a_simulate_option(het_file, model_file, tmp_path, capsys):
+    args = [
+        "autocorr", "--model", str(model_file), "--rep", str(het_file), "--dt", "0.01",
+        "--steps", "50", "--ntraj", "4", "--lags", "0.1", "--snapshot-stride", "5",
+    ]
+    with pytest.raises(SystemExit) as info:
+        main([*args, "--out", str(tmp_path / "x")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --snapshot-stride 5" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_autocorr_at_huge_hbar_predicts_the_unit_hbar_table(tmp_path, capsys):

@@ -342,6 +342,23 @@ def test_predicted_autocorrelation_rejects_zero_lag():
         predicted_autocorrelation(model, homodyne_mrep(1.0), EXCITED, np.array([0.0, 0.1]))
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda model: regression_correlation(model, SIGMA_P, SIGMA_M, EXCITED, -0.1),
+         NonPositiveLagError, "regression requires tau >= 0"),
+        (lambda model: predicted_autocorrelation(model, homodyne_mrep(1.0), EXCITED, [0.2, 0.1]),
+         ValidationError, "lags must be strictly increasing"),
+        (lambda model: predicted_autocorrelation(model, homodyne_mrep(1.0), EXCITED, [0.1, 0.1]),
+         ValidationError, "lags must be strictly increasing"),
+    ],
+    ids=["regression-negative", "predicted-decreasing", "predicted-repeated"],
+)
+def test_negative_and_unordered_lags_are_refused(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(decay_model(rabi=1.0))
+
+
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
 def test_lags_must_be_finite(tau):
     # A NaN lag used to end in a bare ValueError and inf in an OverflowError, and
@@ -369,6 +386,12 @@ def test_predicted_autocorrelation_checks_the_state_is_hermitian():
             predicted_autocorrelation(model, m, rho, [0.1])
     within = predicted_autocorrelation(model, m, EXCITED + 1e-12 * skew, [0.1])
     assert np.max(np.abs(within - predicted_autocorrelation(model, m, EXCITED, [0.1]))) < 1e-10
+
+
+def test_check_density_matrix_refuses_a_negative_eigenvalue():
+    with pytest.raises(StateInvalidError, match=r"^state has eigenvalue -5\.000e-01 below zero$"):
+        diffmon.check_density_matrix(np.diag([1.5, -0.5]))
+    diffmon.check_density_matrix(np.diag([1.0 + 1e-13, -1e-13]))  # within max(tol, 1e-12)
 
 
 @pytest.mark.parametrize("steps", [2.5, np.inf, np.nan, True, False, -1, "3", None])
@@ -579,6 +602,20 @@ def _kerr_cavity(dim, hbar=1.0, chi=0.3, channels=1):
         lindblads=np.stack([a, a.T][:channels]),
         hbar=hbar,
     )
+
+
+def test_me_integrate_on_csr_tables_matches_dense_tables(monkeypatch):
+    # One product steps both kinds of table; above d = 12 the tables are CSR.  The two runs
+    # differ by the order of the sums only: by 1.1e-16 at most on one x86-64 core.
+    rho0 = random_state(rng(77), 13)
+    csr_model = _kerr_cavity(13)
+    csr = me_integrate(csr_model, rho0, 1e-2, 100)
+    monkeypatch.setattr(dynamics, "_SUPEROPERATOR_MAX_DIM", 13)
+    dense_model = _kerr_cavity(13)
+    dense = me_integrate(dense_model, rho0, 1e-2, 100)
+    assert not isinstance(csr_model.engine.poly(1e-2), np.ndarray)
+    assert isinstance(dense_model.engine.poly(1e-2), np.ndarray)
+    assert np.max(np.abs(csr - dense)) <= 1e-14
 
 
 @pytest.mark.parametrize("channels", (1, 2))

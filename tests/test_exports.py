@@ -61,6 +61,7 @@ def test_deleted_fields_and_options_are_gone():
         (checks._decay_model, "gamma"),
         (checks._decay_model, "hbar"),
         (diffmon.SimulationConfig, "log_weight_floor"),
+        (diffmon.OrthoMatrix, "det_sign"),
     ]
     # A sweep's registered check wraps its generator of defects, which took the samples.
     sweeps = [inspect.getclosurevars(check).nonlocals.get("defects") for _, check in checks.CHECKS]

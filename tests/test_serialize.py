@@ -317,6 +317,15 @@ def test_write_rep_and_reload(tmp_path):
     assert np.allclose(again.rep.mixing, rf.rep.mixing, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_json_refuses_a_non_finite_value(tmp_path, bad):
+    # json.dumps wrote NaN and Infinity, which are not JSON.
+    path = tmp_path / "report.json"
+    with pytest.raises(ValidationError, match="report.json: a value is not finite$"):
+        serialize.write_json(path, {"rows": [1.0, bad]})
+    assert not path.exists()
+
+
 def test_trajectory_csv_header_and_format(tmp_path):
     model = decay_model(rabi=1.0)
     m = random_mrep(rng(73), 1)

@@ -21,6 +21,7 @@ from diffmon import (
     heterodyne_mrep,
     homodyne_mrep,
     lindblad_covariance,
+    linear_nonlinear_consistency,
     me_integrate,
     noise_completion,
     predicted_autocorrelation,
@@ -594,9 +595,20 @@ def test_ensemble_rejects_seed_before_any_draw(monkeypatch, seed):
         raise AssertionError("noise drawn before the seed was checked")
 
     monkeypatch.setattr("diffmon.noise._shared_bits", no_draws)
-    config = SimulationConfig(dt=1e-3, steps=10, n_traj=3, seed=seed)
     with pytest.raises(ValidationError, match="base_seed must fit in an unsigned 64-bit integer"):
+        config = SimulationConfig(dt=1e-3, steps=10, n_traj=3, seed=seed)
         simulate_ensemble(decay_model(), heterodyne_mrep(0.8), EXCITED, config)
+
+
+def test_consistency_rejects_the_linear_seed_before_any_draw(monkeypatch):
+    # The linear run's seed is seed + 1, past 64 bits here: refused before the nonlinear run.
+    def no_draws():
+        raise AssertionError("noise drawn before the seed was checked")
+
+    monkeypatch.setattr("diffmon.noise._shared_bits", no_draws)
+    config = SimulationConfig(dt=1e-3, steps=10, n_traj=3, seed=2**64 - 1)
+    with pytest.raises(ValidationError, match="base_seed must fit in an unsigned 64-bit integer"):
+        linear_nonlinear_consistency(decay_model(), heterodyne_mrep(0.8), EXCITED, config)
 
 
 def test_nonlinear_log_weight_is_a_read_only_zero_view():
