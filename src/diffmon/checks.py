@@ -104,11 +104,11 @@ def _excited() -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 
-def _random_model(rng: Generator, dim: int, channels: int, hbar: float = 1.0) -> LindbladModel:
+def _random_model(rng: Generator, dim: int, channels: int) -> LindbladModel:
     h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = (h + h.conj().T) / 2.0
     cs = (rng.normal(size=(channels, dim, dim)) + 1j * rng.normal(size=(channels, dim, dim))) / 2.0
-    return LindbladModel(hamiltonian=h, lindblads=cs, hbar=hbar)
+    return LindbladModel(hamiltonian=h, lindblads=cs)
 
 
 def _random_state(rng: Generator, dim: int) -> np.ndarray:

@@ -70,9 +70,9 @@ class LindbladModel:
         return self.lindblads.shape[0]
 
 
-def _operator(x, n: int | None, what: str, hermitian=True, tol=DEFAULT_TOL, stack=False):
+def _operator(x, n: int | None, what: str, hermitian=True, stack=False):
     """x as a complex array, once it is one n x n matrix (any square one for n None, a stack
-    (..., n, n) with ``stack``) of finite entries, Hermitian within ``tol max(1, |x|)`` when
+    (..., n, n) with ``stack``) of finite entries, Hermitian within ``1e-9 max(1, |x|)`` when
     ``hermitian``: the one check of every state and operator an entry point takes.
 
     Raises ``DimensionMismatchError``, ``ValidationError`` or ``NotHermitianError``.
@@ -88,21 +88,21 @@ def _operator(x, n: int | None, what: str, hermitian=True, tol=DEFAULT_TOL, stac
         norm = frobenius(x)
         with _overflow_guard(norm):  # huge finite entries overflow the difference
             skew = frobenius(x - x.conj().swapaxes(-1, -2))
-        if skew > tol * max(1.0, norm):
+        if skew > DEFAULT_TOL * max(1.0, norm):
             verb = "are" if stack else "is"
             raise NotHermitianError(f"{what} {verb} not Hermitian within tolerance")
     return x
 
 
-def check_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    """Raise unless rho is Hermitian, unit trace, and PSD within tolerance."""
-    rho = _operator(rho, None, "state", tol=tol)
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Raise unless rho is Hermitian, unit trace, and PSD within 1e-9."""
+    rho = _operator(rho, None, "state")
     with np.errstate(over="ignore"):  # huge finite entries overflow the trace
         tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > max(tol, 1e-12):
+    if abs(tr - 1.0) > DEFAULT_TOL:
         raise ValidationError(f"state trace is {tr}, expected 1")
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if w[0] < -max(tol, 1e-12):
+    if w[0] < -DEFAULT_TOL:
         raise StateInvalidError(f"state has eigenvalue {w[0]:.3e} below zero")
 
 
@@ -129,8 +129,10 @@ def hermitian_basis(n: int) -> np.ndarray:
 
     Ordered deterministically: identity / sqrt(n), then the diagonal
     generators, then for each pair j < k the symmetric and antisymmetric
-    off-diagonal generators.  Tr[e_j e_k] = delta_jk.
+    off-diagonal generators.  Tr[e_j e_k] = delta_jk.  n must be an integer >= 1.
     """
+    if not (is_integer(n) and n >= 1):
+        raise ValidationError(f"dimension must be an integer of at least 1, got {n!r}")
     mats = [np.eye(n, dtype=complex) / np.sqrt(n)]
     for l in range(1, n):
         d = np.zeros(n, dtype=complex)
@@ -690,11 +692,7 @@ def diffusion_matrix(model: LindbladModel, mrep: MRep, rho: np.ndarray) -> np.nd
 
 
 def urep_current_mean(
-    model: LindbladModel,
-    urep: URep,
-    rho: np.ndarray,
-    trep: TRep | None = None,
-    tol: float = DEFAULT_TOL,
+    model: LindbladModel, urep: URep, rho: np.ndarray, trep: TRep | None = None
 ) -> np.ndarray:
     """Mean measured current derived through the correlation-matrix description.
 
@@ -703,24 +701,24 @@ def urep_current_mean(
     current through the pseudoinverse of a compatible stacked measurement
     matrix (the positive root of hbar times the unravelling matrix unless one
     is supplied).  The result equals the mean current of the measurement
-    matrix built from that same factor.  rho must be d x d and Hermitian within tol.
+    matrix built from that same factor.  rho must be d x d and Hermitian within 1e-9.
     """
-    rho = _operator(rho, model.dim, "state", tol=tol)
+    rho = _operator(rho, model.dim, "state")
     if model.channels != urep.channels:
         raise DimensionMismatchError(
             f"model has {model.channels} channels, unravelling matrix {urep.channels}"
         )
-    h, y = urep_split(urep, tol=tol)
+    h, y = urep_split(urep)
     if trep is None:
-        tmat = positive_sqrt(urep.hbar * urep.matrix, tol=tol)
+        tmat = positive_sqrt(urep.hbar * urep.matrix)
     else:
         tmat = trep.matrix
     defect = np.linalg.norm(tmat @ tmat.T - urep.hbar * urep.matrix)
-    if defect > max(tol, tol * urep.hbar * float(np.linalg.norm(urep.matrix))):
+    if defect > DEFAULT_TOL * max(1.0, urep.hbar * float(np.linalg.norm(urep.matrix))):
         raise NoCompatibleTError(
             f"factor does not reproduce the unravelling matrix (defect {defect:.3e})"
         )
     cbar = np.einsum("kab,ba->k", model.lindblads, rho)
     j = h * cbar + y @ cbar.conj()
     stacked = np.concatenate([j.real, j.imag])
-    return pseudo_inverse(tmat, tol=tol) @ stacked
+    return pseudo_inverse(tmat) @ stacked

@@ -1,8 +1,8 @@
 """Dense matrix primitives: positive square roots, polar factors, pseudoinverses.
 
 All operations are pure functions on small dense arrays (the design envelope
-is dimension <= ~64) and use a relative tolerance, by default 1e-9 of the
-Frobenius norm of the input.
+is dimension <= ~64) of finite entries and norm, and use a relative tolerance
+of 1e-9 (``DEFAULT_TOL``); only ``positive_sqrt`` takes another.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import NotHermitianError, NotPSDError
+from .errors import DimensionMismatchError, NotHermitianError, NotPSDError, ValidationError
 
 DEFAULT_TOL = 1e-9
 
@@ -39,6 +39,14 @@ def frobenius(a: np.ndarray) -> float:
     return norm
 
 
+def _finite_norm(a: np.ndarray) -> float:
+    """``frobenius(a)``, once it is finite: no entry is NaN or inf, and the norm fits a float."""
+    norm = frobenius(a)
+    if not math.isfinite(norm):
+        raise ValidationError("matrix has a non-finite entry, or a norm past the largest float")
+    return norm
+
+
 def positive_sqrt(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Positive-semidefinite square root of a Hermitian PSD matrix.
 
@@ -50,7 +58,7 @@ def positive_sqrt(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {a.shape}")
-    norm = frobenius(a)
+    norm = _finite_norm(a)
     atol = tol * norm if norm > 0.0 else tol  # relative to ||a||, absolute for a = 0
     if frobenius(a - a.conj().T) > atol:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
@@ -65,7 +73,7 @@ def positive_sqrt(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return root
 
 
-def polar_decompose(t: np.ndarray, tol: float = DEFAULT_TOL):
+def polar_decompose(t: np.ndarray):
     """Polar factorization t = p @ o with p PSD and o orthogonal.
 
     Returns ``(p, o, unique)``.  ``p`` equals ``positive_sqrt(t @ t.T)``.  For
@@ -76,13 +84,14 @@ def polar_decompose(t: np.ndarray, tol: float = DEFAULT_TOL):
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise NotHermitianError(f"polar factorization needs a square matrix, got {t.shape}")
+    _finite_norm(t)
     n = t.shape[0]
     w, s, vt = np.linalg.svd(t)
     p = (w * s) @ w.T
     p = (p + p.T) / 2.0
     o = w @ vt
     smax = s[0] if n else 0.0
-    unique = bool(n and s[-1] > tol * max(smax, 1.0))
+    unique = bool(n and s[-1] > DEFAULT_TOL * max(smax, 1.0))
     if not unique and np.linalg.det(o) < 0.0:
         # Flipping a null singular direction changes o but not p @ o.
         w = w.copy()
@@ -91,7 +100,11 @@ def polar_decompose(t: np.ndarray, tol: float = DEFAULT_TOL):
     return p, o, unique
 
 
-def pseudo_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse; singular values below tol*max(s) are dropped."""
-    return np.linalg.pinv(np.asarray(a, dtype=float), rcond=tol)
+def pseudo_inverse(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of a real matrix, dropping singular values below 1e-9 max(s)."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise DimensionMismatchError(f"pseudoinverse needs a matrix, got shape {a.shape}")
+    _finite_norm(a)
+    return np.linalg.pinv(a, rcond=DEFAULT_TOL)
 

@@ -234,8 +234,8 @@ class OrthoMatrix:
             det = float(np.linalg.det(o))
         object.__setattr__(self, "det_sign", 1 if det > 0 else -1)
 
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
-        _check_unitary(self.matrix, tol, "matrix is not orthogonal")
+    def validate(self) -> None:
+        _check_unitary(self.matrix, DEFAULT_TOL, "matrix is not orthogonal")
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +381,14 @@ def mrep_to_urep(mrep: MRep, tol: float = DEFAULT_TOL) -> URep:
     return trep_to_urep(mrep_to_trep(mrep), tol=tol)
 
 
-def urep_split(urep: URep, tol: float = DEFAULT_TOL):
+def urep_split(urep: URep):
     """Split an unravelling matrix into (efficiency diagonal, complex correlation matrix).
 
     Returns ``(h, y)`` where ``h`` is the unclamped diagonal of the sum of the
     diagonal blocks and ``y`` is complex symmetric; reassembling with
     ``urep_assemble(h, y)`` reproduces the input exactly.
     """
-    validate_urep(urep.matrix, hbar=urep.hbar, tol=tol)
+    validate_urep(urep.matrix, hbar=urep.hbar)
     u11, u12, _, u22 = urep.blocks()
     h = np.diagonal(u11 + u22).copy()
     y = (u11 - u22) + 2j * u12
@@ -408,13 +408,13 @@ def urep_assemble(h: np.ndarray, y: np.ndarray, hbar: float = 1.0) -> URep:
     return URep(u, hbar=hbar)
 
 
-def trep_polar(trep: TRep, tol: float = DEFAULT_TOL):
+def trep_polar(trep: TRep):
     """Factor t = p @ o with p the positive root of t @ t.T and o orthogonal.
 
     Returns ``(p, ortho, unique)``; the factorization is unique exactly when
     the stacked matrix is invertible.
     """
-    p, o, unique = polar_decompose(trep.matrix, tol=tol)
+    p, o, unique = polar_decompose(trep.matrix)
     return p, OrthoMatrix(o), unique
 
 
@@ -452,17 +452,15 @@ def brep_to_urep(brep: BRep, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> URe
     return _gram_urep(wd.T @ wd, max(tol, 1e-12), hbar, what)
 
 
-def brep_o_to_mrep(
-    brep: BRep, ortho: OrthoMatrix, hbar: float = 1.0, tol: float = DEFAULT_TOL
-) -> MRep:
+def brep_o_to_mrep(brep: BRep, ortho: OrthoMatrix, hbar: float = 1.0) -> MRep:
     """Measurement matrix of an optical realization followed by current post-processing."""
-    base = brep_to_mrep(brep, hbar=hbar, tol=tol)
+    base = brep_to_mrep(brep, hbar=hbar)
     if ortho.matrix.shape != (2 * brep.channels, 2 * brep.channels):
         raise DimensionMismatchError(
             f"post-processing matrix must be {2 * brep.channels} x {2 * brep.channels},"
             f" got {ortho.matrix.shape}"
         )
-    ortho.validate(tol=tol)
+    ortho.validate()
     return MRep(base.matrix @ ortho.matrix, hbar=hbar)
 
 
@@ -475,6 +473,8 @@ def homodyne_mrep(eta: float, phase: float = 0.0, hbar: float = 1.0) -> MRep:
     hbar = _check_hbar(hbar)
     if not (0.0 <= eta <= 1.0):
         raise EfficiencyOutOfRangeError(f"efficiency {eta} falls outside [0, 1]")
+    if not math.isfinite(phase):
+        raise ValidationError(f"phase must be a finite real number, got {phase}")
     amp = np.sqrt(hbar * eta) * np.exp(-1j * phase)
     return MRep(np.array([[amp, 0.0]]), hbar=hbar)
 
@@ -488,20 +488,20 @@ def heterodyne_mrep(eta: float, hbar: float = 1.0) -> MRep:
     return MRep(np.array([[amp, 1j * amp]]), hbar=hbar)
 
 
-def efficient_decomposition(mrep: MRep, tol: float = DEFAULT_TOL):
+def efficient_decomposition(mrep: MRep):
     """Factor a measurement matrix into efficiencies times a unit-efficiency part.
 
     Returns ``(eta, efficient_part, dark)`` with ``sqrt(eta)[:, None] *
-    efficient_part == matrix`` on channels with ``eta > tol``.  Channels with
+    efficient_part == matrix`` on channels with ``eta > 1e-9``.  Channels with
     vanishing efficiency are flagged in ``dark``; their rows carry no signal,
     so the unit-efficiency rows are completed deterministically: the
     single-quadrature row for that channel, orthogonalized against the other
     rows (falling back to the next basis direction if it is not independent).
     """
-    eta = validate_mrep(mrep.matrix, hbar=mrep.hbar, tol=tol)
+    eta = validate_mrep(mrep.matrix, hbar=mrep.hbar)
     L = mrep.channels
     hbar = mrep.hbar
-    dark = eta <= tol
+    dark = eta <= DEFAULT_TOL
     mp = np.zeros((L, 2 * L), dtype=complex)
     mp[~dark] = mrep.matrix[~dark] / np.sqrt(eta[~dark])[:, None]
     rows = list(mp[~dark])
@@ -532,16 +532,13 @@ def factor_theta(r: float, phi: float) -> float:
     return (r * c2 - s2) / ((r + 1.0) * (c2 - s2))
 
 
-def factor_phase_gap(r: float, phi: float, det_sign: int = 1) -> float:
-    """Phase difference between the two measurement-matrix entries at angle ``phi``.
-
-    ``det_sign`` selects the sign of the post-processing rotation determinant.
-    """
+def factor_phase_gap(r: float, phi: float) -> float:
+    """Phase difference between the two measurement-matrix entries at angle ``phi``, for a
+    post-processing rotation of determinant +1."""
     theta = min(max(factor_theta(r, phi), 0.0), 1.0)
-    sg = 1.0 if det_sign >= 0 else -1.0
     rt, rtb = np.sqrt(theta), np.sqrt(1.0 - theta)
-    top = rt * np.cos(phi) + 1j * sg * rtb * np.sin(phi)
-    bot = rt * np.sin(phi) - 1j * sg * rtb * np.cos(phi)
+    top = rt * np.cos(phi) + 1j * rtb * np.sin(phi)
+    bot = rt * np.sin(phi) - 1j * rtb * np.cos(phi)
     return float(np.angle(top / bot))
 
 
@@ -623,31 +620,28 @@ def mrep_to_brep_o(mrep: MRep, tol: float = DEFAULT_TOL):
 # random sampling helpers (used by the self-check suite and the tests)
 
 
+def _haar_q(z: np.ndarray) -> np.ndarray:
+    """The Q of the QR factorization of a Gaussian matrix z, its columns rotated by the phases
+    of R's diagonal, so that Q is Haar-distributed (Mezzadri, Notices AMS 54, 592 (2007))."""
+    qmat, rmat = np.linalg.qr(z)
+    ph = np.diagonal(rmat)
+    return qmat * (ph / np.abs(ph))[None, :]
+
+
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed n x n unitary via QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    qmat, rmat = np.linalg.qr(z)
-    ph = np.diagonal(rmat).copy()
-    ph = ph / np.abs(ph)
-    return qmat * ph[None, :]
+    return _haar_q(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> OrthoMatrix:
     """Haar-distributed real orthogonal matrix (either determinant sign)."""
-    z = rng.normal(size=(n, n))
-    qmat, rmat = np.linalg.qr(z)
-    sgn = np.sign(np.diagonal(rmat))
-    sgn[sgn == 0.0] = 1.0
-    return OrthoMatrix(qmat * sgn[None, :])
+    return OrthoMatrix(_haar_q(rng.normal(size=(n, n))))
 
 
 def random_mrep(rng: np.random.Generator, channels: int, hbar: float = 1.0) -> MRep:
     """Random valid measurement matrix: random efficiencies times orthonormal rows."""
     z = rng.normal(size=(channels, 2 * channels)) + 1j * rng.normal(size=(channels, 2 * channels))
-    qmat, rmat = np.linalg.qr(z.conj().T)
-    ph = np.diagonal(rmat).copy()
-    ph = ph / np.abs(ph)
-    rows = (qmat * ph[None, :]).conj().T
+    rows = _haar_q(z.conj().T).conj().T
     eta = rng.uniform(0.0, 1.0, size=channels)
     return MRep(np.sqrt(hbar * eta)[:, None] * rows, hbar=hbar)
 

@@ -486,8 +486,8 @@ def convergence_tables(report) -> dict:
     }
 
 
-def autocorrelation_tables(estimate, predicted=None) -> dict:
-    """Named numeric tables for estimated (and optionally predicted) correlations."""
+def autocorrelation_tables(estimate, predicted: np.ndarray) -> dict:
+    """Named numeric tables for estimated and predicted correlations."""
     d = estimate.matrices.shape[1]
 
     def rows(*mats):
@@ -499,10 +499,8 @@ def autocorrelation_tables(estimate, predicted=None) -> dict:
         ]
 
     header = ["lag", "row", "col", "value"]
-    tables = {"estimated": (header + ["stderr"], rows(estimate.matrices, estimate.stderr))}
-    if predicted is not None:
-        tables["predicted"] = (header, rows(predicted))
-    return tables
+    estimated = (header + ["stderr"], rows(estimate.matrices, estimate.stderr))
+    return {"estimated": estimated, "predicted": (header, rows(predicted))}
 
 
 def write_report(outdir, name: str, payload: dict, tables: dict) -> list:

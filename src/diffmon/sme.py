@@ -46,7 +46,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, frobenius, positive_sqrt
 from .noise import _check_streams, lattice_normals, lattice_streams
-from .reps import BRep, MRep, _check_hbar, validate_brep
+from .reps import BRep, MRep, _check_hbar, validate_brep, validate_mrep
 
 MODES = ("nonlinear", "linear")
 
@@ -111,7 +111,7 @@ class Ensemble:
     purity: np.ndarray | None
     log_weight: np.ndarray
     snapshot_steps: np.ndarray
-    snapshots: np.ndarray | None
+    snapshots: np.ndarray
 
     @property
     def n_traj(self) -> int:
@@ -383,18 +383,16 @@ def lindblad_covariance(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def purity_increment_predicted(
-    model: LindbladModel, mrep: MRep, rho: np.ndarray, tol: float = DEFAULT_TOL
-) -> float:
+def purity_increment_predicted(model: LindbladModel, mrep: MRep, rho: np.ndarray) -> float:
     """Predicted d(Tr rho^2)/dt for a pure state under the given monitoring.
 
     Vanishes exactly for unit-efficiency monitoring and is otherwise negative,
     proportional to the trace of the coupling covariance against the
-    efficiency deficit.  rho must be d x d and Hermitian within tol.
+    efficiency deficit.  rho must be d x d, Hermitian and of purity 1 within 1e-9.
     """
-    rho = _operator(rho, model.dim, "state", tol=tol)
+    rho = _operator(rho, model.dim, "state")
     p = purity(rho)
-    if p < 1.0 - max(tol, 1e-12):
+    if p < 1.0 - DEFAULT_TOL:
         raise NotPureError(f"state purity {p} is below 1")
     _measured_ops(model, mrep)  # checks channels and scale
     cov = lindblad_covariance(model, rho)
@@ -403,16 +401,17 @@ def purity_increment_predicted(
     return float(2.0 / model.hbar * np.real(np.trace(cov @ deficit.T)))
 
 
-def noise_completion(mrep: MRep, tol: float = DEFAULT_TOL) -> np.ndarray:
+def noise_completion(mrep: MRep) -> np.ndarray:
     """Coefficient of the extra vacuum noise completing the current operator.
 
     Returns the 2L x 2L matrix whose scaled square accounts for the part of
     the current variance not supplied by the measured field; its defining
-    property is hbar^2 L L^dag + M^dag M = hbar * identity.
+    property is hbar^2 L L^dag + M^dag M = hbar * identity, for a valid M.
     """
+    validate_mrep(mrep.matrix, hbar=mrep.hbar)
     m = mrep.matrix
     z = mrep.hbar * np.eye(2 * mrep.channels) - m.conj().T @ m
-    return positive_sqrt(z, tol=tol) / mrep.hbar
+    return positive_sqrt(z) / mrep.hbar
 
 
 @dataclass(frozen=True)
@@ -435,20 +434,16 @@ class BrepNoiseMatrices:
         return self.signal.conj().T
 
 
-def brep_noise_matrices(
-    brep: BRep, hbar: float = 1.0, tol: float = DEFAULT_TOL
-) -> BrepNoiseMatrices:
+def brep_noise_matrices(brep: BRep, hbar: float = 1.0) -> BrepNoiseMatrices:
     """Noise-coupling blocks of an optical realization, checked for completeness."""
-    validate_brep(brep, tol=tol)
+    validate_brep(brep)
     hbar = _check_hbar(hbar)
     stages = [brep.eta, 1.0 - brep.eta, brep.theta, 1.0 - brep.theta]
     rh, rhb, rq, rqb = np.sqrt(np.array(stages).clip(0.0, 1.0))
     s = brep.mixing
-    top = (rq[:, None] * s) * rh[None, :]
-    bot = 1j * (rqb[:, None] * s) * rh[None, :]
-    signal = np.sqrt(hbar) * np.vstack([top, bot])
-    loss = np.vstack([(rq[:, None] * s) * rhb[None, :], 1j * (rqb[:, None] * s) * rhb[None, :]])
-    loss = loss / np.sqrt(hbar)
+    split = np.vstack([rq[:, None] * s, 1j * (rqb[:, None] * s)])  # S onto each homodyne pair
+    signal = np.sqrt(hbar) * (split * rh[None, :])
+    loss = split * rhb[None, :] / np.sqrt(hbar)
     splitter = np.vstack([np.diag(rqb), -1j * np.diag(rq)]) / np.sqrt(hbar)
     total = (
         signal @ signal.conj().T / hbar
@@ -456,7 +451,7 @@ def brep_noise_matrices(
         + hbar * (splitter @ splitter.conj().T)
     )
     defect = float(np.linalg.norm(total - np.eye(2 * brep.channels)))
-    if defect > max(tol, 1e-10):
+    if defect > DEFAULT_TOL:
         raise InternalInconsistencyError(
             f"noise blocks do not compose the identity (defect {defect:.3e})"
         )

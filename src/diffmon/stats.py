@@ -56,8 +56,6 @@ def effective_sample_size(weights: np.ndarray) -> float:
 
 def ensemble_mean_state(ensemble: Ensemble, t_index: int) -> np.ndarray:
     """Weighted ensemble average of the stored snapshots at one snapshot index."""
-    if ensemble.snapshots is None or ensemble.snapshot_steps.size == 0:
-        raise NoSnapshotsError("the ensemble stored no state snapshots")
     if not is_integer(t_index):
         raise ValidationError(f"snapshot index must be an integer, got {t_index!r}")
     if not (0 <= t_index < ensemble.snapshot_steps.size):
@@ -94,8 +92,6 @@ def convergence_report(ensemble: Ensemble, model: LindbladModel) -> ConvergenceR
     empirical mean and covariance of the stored noise increments, whose
     targets are zero and dt times the identity.
     """
-    if ensemble.snapshots is None or ensemble.snapshot_steps.size == 0:
-        raise InsufficientDataError("the ensemble stored no state snapshots")
     if ensemble.noise is None:
         raise InsufficientDataError("the ensemble did not store noise increments")
     dt = ensemble.config.dt

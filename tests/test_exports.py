@@ -62,12 +62,33 @@ def test_deleted_fields_and_options_are_gone():
         (checks._decay_model, "hbar"),
         (diffmon.SimulationConfig, "log_weight_floor"),
         (diffmon.OrthoMatrix, "det_sign"),
+        (diffmon.polar_decompose, "tol"),
+        (diffmon.pseudo_inverse, "tol"),
+        (diffmon.trep_polar, "tol"),
+        (diffmon.urep_split, "tol"),
+        (diffmon.brep_o_to_mrep, "tol"),
+        (diffmon.efficient_decomposition, "tol"),
+        (diffmon.OrthoMatrix.validate, "tol"),
+        (diffmon.check_density_matrix, "tol"),
+        (diffmon.urep_current_mean, "tol"),
+        (diffmon.purity_increment_predicted, "tol"),
+        (diffmon.noise_completion, "tol"),
+        (diffmon.brep_noise_matrices, "tol"),
+        (diffmon.reps.factor_phase_gap, "det_sign"),
+        (checks._random_model, "hbar"),
     ]
     # A sweep's registered check wraps its generator of defects, which took the samples.
     sweeps = [inspect.getclosurevars(check).nonlocals.get("defects") for _, check in checks.CHECKS]
     gone += [(sweep, "samples") for sweep in sweeps if sweep is not None]
     for func, option in gone:
         assert option not in inspect.signature(func).parameters, (func.__name__, option)
+
+
+def test_autocorrelation_tables_require_a_prediction():
+    from diffmon import serialize
+
+    predicted = inspect.signature(serialize.autocorrelation_tables).parameters["predicted"]
+    assert predicted.default is inspect.Parameter.empty
 
 
 def _imported_modules(path: Path) -> set:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,13 @@ from diffmon import (
     positive_sqrt,
     pseudo_inverse,
 )
-from diffmon.errors import NotHermitianError, NotPSDError
+from diffmon.errors import (
+    DiffmonError,
+    DimensionMismatchError,
+    NotHermitianError,
+    NotPSDError,
+    ValidationError,
+)
 
 from conftest import rng
 
@@ -133,3 +141,37 @@ def test_pinv_orthogonal_is_transpose():
     c, s = np.cos(1.1), np.sin(1.1)
     o = np.array([[c, s], [-s, c]])
     assert np.allclose(pseudo_inverse(o), o.T, atol=1e-12)
+
+
+BAD_MATRICES = {
+    "nan": [[np.nan]],
+    "inf": [[np.inf, 0.0], [0.0, 1.0]],
+    "nan entry": [[1.0, np.nan], [np.nan, 1.0]],
+    "1-D": [1.0, 2.0],
+    "1e200": [[1e200, 0.0], [0.0, 1.0]],
+    "1e200 everywhere": [[1e200, 1e200], [1e200, 1e200]],
+    "-1e200": [[-1e200, 0.0], [0.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_MATRICES)
+@pytest.mark.parametrize("func", [positive_sqrt, polar_decompose, pseudo_inverse])
+def test_linalg_names_bad_input(func, bad):
+    # A NaN or inf entry raises ValidationError, and a 1-D array a shape error, never a
+    # NaN result, a RuntimeWarning or a bare LinAlgError; entries near overflow give a
+    # named error or finite values.
+    x = np.array(BAD_MATRICES[bad])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = func(x)
+        except DiffmonError as exc:
+            if not np.isfinite(x).all():
+                assert type(exc) is ValidationError
+            elif x.ndim != 2:
+                want = DimensionMismatchError if func is pseudo_inverse else NotHermitianError
+                assert type(exc) is want
+            return
+    assert np.isfinite(x).all() and x.ndim == 2, (bad, out)
+    for value in out if isinstance(out, tuple) else (out,):
+        assert np.isfinite(value).all(), (bad, value)

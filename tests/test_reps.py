@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from diffmon import (
     brep_to_mrep,
     brep_to_urep,
     efficient_decomposition,
+    hermitian_basis,
     heterodyne_mrep,
     homodyne_mrep,
     mrep_to_trep,
     mrep_to_urep,
+    noise_completion,
     trep_polar,
     trep_to_mrep,
     trep_to_urep,
@@ -291,6 +294,29 @@ def test_standard_constructors_scale_with_hbar():
     for ctor in (lambda: heterodyne_mrep(0.6, hbar=2.5), lambda: homodyne_mrep(0.6, 0.2, hbar=2.5)):
         m = ctor()
         assert abs(validate_mrep(m.matrix, hbar=2.5)[0] - 0.6) <= 1e-12
+
+
+BAD_CONSTRUCTOR_CALLS = {
+    # Each names its bad input before any numpy call can return an empty basis, raise a
+    # bare ValueError or TypeError, or warn of an invalid exp or an overflowing matmul.
+    "hermitian_basis(0)": (lambda: hermitian_basis(0), ValidationError),
+    "hermitian_basis(-1)": (lambda: hermitian_basis(-1), ValidationError),
+    "hermitian_basis(2.5)": (lambda: hermitian_basis(2.5), ValidationError),
+    "homodyne_mrep(0.5, phase=inf)": (lambda: homodyne_mrep(0.5, phase=np.inf), ValidationError),
+    "noise_completion(MRep([[1e200, 0]]))": (
+        lambda: noise_completion(MRep([[1e200, 0.0]])),
+        EfficiencyOutOfRangeError,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONSTRUCTOR_CALLS)
+def test_constructors_name_bad_input(case):
+    call, error = BAD_CONSTRUCTOR_CALLS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
 
 
 def test_efficiency_constructor_rejects_out_of_range():
