@@ -375,17 +375,13 @@ class _Engine:
         coordinates g, each kept op's table applied to g and spread to all J ops by R^T."""
         return self.rt.T @ (np.kron(np.eye(len(self.kept)), g) @ self.tables[1]) / self.hbar
 
-    def operand(self, g: np.ndarray) -> np.ndarray:
-        """The columns g (d^2, n) with room below them for ``w (x) g``."""
-        return np.concatenate([g, np.empty((len(self.kept) * len(g), *g[0].shape))])
+    def sme_step(self, x: np.ndarray, w: np.ndarray, h: float, linear: bool, out: np.ndarray):
+        """One Ito step of the columns ``g = x[:d^2]`` of ``x = [g ; room for w (x) g]``
+        ((1 + r) d^2, n) along increments w (r, n), ``R^T`` of the increments along the J ops.
 
-    def sme_step(self, x: np.ndarray, w: np.ndarray, h: float, linear: bool = True, out=None):
-        """One Ito step of the columns ``g = x[:d^2]`` of an ``operand`` along increments w (r, n),
-        ``R^T`` of the increments along the J ops.
-
-        Returns (output, its trace, mean current), views of ``sme_table(h) @ [g ; w (x) g]``,
-        written into ``out`` (d^2 + J + 2, n) when given.  A CSR product allocates: then only
-        the rows below the output go to ``out``, and the output stays in the product.
+        Returns (output, its trace, mean current), views of ``sme_table(h) @ [g ; w (x) g]``
+        written into ``out`` (d^2 + J + 2, n).  A CSR product allocates: then only the rows
+        below the output go to ``out``, and the output stays in the product.
         The linear output is the RK4 step plus ``sum_j w_j (a_j rho + rho a_j^dag) / hbar``;
         the nonlinear one subtracts ``(cur . w) g`` and its trace ``cur . w``, the trace
         this adds to a unit-trace g.
@@ -393,9 +389,7 @@ class _Engine:
         n2, r, g = self.dim**2, len(self.kept), x[: self.dim**2]
         np.multiply(w[:, None], g, out=x[n2:].reshape(r, *g.shape))
         table = self.sme_table(h)
-        if out is None:
-            out = prod = table @ x
-        elif isinstance(table, np.ndarray):
+        if isinstance(table, np.ndarray):
             prod = np.matmul(table, x, out=out)
         else:  # a CSR product allocates
             prod = table @ x
@@ -550,24 +544,24 @@ def _measured_ops(model: LindbladModel, mrep: MRep) -> np.ndarray:
     return ops
 
 
-def _measured_directions(mrep: MRep, tol: float = DEFAULT_TOL) -> tuple:
+def _measured_directions(mrep: MRep) -> tuple:
     """(kept, R^T): columns ``kept`` of ``T = [Re M; Im M]`` span the rest, ``T = T[:, kept] R^T``.
 
     Op j is real-linear in column j, so ``a_j = sum_k R_jk a_kept[k]``.  A column is kept
-    when its distance to the span of the kept ones before it exceeds ``tol max(1, |T|)`` in
-    units of sqrt(hbar), the scale ``validate_mrep`` allows off the diagonal of ``M M^dag``.
+    when its distance to the span of the kept ones before it exceeds ``DEFAULT_TOL max(1, |T|)``
+    in units of sqrt(hbar), the scale ``validate_mrep`` allows off the diagonal of ``M M^dag``.
     R^T selects the kept columns exactly, so it is the identity when every column is kept,
     and has exact zeros for a column that is exactly zero.
     """
     t = np.concatenate([mrep.matrix.real, mrep.matrix.imag]) / math.sqrt(mrep.hbar)
-    atol, kept, q = tol * max(1.0, float(np.linalg.norm(t))), [], np.zeros((len(t), 0))
+    atol, kept, q = DEFAULT_TOL * max(1.0, float(np.linalg.norm(t))), [], np.zeros((len(t), 0))
     for j, col in enumerate(t.T):
         v = col - q @ (q.T @ col)
         v -= q @ (q.T @ v)  # Gram-Schmidt twice is orthogonal to round-off
         if (size := float(np.linalg.norm(v))) > atol:
             kept.append(j)
             q = np.column_stack([q, v / size])
-    if not kept:  # every op is zero within tol: one zero op keeps the tables non-empty
+    if not kept:  # every op is zero within the tolerance: one zero op keeps the tables non-empty
         return [0], *_frozen(np.eye(1, len(t)))
     c = q.T @ t  # the columns in the kept ones' orthonormal basis; c[:, kept] is triangular
     rt = np.zeros_like(c)

@@ -60,9 +60,10 @@ def positive_sqrt(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise NotHermitianError(f"expected a square matrix, got shape {a.shape}")
     norm = _finite_norm(a)
     atol = tol * norm if norm > 0.0 else tol  # relative to ||a||, absolute for a = 0
-    if frobenius(a - a.conj().T) > atol:
+    half = a / 2.0  # halved first: a sum or difference of finite entries may overflow
+    if frobenius(half - half.conj().T) > atol / 2.0:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    w, v = np.linalg.eigh(half + half.conj().T)
     if w[0] < -atol:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -tol*||a||")
     w = np.maximum(w, 0.0)
@@ -81,6 +82,8 @@ def polar_decompose(t: np.ndarray):
     vectors, flipping the sign of a null direction so that det(o) = +1 when a
     sign is free; ``unique`` is False in that case.
     """
+    if np.iscomplexobj(t):  # a cast would drop the imaginary part
+        raise ValidationError("polar factorization needs a real matrix, got complex entries")
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise NotHermitianError(f"polar factorization needs a square matrix, got {t.shape}")
@@ -88,7 +91,7 @@ def polar_decompose(t: np.ndarray):
     n = t.shape[0]
     w, s, vt = np.linalg.svd(t)
     p = (w * s) @ w.T
-    p = (p + p.T) / 2.0
+    p = p / 2.0 + p.T / 2.0
     o = w @ vt
     smax = s[0] if n else 0.0
     unique = bool(n and s[-1] > DEFAULT_TOL * max(smax, 1.0))
@@ -102,6 +105,8 @@ def polar_decompose(t: np.ndarray):
 
 def pseudo_inverse(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a real matrix, dropping singular values below 1e-9 max(s)."""
+    if np.iscomplexobj(a):  # a cast would drop the imaginary part
+        raise ValidationError("pseudoinverse needs a real matrix, got complex entries")
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatchError(f"pseudoinverse needs a matrix, got shape {a.shape}")

@@ -234,9 +234,6 @@ class OrthoMatrix:
             det = float(np.linalg.det(o))
         object.__setattr__(self, "det_sign", 1 if det > 0 else -1)
 
-    def validate(self) -> None:
-        _check_unitary(self.matrix, DEFAULT_TOL, "matrix is not orthogonal")
-
 
 # ---------------------------------------------------------------------------
 # validation
@@ -460,7 +457,7 @@ def brep_o_to_mrep(brep: BRep, ortho: OrthoMatrix, hbar: float = 1.0) -> MRep:
             f"post-processing matrix must be {2 * brep.channels} x {2 * brep.channels},"
             f" got {ortho.matrix.shape}"
         )
-    ortho.validate()
+    _check_unitary(ortho.matrix, DEFAULT_TOL, "matrix is not orthogonal")
     return MRep(base.matrix @ ortho.matrix, hbar=hbar)
 
 

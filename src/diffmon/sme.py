@@ -138,9 +138,10 @@ def _step_states(engine: _Engine, rho, w, dt: float, linear: bool):
     if w.shape != (*lead, j):
         raise DimensionMismatchError(f"increments must have shape {(*lead, j)}, got {w.shape}")
     g = _gather(rho).reshape(-1, engine.dim**2).T
+    x = np.concatenate([g, np.empty((len(engine.kept) * len(g), g.shape[1]))])  # room for w (x) g
     with np.errstate(all="ignore"):  # a non-finite step shows in its trace
         w = engine.rt @ w.reshape(-1, j).T
-        out, tr, cur = engine.sme_step(engine.operand(g), w, dt, linear)
+        out, tr, cur = engine.sme_step(x, w, dt, linear, np.empty((len(g) + j + 2, g.shape[1])))
         if not linear:
             tr = _trace(out.T)
             out = out / tr

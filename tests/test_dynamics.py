@@ -728,7 +728,9 @@ def test_gather_scatter_round_trip_is_exact(dim):
 
 def _step_rows(engine, g, w, h, linear=True):
     """``engine.sme_step`` on rows of coordinates g and increments w; results as rows."""
-    out, tr, cur = engine.sme_step(engine.operand(g.T), w.T, h, linear)
+    n2, n = g.shape[1], len(g)
+    x = np.concatenate([g.T, np.empty((len(engine.kept) * n2, n))])
+    out, tr, cur = engine.sme_step(x, w.T, h, linear, np.empty((n2 + len(engine.ops) + 2, n)))
     return out.T, tr, cur.T
 
 

@@ -43,6 +43,8 @@ def test_deleted_names_are_gone():
     assert not hasattr(diffmon.Ensemble, "trajectory")
     assert not hasattr(diffmon.Ensemble, "trajectories")
     assert not hasattr(diffmon.dynamics._Engine, "current")
+    assert not hasattr(diffmon.dynamics._Engine, "operand")
+    assert not hasattr(diffmon.OrthoMatrix, "validate")
 
 
 def test_deleted_fields_and_options_are_gone():
@@ -68,7 +70,6 @@ def test_deleted_fields_and_options_are_gone():
         (diffmon.urep_split, "tol"),
         (diffmon.brep_o_to_mrep, "tol"),
         (diffmon.efficient_decomposition, "tol"),
-        (diffmon.OrthoMatrix.validate, "tol"),
         (diffmon.check_density_matrix, "tol"),
         (diffmon.urep_current_mean, "tol"),
         (diffmon.purity_increment_predicted, "tol"),
@@ -76,12 +77,18 @@ def test_deleted_fields_and_options_are_gone():
         (diffmon.brep_noise_matrices, "tol"),
         (diffmon.reps.factor_phase_gap, "det_sign"),
         (checks._random_model, "hbar"),
+        (diffmon.dynamics._measured_directions, "tol"),
     ]
     # A sweep's registered check wraps its generator of defects, which took the samples.
     sweeps = [inspect.getclosurevars(check).nonlocals.get("defects") for _, check in checks.CHECKS]
     gone += [(sweep, "samples") for sweep in sweeps if sweep is not None]
     for func, option in gone:
         assert option not in inspect.signature(func).parameters, (func.__name__, option)
+
+
+def test_sme_step_requires_an_output_buffer():
+    out = inspect.signature(diffmon.dynamics._Engine.sme_step).parameters["out"]
+    assert out.default is inspect.Parameter.empty
 
 
 def test_autocorrelation_tables_require_a_prediction():

@@ -175,7 +175,7 @@ def test_trep_polar_zero_not_unique():
     p, o, unique = trep_polar(TRep(np.zeros((2, 2))))
     assert not unique
     assert np.all(p == 0.0)
-    o.validate()
+    brep_o_to_mrep(BRep([1.0], [[1.0]], [1.0]), o)
 
 
 def test_trep_polar_random_invertible():
@@ -455,7 +455,8 @@ VALIDATOR_FAILURES = [
      EfficiencyOutOfRangeError, "theta[1] = -0.5 falls outside [0, 1]"),
     (lambda b: validate_brep(BRep(*b)), ([0.5, 0.5], [[1.0, 1.0], [0, 1.0]], [0.5, 0.5]),
      ValidationError, "mixing matrix is not unitary (defect 1.732e+00)"),
-    (lambda o: OrthoMatrix(o).validate(), [[1.0, 0.5], [0.0, 1.0]],
+    (lambda o: brep_o_to_mrep(BRep([1.0], [[1.0]], [1.0]), OrthoMatrix(o)),
+     [[1.0, 0.5], [0.0, 1.0]],
      ValidationError, "matrix is not orthogonal (defect 7.500e-01)"),
     # Finite entries whose Frobenius norm overflows: named by their eigenvalue,
     # not as non-finite entries, and without an overflow warning.
@@ -492,9 +493,10 @@ VALIDATOR_FAILURES = [
      ValidationError, "mixing matrix is not unitary (defect inf)"),
     (lambda b: validate_brep(BRep(*b)), ([0.5, 0.5], [[1e200, 0], [0, 1]], [0.5, 0.5]),
      ValidationError, "mixing matrix is not unitary (defect nan)"),
-    (lambda o: OrthoMatrix(o).validate(), 1e155 * np.eye(2),
+    (lambda o: brep_o_to_mrep(BRep([1.0], [[1.0]], [1.0]), OrthoMatrix(o)), 1e155 * np.eye(2),
      ValidationError, "matrix is not orthogonal (defect inf)"),
-    (lambda o: OrthoMatrix(o).validate(), 1.1e154 * np.eye(2),
+    (lambda o: brep_o_to_mrep(BRep([1.0], [[1.0]], [1.0]), OrthoMatrix(o)),
+     1.1e154 * np.eye(2),
      ValidationError, "matrix is not orthogonal (defect 1.711e+308)"),
 ]
 

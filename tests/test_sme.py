@@ -1160,11 +1160,13 @@ def _stepwise_records(model, m, rho0, config) -> dict:
     linear, pw = config.mode == "linear", dynamics._coordinate_weights(model.dim)[1]
     dw = lattice_normals(lattice_streams(config.seed, 0, 0, np.empty((steps, len(engine.ops), n))))
     dw *= np.sqrt(dt)
-    x = engine.operand(np.repeat(_gather(rho0)[:, None], n, axis=1))
-    g = x[: model.dim**2]
+    n2, r = model.dim**2, len(engine.kept)
+    x, buf = np.empty(((1 + r) * n2, n)), np.empty((n2 + len(engine.ops) + 2, n))
+    g = x[:n2]
+    g[:] = _gather(rho0)[:, None]
     states, pur, logw, cur = [g.T.copy()], [pw @ np.square(g)], [np.zeros(n)], []
     for i in range(steps):
-        out, tr, mean = engine.sme_step(x, engine.rt @ dw[i], dt, linear)
+        out, tr, mean = engine.sme_step(x, engine.rt @ dw[i], dt, linear, buf)
         assert np.isfinite(tr).all() and (tr > 0.0).all()
         logw.append(logw[-1] + np.log(tr) if linear else logw[-1])
         cur.append(((np.zeros_like(mean) if linear else mean) * dt + dw[i]) / dt)
@@ -1316,13 +1318,15 @@ def test_measured_directions_span_the_measurement(name, m, r, zero):
         assert t.any(axis=0).all()
 
 
-def test_rank_tolerance_sits_at_the_validators_tol():
+def test_rank_tolerance_sits_at_the_validators_tol(monkeypatch):
     # A column within tol of the span is dropped, one twice as far is kept, scaled with hbar.
     for hbar in (1.0, 2.5):
         for eps, r in ((1e-9, 1), (4e-9, 2)):  # the second column is eps / 2 off the first
             m = MRep(np.sqrt(hbar) * np.array([[1.0, 1.0 + 1j * eps]]) / 2.0, hbar=hbar)
             assert len(dynamics._measured_directions(m)[0]) == r
-            assert len(dynamics._measured_directions(m, tol=eps / 10)[0]) == 2
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "DEFAULT_TOL", eps / 10)
+                assert len(dynamics._measured_directions(m)[0]) == 2
     # The zero measurement keeps one zero op, so that no table is empty.
     kept, rt = dynamics._measured_directions(MRep(np.zeros((2, 4))))
     assert kept == [0] and np.array_equal(rt, np.eye(1, 4))
